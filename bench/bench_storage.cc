@@ -10,6 +10,7 @@
 //   storage/materialize/{memory,paged/pool_pages:{64,1024,unbounded}}
 //   storage/repair_fanout/{memory,paged/pool_pages:{64,1024,unbounded}}
 //   storage/cold_restart/paged/pool_pages:{64,1024,unbounded}
+//   storage/one_row_write/{memory,paged/pool_pages:64}
 // Paged cases report peak_mb — the allocation high-water mark of one cold
 // scan with a fresh pool — which grows with pool_pages, not table size.
 
@@ -283,6 +284,59 @@ void BM_ColdRestart(benchmark::State& state, size_t pool_pages) {
   }
 }
 
+// --- storage/one_row_write ------------------------------------------------
+// The cost of a one-row write next to uncertain data: a 20k-row
+// primary-key table C beside a relation repaired from 40 keys x 3 rows.
+// Iterations alternate inserting and deleting one key of C, so C keeps its
+// size. pages_flushed is the pages each statement's commit wrote (0 in
+// memory mode): C's new run plus the manifest, and no component pages.
+// The store is never compacted, so a paged run grows it by ~650 KiB per
+// iteration; the session removes it at the end of the run.
+
+constexpr int kWriteRows = 20000;
+
+void BM_OneRowWrite(benchmark::State& state, bool paged) {
+  auto session = std::make_unique<Session>(StorageOptions(paged, 64));
+  std::string repair = "create table P0 (K integer, V integer, W integer);\n"
+                       "insert into P0 values ";
+  for (int k = 0; k < 40; ++k) {
+    for (int j = 0; j < 3; ++j) {
+      repair += (k + j > 0 ? ", (" : "(") + std::to_string(k) + ", " +
+                std::to_string(k * 10 + j) + ", " + std::to_string(1 + j) +
+                ")";
+    }
+  }
+  repair += ";\ncreate table P as select K, V from P0 repair by key K "
+            "weight W;\n"
+            "create table C (K integer primary key, V integer, G integer);\n";
+  MustExecute(*session, repair);
+  for (int batch = 0; batch < kWriteRows; batch += 5000) {
+    std::string values;
+    for (int k = batch; k < batch + 5000; ++k) {
+      values += (k > batch ? ", (" : "(") + std::to_string(k) + ", " +
+                std::to_string(k % 1000) + ", " + std::to_string(k % 50) + ")";
+    }
+    MustExecute(*session, "insert into C values " + values + ";");
+  }
+  auto flushes = [&]() -> uint64_t {
+    return paged ? session->paged_store()->pool()->stats().flushes : 0;
+  };
+  const uint64_t flushes_before = flushes();
+  int64_t statements = 0;
+  for (auto _ : state) {
+    isql::QueryResult result =
+        MustQuery(*session, statements % 2 == 0
+                                ? "insert into C values (20000, 1, 1);"
+                                : "delete from C where K = 20000;");
+    benchmark::DoNotOptimize(result);
+    ++statements;
+  }
+  state.counters["pages_flushed"] =
+      statements > 0 ? static_cast<double>(flushes() - flushes_before) /
+                           static_cast<double>(statements)
+                     : 0;
+}
+
 void RegisterBenchmarks() {
   struct PoolAxis {
     const char* name;
@@ -299,6 +353,14 @@ void RegisterBenchmarks() {
   benchmark::RegisterBenchmark(
       "storage/repair_fanout/memory",
       [](benchmark::State& s) { BM_RepairFanout(s, false, 0); })
+      ->Unit(benchmark::kMillisecond);
+  benchmark::RegisterBenchmark(
+      "storage/one_row_write/memory",
+      [](benchmark::State& s) { BM_OneRowWrite(s, false); })
+      ->Unit(benchmark::kMillisecond);
+  benchmark::RegisterBenchmark(
+      "storage/one_row_write/paged/pool_pages:64",
+      [](benchmark::State& s) { BM_OneRowWrite(s, true); })
       ->Unit(benchmark::kMillisecond);
 
   for (const PoolAxis& pool : kPools) {

@@ -172,9 +172,7 @@ class QueryContext {
 QueryContext* CurrentQueryContext();
 
 /// RAII install/restore of the thread-local context. Installing nullptr
-/// SHIELDS the region: polls inside it are no-ops, which is how the
-/// post-commit reload in paged mode runs to completion after the store's
-/// root already flipped (disk state and memory state must not diverge).
+/// SHIELDS the region: polls inside it are no-ops.
 class QueryContextScope {
  public:
   explicit QueryContextScope(QueryContext* ctx);

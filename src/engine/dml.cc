@@ -1,7 +1,7 @@
 #include "engine/dml.h"
 
 #include <optional>
-#include <set>
+#include <unordered_map>
 #include <utility>
 
 #include "base/string_util.h"
@@ -49,10 +49,79 @@ const std::vector<Constraint>& NoConstraints() {
   return empty;
 }
 
+/// True if an assignment writes a column some constraint covers. A
+/// constraint column the schema lacks counts as written, so the full
+/// check still reports it.
+bool WritesConstrainedColumn(
+    const Schema& schema, const std::vector<Constraint>& constraints,
+    const std::vector<std::pair<size_t, const sql::Expr*>>& assignments) {
+  for (const Constraint& c : constraints) {
+    for (const std::string& col : c.columns) {
+      auto idx = schema.FindColumn(col);
+      if (!idx.ok()) return true;
+      for (const auto& assignment : assignments) {
+        if (assignment.first == *idx) return true;
+      }
+    }
+  }
+  return false;
+}
+
+/// Hashes and compares rows on their key columns in place, so a key set
+/// holds row pointers instead of projected tuples.
+struct KeyHash {
+  const std::vector<size_t>* indices;
+  size_t operator()(const Tuple* row) const {
+    size_t h = 0x811c9dc5;
+    for (size_t i : *indices) {
+      h ^= row->value(i).Hash() + 0x9e3779b9 + (h << 6) + (h >> 2);
+    }
+    return h;
+  }
+};
+
+struct KeyEqual {
+  const std::vector<size_t>* indices;
+  bool operator()(const Tuple* a, const Tuple* b) const {
+    for (size_t i : *indices) {
+      if (a->value(i).TotalOrderCompare(b->value(i)) != 0) return false;
+    }
+    return true;
+  }
+};
+
+/// The first row (in row order) of [first_new, n) whose key repeats the
+/// key of an earlier row, or n when all keys are distinct. Rows before
+/// `first_new` are known to have distinct keys. O(n) expected time; the
+/// key set holds the new rows only.
+size_t FirstDuplicateKey(const std::vector<Tuple>& rows, size_t first_new,
+                         const std::vector<size_t>& indices) {
+  std::unordered_map<const Tuple*, size_t, KeyHash, KeyEqual> first_seen(
+      rows.size() - first_new, KeyHash{&indices}, KeyEqual{&indices});
+  size_t duplicate = rows.size();
+  for (size_t r = first_new; r < rows.size(); ++r) {
+    if (!first_seen.emplace(&rows[r], r).second) {
+      duplicate = r;
+      break;
+    }
+  }
+  // A trusted row sharing a new key makes that key's first new row the
+  // duplicate; only rows before the intra-batch one can still win.
+  for (size_t r = 0; r < first_new && duplicate > first_new; ++r) {
+    auto it = first_seen.find(&rows[r]);
+    if (it != first_seen.end() && it->second < duplicate) {
+      duplicate = it->second;
+    }
+  }
+  return duplicate;
+}
+
 }  // namespace
 
 Status CheckTableConstraints(const Table& table,
-                             const std::vector<Constraint>& constraints) {
+                             const std::vector<Constraint>& constraints,
+                             size_t first_new) {
+  const std::vector<Tuple>& rows = table.rows();
   for (const Constraint& c : constraints) {
     std::vector<size_t> indices;
     for (const std::string& col : c.columns) {
@@ -62,9 +131,9 @@ Status CheckTableConstraints(const Table& table,
     }
     if (c.kind == ConstraintKind::kNotNull ||
         c.kind == ConstraintKind::kPrimaryKey) {
-      for (const Tuple& row : table.rows()) {
+      for (size_t r = first_new; r < rows.size(); ++r) {
         for (size_t i : indices) {
-          if (row.value(i).is_null()) {
+          if (rows[r].value(i).is_null()) {
             return Status::ConstraintViolation(
                 "NULL value in column " + c.columns[0] +
                 " violates a NOT NULL / PRIMARY KEY constraint");
@@ -74,16 +143,14 @@ Status CheckTableConstraints(const Table& table,
     }
     if (c.kind == ConstraintKind::kPrimaryKey ||
         c.kind == ConstraintKind::kUnique) {
-      std::set<Tuple> seen;
-      for (const Tuple& row : table.rows()) {
-        Tuple key = row.Project(indices);
-        if (!seen.insert(key).second) {
-          return Status::ConstraintViolation(
-              "duplicate key " + key.ToString() + " violates " +
-              (c.kind == ConstraintKind::kPrimaryKey ? "PRIMARY KEY"
-                                                     : "UNIQUE") +
-              " (" + Join(c.columns, ", ") + ")");
-        }
+      const size_t duplicate = FirstDuplicateKey(rows, first_new, indices);
+      if (duplicate < rows.size()) {
+        return Status::ConstraintViolation(
+            "duplicate key " + rows[duplicate].Project(indices).ToString() +
+            " violates " +
+            (c.kind == ConstraintKind::kPrimaryKey ? "PRIMARY KEY"
+                                                   : "UNIQUE") +
+            " (" + Join(c.columns, ", ") + ")");
       }
     }
   }
@@ -108,8 +175,12 @@ class PreparedDmlImpl {
   std::vector<size_t> targets;
   std::optional<PreparedSelect> insert_query;
 
-  // UPDATE: resolved (column index, value expression) assignments.
+  // UPDATE: resolved (column index, value expression) assignments, and
+  // whether any of them writes a constrained column. When none does, the
+  // pre-statement table already satisfied every constraint and so does
+  // the updated one: the check is skipped.
   std::vector<std::pair<size_t, const sql::Expr*>> assignments;
+  bool update_writes_constrained_column = true;
 
   // Subquery plans for VALUES expressions / WHERE clauses, shared across
   // every world this statement executes in (results stay per world).
@@ -160,7 +231,10 @@ Status PreparedDmlImpl::ExecuteInsert(Database* db) {
     MAYBMS_RETURN_NOT_OK(updated.Append(Tuple(std::move(values))));
   }
 
-  MAYBMS_RETURN_NOT_OK(CheckTableConstraints(updated, *constraints));
+  // The existing rows satisfied every constraint before the statement:
+  // only the appended rows are checked, against each other and the rest.
+  MAYBMS_RETURN_NOT_OK(
+      CheckTableConstraints(updated, *constraints, existing->num_rows()));
   db->PutRelation(stmt.table_name, std::move(updated));
   return Status::OK();
 }
@@ -196,7 +270,9 @@ Status PreparedDmlImpl::ExecuteUpdate(Database* db) {
     }
   }
 
-  MAYBMS_RETURN_NOT_OK(CheckTableConstraints(updated, *constraints));
+  if (update_writes_constrained_column) {
+    MAYBMS_RETURN_NOT_OK(CheckTableConstraints(updated, *constraints));
+  }
   db->PutRelation(stmt.table_name, std::move(updated));
   return Status::OK();
 }
@@ -271,6 +347,8 @@ Result<PreparedDml> PreparedDml::Prepare(const sql::Statement& stmt,
                                 existing->schema().FindColumn(col));
         impl.assignments.emplace_back(idx, expr.get());
       }
+      impl.update_writes_constrained_column = WritesConstrainedColumn(
+          existing->schema(), *impl.constraints, impl.assignments);
       return plan;
     }
     case sql::StatementKind::kDelete: {

@@ -48,8 +48,16 @@ class PreparedDml {
 /// Verifies every declared constraint of `table` (primary key uniqueness +
 /// NOT NULL, UNIQUE, NOT NULL columns). Returns ConstraintViolation with a
 /// description of the first violated constraint.
+///
+/// Rows before `first_new` are trusted to satisfy the constraints already
+/// (the table as it was before a statement appended rows); only rows from
+/// `first_new` on are checked, against each other and against the trusted
+/// keys, in O(rows) expected time with a key set over the new rows only.
+/// The reported violation is the one a row-order scan of the whole table
+/// meets first. `first_new` = 0 checks the whole table.
 Status CheckTableConstraints(const Table& table,
-                             const std::vector<Constraint>& constraints);
+                             const std::vector<Constraint>& constraints,
+                             size_t first_new = 0);
 
 /// Executes INSERT against one world. Values are type-checked/coerced to
 /// the column types; constraints from `catalog` are verified afterwards.

@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <limits>
-#include <optional>
 #include <system_error>
 #include <utility>
 
@@ -118,7 +117,7 @@ bool IsMutatingStatement(sql::StatementKind kind) {
 }  // namespace
 
 Session::Session(SessionOptions options) : options_(options) {
-  worlds_ = MakeWorldSet();
+  state_.worlds = MakeWorldSet();
   InitStorage();
   ResolveGovernance();
   if (options_.publish_snapshots) PublishSnapshot();
@@ -196,30 +195,21 @@ void Session::InitStorage() {
     if (store_->has_data()) {
       MAYBMS_ASSIGN_OR_RETURN(storage::DurableSnapshot snapshot,
                               store_->Load());
-      MAYBMS_RETURN_NOT_OK(worlds_->FromSnapshot(snapshot));
+      MAYBMS_RETURN_NOT_OK(state_.worlds->FromSnapshot(snapshot));
       MAYBMS_RETURN_NOT_OK(
-          RestoreCatalogMetadata(snapshot.metadata, &catalog_));
+          RestoreCatalogMetadata(snapshot.metadata, &state_.catalog));
     }
     return Status::OK();
   }();
 }
 
-Status Session::PersistAndReload() {
+Status Session::Commit(const State& next) {
+  // Unchanged tables and components are the instances the last commit
+  // wrote, so the store writes only what this statement changed.
   MAYBMS_ASSIGN_OR_RETURN(storage::DurableSnapshot snapshot,
-                          worlds_->ToSnapshot());
-  snapshot.metadata = EncodeCatalogMetadata(catalog_);
-  MAYBMS_RETURN_NOT_OK(store_->Commit(snapshot));
-  // The root flipped: from here the reload MUST complete, or memory
-  // would lag the durable state it just wrote. Shield the region so a
-  // deadline that fires mid-reload cannot abort it (governance polls in
-  // FromSnapshot/Scan become no-ops under a null context).
-  base::QueryContextScope shield(nullptr);
-  // Reload through the store so every relation the next statement reads
-  // has round-tripped disk pages, checksums, and the buffer pool — paged
-  // mode is exercised end to end, not just on restart.
-  MAYBMS_ASSIGN_OR_RETURN(storage::DurableSnapshot loaded, store_->Load());
-  MAYBMS_RETURN_NOT_OK(worlds_->FromSnapshot(loaded));
-  return RestoreCatalogMetadata(loaded.metadata, &catalog_);
+                          next.worlds->ToSnapshot());
+  snapshot.metadata = EncodeCatalogMetadata(next.catalog);
+  return store_->Commit(snapshot);
 }
 
 void Session::ResolveGovernance() {
@@ -292,79 +282,65 @@ Result<QueryResult> Session::ExecuteStatement(const sql::Statement& stmt) {
   if (base::CurrentQueryContext() != nullptr) {
     // A caller (the server's per-request path) already installed a
     // context on this thread; it owns the deadline arithmetic.
-    return ExecuteGoverned(stmt, base::CurrentQueryContext());
+    return RunStatement(stmt);
   }
   base::QueryContext ctx(governance_limits_);
   if (!ctx.governed()) {
     // No limits, no injected kill points: skip the context entirely so
     // every GovernPoll() stays one TLS load and a branch.
-    return ExecuteGoverned(stmt, nullptr);
+    return RunStatement(stmt);
   }
   base::QueryContextScope scope(&ctx);
-  return ExecuteGoverned(stmt, &ctx);
+  return RunStatement(stmt);
 }
 
-Result<QueryResult> Session::ExecuteGoverned(const sql::Statement& stmt,
-                                             base::QueryContext* ctx) {
-  const bool mutating = IsMutatingStatement(stmt.kind);
-  // Pre-statement capture for governed mutating statements. The engines
-  // already compute-then-commit, so in-memory state can only be torn by
-  // an abort BETWEEN the in-memory commit and the storage commit (paged
-  // mode); the capture is O(worlds × relations) handle bumps and makes
-  // rollback unconditional either way. Ungoverned statements skip it.
-  std::unique_ptr<worlds::WorldSet> rollback_worlds;
-  std::optional<Catalog> rollback_catalog;
-  std::optional<ViewMap> rollback_views;
-  if (ctx != nullptr && mutating) {
-    rollback_worlds = worlds_->Clone();
-    rollback_catalog = catalog_;
-    rollback_views = views_;
+Result<QueryResult> Session::RunStatement(const sql::Statement& stmt) {
+  if (!IsMutatingStatement(stmt.kind)) {
+    return EvaluateSelectOn(*state_.worlds, state_.views,
+                            static_cast<const sql::SelectStatement&>(stmt),
+                            options_.max_display_worlds);
   }
-
-  Result<QueryResult> result = [&]() -> Result<QueryResult> {
-    MAYBMS_ASSIGN_OR_RETURN(QueryResult r, DispatchStatement(stmt));
-    if (mutating && paged_) {
-      MAYBMS_RETURN_NOT_OK(PersistAndReload());
-    }
-    return r;
-  }();
-
-  if (!result.ok()) {
-    if (rollback_worlds != nullptr) {
-      worlds_ = std::move(rollback_worlds);
-      catalog_ = std::move(*rollback_catalog);
-      views_ = std::move(*rollback_views);
-    }
-    return result.status();
-  }
-  if (mutating && options_.publish_snapshots) PublishSnapshot();
+  // Compute, commit, swap. Any error before the swap — the statement's
+  // own, a governance verdict, or a failed commit — drops `next`, and
+  // the store still presents the current state (PagedStore::Commit is
+  // all-or-nothing and never polls after its root flip).
+  State next{state_.worlds->Clone(), state_.catalog, state_.views};
+  MAYBMS_ASSIGN_OR_RETURN(QueryResult result, ApplyMutation(stmt, &next));
+  if (paged_) MAYBMS_RETURN_NOT_OK(Commit(next));
+  // In place, so references from world_set() stay valid.
+  state_.worlds->MoveFrom(std::move(*next.worlds));
+  state_.catalog = std::move(next.catalog);
+  state_.views = std::move(next.views);
+  if (options_.publish_snapshots) PublishSnapshot();
   return result;
 }
 
-Result<QueryResult> Session::DispatchStatement(const sql::Statement& stmt) {
+Result<QueryResult> Session::ApplyMutation(const sql::Statement& stmt,
+                                           State* next) {
   switch (stmt.kind) {
-    case sql::StatementKind::kSelect:
-      return EvaluateSelect(static_cast<const sql::SelectStatement&>(stmt));
     case sql::StatementKind::kCreateTable:
       return ExecuteCreateTable(
-          static_cast<const sql::CreateTableStatement&>(stmt));
+          static_cast<const sql::CreateTableStatement&>(stmt), next);
     case sql::StatementKind::kCreateTableAs:
       return ExecuteCreateTableAs(
-          static_cast<const sql::CreateTableAsStatement&>(stmt));
+          static_cast<const sql::CreateTableAsStatement&>(stmt), next);
     case sql::StatementKind::kDropTable:
-      return ExecuteDrop(static_cast<const sql::DropTableStatement&>(stmt));
+      return ExecuteDrop(static_cast<const sql::DropTableStatement&>(stmt),
+                         next);
     case sql::StatementKind::kInsert:
     case sql::StatementKind::kUpdate:
     case sql::StatementKind::kDelete:
-      return ExecuteDml(stmt);
+      return ExecuteDml(stmt, next);
+    case sql::StatementKind::kSelect:
+      break;
   }
   return Status::InvalidArgument("unknown statement kind");
 }
 
 std::vector<std::string> Session::ViewNames() const {
   std::vector<std::string> names;
-  names.reserve(views_.size());
-  for (const auto& [name, def] : views_) names.push_back(name);
+  names.reserve(state_.views.size());
+  for (const auto& [name, def] : state_.views) names.push_back(name);
   return names;
 }
 
@@ -428,23 +404,23 @@ Result<QueryResult> Session::EvaluateSelectOn(const worlds::WorldSet& ws,
   return QueryResult::Worlds(std::move(eval.per_world), eval.truncated);
 }
 
-Result<QueryResult> Session::EvaluateSelect(const sql::SelectStatement& stmt) {
-  return EvaluateSelectOn(*worlds_, views_, stmt, options_.max_display_worlds);
-}
-
 void Session::PublishSnapshot() {
   auto snapshot = std::make_shared<SessionSnapshot>();
   snapshot->version = commit_version_++;
-  // The clone shares every Table instance with the live world-set
-  // (immutable once shared), so this is O(worlds × relations) handle
-  // bumps; the next mutating statement clones-on-write and leaves the
-  // snapshot's instances untouched.
+  // The clone shares every instance with the live world-set (immutable
+  // once shared), so this is handle bumps; the next mutating statement
+  // clones-on-write and leaves the snapshot's instances untouched.
   snapshot->worlds =
-      std::shared_ptr<const worlds::WorldSet>(worlds_->Clone().release());
-  snapshot->catalog = catalog_;
-  snapshot->views = views_;
-  std::lock_guard<std::mutex> lock(snapshot_mu_);
-  published_ = std::move(snapshot);
+      std::shared_ptr<const worlds::WorldSet>(state_.worlds->Clone().release());
+  snapshot->catalog = state_.catalog;
+  snapshot->views = state_.views;
+  std::shared_ptr<const SessionSnapshot> previous = std::move(snapshot);
+  {
+    std::lock_guard<std::mutex> lock(snapshot_mu_);
+    std::swap(published_, previous);
+  }
+  if (previous != nullptr) retired_.push_back(std::move(previous));
+  std::erase_if(retired_, [](const auto& s) { return s.use_count() == 1; });
 }
 
 std::shared_ptr<const SessionSnapshot> Session::PinSnapshot() const {
@@ -457,9 +433,9 @@ std::shared_ptr<const SessionSnapshot> Session::PinSnapshot() const {
   auto snapshot = std::make_shared<SessionSnapshot>();
   snapshot->version = commit_version_;
   snapshot->worlds =
-      std::shared_ptr<const worlds::WorldSet>(worlds_->Clone().release());
-  snapshot->catalog = catalog_;
-  snapshot->views = views_;
+      std::shared_ptr<const worlds::WorldSet>(state_.worlds->Clone().release());
+  snapshot->catalog = state_.catalog;
+  snapshot->views = state_.views;
   return snapshot;
 }
 
@@ -485,70 +461,67 @@ Result<QueryResult> Session::EvaluateSnapshot(const SessionSnapshot& snapshot,
 }
 
 Result<QueryResult> Session::ExecuteCreateTable(
-    const sql::CreateTableStatement& stmt) {
-  if (views_.count(AsciiToLower(stmt.table_name)) > 0) {
+    const sql::CreateTableStatement& stmt, State* next) {
+  if (next->views.count(AsciiToLower(stmt.table_name)) > 0) {
     return Status::AlreadyExists("a view named " + stmt.table_name +
                                  " already exists");
   }
   MAYBMS_ASSIGN_OR_RETURN(Table prototype,
                           engine::BuildTableFromDefinition(stmt));
-  MAYBMS_RETURN_NOT_OK(worlds_->CreateBaseTable(stmt.table_name, prototype));
+  MAYBMS_RETURN_NOT_OK(
+      next->worlds->CreateBaseTable(stmt.table_name, prototype));
   for (Constraint& c : engine::CollectConstraints(stmt)) {
-    catalog_.AddConstraint(stmt.table_name, std::move(c));
+    next->catalog.AddConstraint(stmt.table_name, std::move(c));
   }
   return QueryResult::Message("created table " + stmt.table_name);
 }
 
 Result<QueryResult> Session::ExecuteCreateTableAs(
-    const sql::CreateTableAsStatement& stmt) {
+    const sql::CreateTableAsStatement& stmt, State* next) {
   const std::string lower = AsciiToLower(stmt.table_name);
-  if (views_.count(lower) > 0 || worlds_->HasRelation(stmt.table_name)) {
+  if (next->views.count(lower) > 0 ||
+      next->worlds->HasRelation(stmt.table_name)) {
     return Status::AlreadyExists("relation or view already exists: " +
                                  stmt.table_name);
   }
 
   if (stmt.is_view) {
-    views_[lower] =
+    next->views[lower] =
         std::shared_ptr<const sql::SelectStatement>(stmt.query->Clone());
     return QueryResult::Message("created view " + stmt.table_name);
   }
 
-  if (ReferencesViews(*stmt.query, views_)) {
-    // Materialize referenced views first; view world operations (e.g. an
-    // `assert` inside the view) become part of the session's world-set —
-    // CREATE TABLE makes the derived world-set real.
-    std::unique_ptr<worlds::WorldSet> derived = worlds_->Clone();
-    std::set<std::string> in_progress;
-    MAYBMS_RETURN_NOT_OK(
-        MaterializeViewsInto(views_, derived.get(), *stmt.query, &in_progress));
-    MAYBMS_RETURN_NOT_OK(
-        derived->MaterializeSelect(stmt.table_name, *stmt.query));
-    worlds_ = std::move(derived);
-  } else {
-    MAYBMS_RETURN_NOT_OK(
-        worlds_->MaterializeSelect(stmt.table_name, *stmt.query));
-  }
+  // Referenced views materialize first; view world operations (e.g. an
+  // `assert` inside the view) become part of the session's world-set —
+  // CREATE TABLE makes the derived world-set real.
+  std::set<std::string> in_progress;
+  MAYBMS_RETURN_NOT_OK(MaterializeViewsInto(next->views, next->worlds.get(),
+                                            *stmt.query, &in_progress));
+  MAYBMS_RETURN_NOT_OK(
+      next->worlds->MaterializeSelect(stmt.table_name, *stmt.query));
   return QueryResult::Message("created table " + stmt.table_name);
 }
 
-Result<QueryResult> Session::ExecuteDrop(const sql::DropTableStatement& stmt) {
+Result<QueryResult> Session::ExecuteDrop(const sql::DropTableStatement& stmt,
+                                         State* next) {
   const std::string lower = AsciiToLower(stmt.table_name);
-  if (views_.erase(lower) > 0) {
+  if (next->views.erase(lower) > 0) {
     return QueryResult::Message("dropped view " + stmt.table_name);
   }
-  Status status = worlds_->DropRelation(stmt.table_name);
+  Status status = next->worlds->DropRelation(stmt.table_name);
   if (!status.ok()) {
     if (stmt.if_exists && status.code() == StatusCode::kNotFound) {
       return QueryResult::Message("nothing to drop");
     }
     return status;
   }
-  catalog_.DropConstraints(stmt.table_name);
+  next->catalog.DropConstraints(stmt.table_name);
   return QueryResult::Message("dropped table " + stmt.table_name);
 }
 
-Result<QueryResult> Session::ExecuteDml(const sql::Statement& stmt) {
-  MAYBMS_RETURN_NOT_OK(worlds_->ApplyDml(stmt, catalog_));
+Result<QueryResult> Session::ExecuteDml(const sql::Statement& stmt,
+                                        State* next) {
+  MAYBMS_RETURN_NOT_OK(next->worlds->ApplyDml(stmt, next->catalog));
   switch (stmt.kind) {
     case sql::StatementKind::kInsert:
       return QueryResult::Message("insert applied in all worlds");

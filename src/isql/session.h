@@ -31,8 +31,8 @@ enum class StorageMode {
   kDefault,  // the MAYBMS_STORAGE environment variable; memory if unset
   kMemory,   // in-memory tables only (no durability)
   kPaged,    // durable paged storage (storage/store.h): every mutating
-             // statement commits, and all subsequent reads go through
-             // tables that round-tripped disk pages + the buffer pool
+             // statement commits its new state before the session
+             // adopts it; reads run on the in-memory tables
 };
 
 struct SessionOptions {
@@ -42,8 +42,8 @@ struct SessionOptions {
   /// after every successful mutating statement. Readers on other threads
   /// may then PinSnapshot() and evaluate SELECTs against it concurrently
   /// with (exactly one) writer executing statements on the session.
-  /// Off by default: embedded single-threaded sessions skip the
-  /// O(worlds × relations) handle-bump clone per commit.
+  /// Off by default: embedded single-threaded sessions skip building a
+  /// snapshot per commit.
   bool publish_snapshots = false;
 
   /// Table storage backend. kDefault resolves MAYBMS_STORAGE
@@ -98,10 +98,10 @@ struct SessionOptions {
 /// A consistent immutable view of a session's state — the world-set,
 /// the constraint catalog, and the view definitions — as of one commit
 /// point. Snapshots are what make concurrent reads snapshot-isolated:
-/// the world-set handle is a copy-on-write clone whose Table instances
-/// are shared with the live session (immutable once shared,
-/// storage/catalog.h), so pinning is O(worlds × relations) handle bumps
-/// and a pinned snapshot never observes later writes. A statement
+/// the world-set handle is a copy-on-write clone whose instances are
+/// shared with the live session (immutable once shared,
+/// storage/catalog.h), so building one is handle bumps and a pinned
+/// snapshot never observes later writes. A statement
 /// evaluated against a snapshot sees either the state before a
 /// concurrent commit or the state after it — never a mixture — and its
 /// result is byte-identical to serial execution against that state.
@@ -159,8 +159,10 @@ class Session {
     return governance_limits_;
   }
 
-  const worlds::WorldSet& world_set() const { return *worlds_; }
-  const Catalog& catalog() const { return catalog_; }
+  /// The live world-set. The reference stays valid for the session's
+  /// lifetime; its contents change with every mutating statement.
+  const worlds::WorldSet& world_set() const { return *state_.worlds; }
+  const Catalog& catalog() const { return state_.catalog; }
   const SessionOptions& options() const { return options_; }
 
   /// Names of defined views (lower-cased).
@@ -201,27 +203,40 @@ class Session {
   bool is_paged() const { return paged_; }
 
  private:
-  /// The statement body under a (possibly null) governance context:
-  /// dispatch, paged persist, and — for governed mutating statements —
-  /// pre-statement capture plus rollback on any failure, so an aborted
-  /// statement leaves world-set, catalog, and views byte-identical.
-  Result<QueryResult> ExecuteGoverned(const sql::Statement& stmt,
-                                      base::QueryContext* ctx);
+  using ViewMap =
+      std::map<std::string, std::shared_ptr<const sql::SelectStatement>>;
+
+  /// Everything a statement may change.
+  struct State {
+    std::unique_ptr<worlds::WorldSet> worlds;
+    Catalog catalog;
+    // View name (lower-cased) -> definition.
+    ViewMap views;
+  };
+
+  /// The statement body under whatever governance context is installed.
+  /// A SELECT evaluates against the current state. A mutating statement
+  /// builds the next state on a clone (handle bumps), commits it when
+  /// paged, and swaps it in only after that succeeded — so a statement
+  /// that returns an error, governed or not, has no effect in memory or
+  /// on disk.
+  Result<QueryResult> RunStatement(const sql::Statement& stmt);
 
   /// Resolves governance limits from options + environment (strict
   /// parsing; failures are sticky in governance_status_).
   void ResolveGovernance();
 
-  Result<QueryResult> DispatchStatement(const sql::Statement& stmt);
-  Result<QueryResult> EvaluateSelect(const sql::SelectStatement& stmt);
-  Result<QueryResult> ExecuteCreateTable(const sql::CreateTableStatement& stmt);
-  Result<QueryResult> ExecuteCreateTableAs(
-      const sql::CreateTableAsStatement& stmt);
-  Result<QueryResult> ExecuteDrop(const sql::DropTableStatement& stmt);
-  Result<QueryResult> ExecuteDml(const sql::Statement& stmt);
-
-  using ViewMap =
-      std::map<std::string, std::shared_ptr<const sql::SelectStatement>>;
+  /// Applies a mutating statement to `next`.
+  static Result<QueryResult> ApplyMutation(const sql::Statement& stmt,
+                                           State* next);
+  static Result<QueryResult> ExecuteCreateTable(
+      const sql::CreateTableStatement& stmt, State* next);
+  static Result<QueryResult> ExecuteCreateTableAs(
+      const sql::CreateTableAsStatement& stmt, State* next);
+  static Result<QueryResult> ExecuteDrop(const sql::DropTableStatement& stmt,
+                                         State* next);
+  static Result<QueryResult> ExecuteDml(const sql::Statement& stmt,
+                                        State* next);
 
   /// True if `stmt` (transitively) references any view in `views`.
   static bool ReferencesViews(const sql::SelectStatement& stmt,
@@ -254,25 +269,24 @@ class Session {
   /// in storage_status_ (the constructor itself never fails).
   void InitStorage();
 
-  /// Paged mode: commits the current world-set and reloads it from disk,
-  /// so every relation the NEXT statement reads has round-tripped through
-  /// pages, checksums, and the buffer pool. Called after each successful
-  /// mutating statement.
-  Status PersistAndReload();
+  /// Paged mode: durably commits `next` as the store's next generation.
+  /// On failure the store still presents the current state.
+  Status Commit(const State& next);
 
   SessionOptions options_;
-  std::unique_ptr<worlds::WorldSet> worlds_;
-  Catalog catalog_;
-  // View name (lower-cased) -> definition.
-  ViewMap views_;
+  State state_;
 
   // Published snapshot (publish_snapshots mode). The mutex guards only
   // the pointer swap/copy: readers run evaluation outside it.
   mutable std::mutex snapshot_mu_;
   std::shared_ptr<const SessionSnapshot> published_;
+  // Superseded snapshots a reader may still pin. No reader can pin one
+  // again, so the writer frees each on a later publish once it holds the
+  // last reference: readers never pay for destroying a stale state.
+  std::vector<std::shared_ptr<const SessionSnapshot>> retired_;
   uint64_t commit_version_ = 0;
 
-  // Durable paged storage (null in memory mode). views_ are NOT durable:
+  // Durable paged storage (null in memory mode). Views are NOT durable:
   // view definitions are ASTs and there is no unparser yet.
   std::unique_ptr<storage::PagedStore> store_;
   bool paged_ = false;         // resolved storage mode is kPaged

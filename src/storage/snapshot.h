@@ -2,6 +2,7 @@
 #define MAYBMS_STORAGE_SNAPSHOT_H_
 
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -12,7 +13,9 @@
 namespace maybms::storage {
 
 /// Engine-neutral durable form of a world-set: what PagedStore writes at
-/// commit and what WorldSet::FromSnapshot restores after reopen.
+/// commit and what WorldSet::FromSnapshot restores after reopen. A paged
+/// session builds one per mutating statement from the new state and
+/// commits it; nothing is read back until the next restart.
 ///
 /// Table instances are POINTER-DEDUPED: each distinct `const Table*`
 /// reachable from the world-set appears exactly once in `tables`, and
@@ -23,7 +26,11 @@ namespace maybms::storage {
 ///
 /// Decomposed alternatives' contributions are schema-less tuple vectors
 /// (the relation's schema lives with the certain-core instance), stored
-/// as dedicated page runs.
+/// as dedicated page runs. Each component also carries the immutable
+/// in-memory instance it was taken from; PagedStore::Commit keys its
+/// dedup map on it exactly as on table handles, so a component the
+/// previous commit already wrote costs no pages. Load cannot know those
+/// instances and leaves them null.
 ///
 /// Probabilities are doubles carried verbatim (bit patterns on disk);
 /// restore assigns them directly WITHOUT renormalizing, so restored
@@ -61,6 +68,10 @@ struct DurableSnapshot {
   };
   struct ComponentRef {
     std::vector<AlternativeRef> alternatives;
+    /// The immutable component these alternatives were copied from, or
+    /// null (always written). Two refs with the same instance must carry
+    /// the same alternatives.
+    std::shared_ptr<const void> instance;
   };
   std::vector<ComponentRef> components;
 

@@ -261,7 +261,14 @@ Status PagedStore::Commit(const DurableSnapshot& snapshot) {
   // All page allocation is speculative until the root swap: work on a
   // local cursor and a fresh dedup map, and install them only on success.
   uint64_t next = next_free_page_;
-  std::map<const Table*, RunInfo> persisted;
+  std::map<const void*, RunInfo> persisted;
+  // The runs of an instance the committed generation already holds, kept
+  // for the new generation too; null if it must be written.
+  auto reuse = [&](const void* instance) -> const RunInfo* {
+    auto it = persisted_.find(instance);
+    if (it == persisted_.end()) return nullptr;
+    return &persisted.insert(*it).first->second;
+  };
 
   Status status = [&]() -> Status {
     ManifestData manifest;
@@ -274,21 +281,34 @@ Status PagedStore::Commit(const DurableSnapshot& snapshot) {
     // only instances not already durable are written.
     manifest.table_runs.reserve(snapshot.tables.size());
     for (const Database::TableHandle& handle : snapshot.tables) {
-      auto it = persisted_.find(handle.get());
-      if (it != persisted_.end()) {
-        manifest.table_runs.push_back(it->second.run);
-        persisted[handle.get()] = it->second;
+      if (const RunInfo* info = reuse(handle.get())) {
+        manifest.table_runs.push_back(info->runs.front());
         continue;
       }
       MAYBMS_ASSIGN_OR_RETURN(PagedTable paged,
                               PagedTable::Write(*handle, &pool_, &next));
       manifest.table_runs.push_back(paged.run());
-      persisted[handle.get()] = RunInfo{paged.run(), handle};
+      persisted[handle.get()] = RunInfo{{paged.run()}, handle};
     }
 
-    // 2. Component contributions as schema-less tuple runs.
+    // 2. Component contributions as schema-less tuple runs, deduped the
+    // same way on the component instance.
     manifest.components.reserve(snapshot.components.size());
     for (const auto& component : snapshot.components) {
+      const RunInfo* reused = component.instance != nullptr
+                                  ? reuse(component.instance.get())
+                                  : nullptr;
+      if (reused != nullptr) {
+        size_t contributions = 0;
+        for (const auto& alt : component.alternatives) {
+          contributions += alt.contributions.size();
+        }
+        if (contributions != reused->runs.size()) {
+          return Status::InvalidArgument(
+              "store: a component instance changed after it was committed");
+        }
+      }
+      std::vector<PageRun> runs;
       ManifestData::ComponentRuns component_runs;
       component_runs.alternatives.reserve(component.alternatives.size());
       for (const auto& alt : component.alternatives) {
@@ -296,11 +316,20 @@ Status PagedStore::Commit(const DurableSnapshot& snapshot) {
         alt_runs.probability = alt.probability;
         alt_runs.contributions.reserve(alt.contributions.size());
         for (const auto& [relation, tuples] : alt.contributions) {
-          MAYBMS_ASSIGN_OR_RETURN(
-              PagedTable run, PagedTable::WriteTuples(tuples, &pool_, &next));
-          alt_runs.contributions.emplace_back(relation, run.run());
+          if (reused != nullptr) {
+            runs.push_back(reused->runs[runs.size()]);
+          } else {
+            MAYBMS_ASSIGN_OR_RETURN(
+                PagedTable run, PagedTable::WriteTuples(tuples, &pool_, &next));
+            runs.push_back(run.run());
+          }
+          alt_runs.contributions.emplace_back(relation, runs.back());
         }
         component_runs.alternatives.push_back(std::move(alt_runs));
+      }
+      if (reused == nullptr && component.instance != nullptr) {
+        persisted[component.instance.get()] =
+            RunInfo{std::move(runs), component.instance};
       }
       manifest.components.push_back(std::move(component_runs));
     }
@@ -359,9 +388,12 @@ Status PagedStore::Commit(const DurableSnapshot& snapshot) {
   }();
 
   if (!status.ok()) {
-    // Drop speculative cached pages; their ids will be reused by the next
-    // attempt, and on-disk they are unreferenced by the durable root.
+    // Drop speculative cached pages, and never reuse their ids: a commit
+    // that died on its final fsync may have landed its root, which then
+    // references them, and a retry overwriting them would leave that
+    // root over foreign pages after a crash.
     pool_.InvalidateUnpinned();
+    next_free_page_ = next;
     return status;
   }
 
@@ -398,12 +430,12 @@ Result<DurableSnapshot> PagedStore::Load() {
   // Materialize each deduped table instance ONCE and prime the dedup map
   // with the fresh handles: worlds sharing a table index share the
   // restored instance, and the next Commit rewrites none of them.
-  std::map<const Table*, RunInfo> persisted;
+  std::map<const void*, RunInfo> persisted;
   snapshot.tables.reserve(manifest.table_runs.size());
   for (const PageRun& run : manifest.table_runs) {
     PagedTable paged(&pool_, run);
     MAYBMS_ASSIGN_OR_RETURN(Database::TableHandle handle, paged.Materialize());
-    persisted[handle.get()] = RunInfo{run, handle};
+    persisted[handle.get()] = RunInfo{{run}, handle};
     snapshot.tables.push_back(std::move(handle));
   }
 
@@ -430,12 +462,11 @@ Result<DurableSnapshot> PagedStore::Load() {
   return snapshot;
 }
 
-std::vector<std::pair<const Table*, PageRun>> PagedStore::PersistedRuns()
+std::vector<std::pair<const void*, PageRun>> PagedStore::PersistedRuns()
     const {
-  std::vector<std::pair<const Table*, PageRun>> runs;
-  runs.reserve(persisted_.size());
-  for (const auto& [table, info] : persisted_) {
-    runs.emplace_back(table, info.run);
+  std::vector<std::pair<const void*, PageRun>> runs;
+  for (const auto& [instance, info] : persisted_) {
+    for (const PageRun& run : info.runs) runs.emplace_back(instance, run);
   }
   return runs;
 }

@@ -31,11 +31,14 @@ namespace maybms::storage {
 ///
 /// Commit protocol (all-or-nothing; fault-injection-proven by
 /// tests/storage_recovery_test.cc at every kill point):
-///   1. append page runs for every table instance not already persisted
-///      (pointer-deduped against the last committed generation, so an
-///      unchanged relation shared by many worlds is neither rewritten nor
+///   1. append page runs for every table instance and every decomposed
+///      component instance not already persisted (pointer-deduped against
+///      the last committed generation through one map keyed on the
+///      immutable instances, so an unchanged relation shared by many
+///      worlds, or an unchanged component, is neither rewritten nor
 ///      duplicated — the copy-on-write sharing structure maps 1:1 onto
-///      shared page runs);
+///      shared page runs, and a statement that changes one relation
+///      writes that relation's pages and the manifest only);
 ///   2. append the manifest (the DurableSnapshot skeleton: world/
 ///      component structure, run locations, metadata);
 ///   3. FlushAll + fsync            — every new page durable;
@@ -66,20 +69,27 @@ class PagedStore {
 
   /// Durably commits the snapshot as the next generation. On failure the
   /// store (in memory and on disk) still presents the previous
-  /// generation, and Commit may simply be retried.
+  /// generation — or, after a failed final fsync, possibly the complete
+  /// new one — and Commit may simply be retried; a retry writes fresh
+  /// pages, never those of the failed attempt.
   Status Commit(const DurableSnapshot& snapshot);
 
   /// Materializes the committed generation. Also primes the pointer-dedup
-  /// map with the returned handles, so a following Commit only writes
-  /// tables that changed since the load.
+  /// map with the returned table handles, so a following Commit only
+  /// writes tables that changed since the load. Loaded components carry
+  /// no instance (the world-set builds its own from the tuples), so the
+  /// first commit after a restart writes every component once; later
+  /// commits dedup them.
   Result<DurableSnapshot> Load();
 
   BufferPool* pool() { return &pool_; }
   File* file() { return file_.get(); }
 
-  /// Introspection for tests: the page run each live table instance
-  /// persists to (incremental commits reuse these).
-  std::vector<std::pair<const Table*, PageRun>> PersistedRuns() const;
+  /// Introspection for tests: the page runs each persisted instance — a
+  /// table or a component — maps to, one entry per run (a component has
+  /// one run per alternative contribution). Incremental commits reuse
+  /// these.
+  std::vector<std::pair<const void*, PageRun>> PersistedRuns() const;
 
  private:
   PagedStore(std::unique_ptr<File> file, size_t pool_pages)
@@ -98,9 +108,11 @@ class PagedStore {
   Status WriteRootSlot(const RootRecord& root);
 
   struct RunInfo {
-    PageRun run;
-    // Keeps the instance alive so the const Table* key stays unique.
-    Database::TableHandle keepalive;
+    // A table: its one run. A component: one run per contribution, in
+    // alternative order, then contribution order.
+    std::vector<PageRun> runs;
+    // Keeps the instance alive so its address stays a unique key.
+    std::shared_ptr<const void> keepalive;
   };
 
   std::unique_ptr<File> file_;
@@ -111,9 +123,9 @@ class PagedStore {
   uint64_t generation_ = 0;
   uint64_t next_free_page_ = 2;  // pages 0,1 are the root slots
 
-  /// Pointer-dedup across commits: table instances already durable under
-  /// the committed root.
-  std::map<const Table*, RunInfo> persisted_;
+  /// Pointer-dedup across commits: table and component instances already
+  /// durable under the committed root.
+  std::map<const void*, RunInfo> persisted_;
 };
 
 }  // namespace maybms::storage

@@ -3,7 +3,9 @@
 
 #include <cstddef>
 #include <map>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/result.h"
@@ -41,6 +43,18 @@ struct Component {
   /// the total mass is zero.
   Status Normalize();
 };
+
+/// A component as a world-set holds it: shared and immutable, so cloning
+/// a world-set is handle bumps. Writers copy the component, change the
+/// copy and store a new handle (copy-on-write).
+using ComponentHandle = std::shared_ptr<const Component>;
+
+/// Wraps a finished component in a handle. The reference counts live in
+/// a separate allocation, so the counting that clones do never writes to
+/// the cache lines that readers of the component use.
+inline ComponentHandle ShareComponent(Component component) {
+  return ComponentHandle(new Component(std::move(component)));
+}
 
 /// Flattens the product of `parts` into a single component whose
 /// alternatives are all combinations, with merged contributions and

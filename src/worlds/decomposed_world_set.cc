@@ -133,10 +133,14 @@ std::unique_ptr<WorldSet> DecomposedWorldSet::Clone() const {
   return std::make_unique<DecomposedWorldSet>(*this);
 }
 
+void DecomposedWorldSet::MoveFrom(WorldSet&& other) {
+  *this = std::move(static_cast<DecomposedWorldSet&>(other));
+}
+
 uint64_t DecomposedWorldSet::NumWorlds() const {
   uint64_t total = 1;
-  for (const Component& c : components_) {
-    uint64_t size = static_cast<uint64_t>(c.size());
+  for (const ComponentHandle& c : components_) {
+    uint64_t size = static_cast<uint64_t>(c->size());
     if (size != 0 &&
         total > std::numeric_limits<uint64_t>::max() / size) {
       return std::numeric_limits<uint64_t>::max();  // saturate
@@ -148,8 +152,8 @@ uint64_t DecomposedWorldSet::NumWorlds() const {
 
 double DecomposedWorldSet::Log10NumWorlds() const {
   double log_total = 0;
-  for (const Component& c : components_) {
-    log_total += std::log10(static_cast<double>(c.size()));
+  for (const ComponentHandle& c : components_) {
+    log_total += std::log10(static_cast<double>(c->size()));
   }
   return log_total;
 }
@@ -197,7 +201,7 @@ Result<std::vector<World>> DecomposedWorldSet::MaterializeWorlds(
     double prob = 1.0;
     chosen.reserve(components_.size());
     for (size_t i = 0; i < components_.size(); ++i) {
-      const Alternative& alt = components_[i].alternatives[pick[i]];
+      const Alternative& alt = components_[i]->alternatives[pick[i]];
       chosen.push_back(&alt);
       prob *= alt.probability;
     }
@@ -205,7 +209,7 @@ Result<std::vector<World>> DecomposedWorldSet::MaterializeWorlds(
 
     size_t i = 0;
     for (; i < components_.size(); ++i) {
-      if (++pick[i] < components_[i].size()) break;
+      if (++pick[i] < components_[i]->size()) break;
       pick[i] = 0;
     }
     if (i == components_.size()) break;
@@ -221,19 +225,19 @@ Result<std::vector<World>> DecomposedWorldSet::TopKWorlds(size_t k) const {
   const size_t n = components_.size();
   std::vector<std::vector<size_t>> sorted(n);  // rank -> alternative index
   for (size_t c = 0; c < n; ++c) {
-    sorted[c].resize(components_[c].size());
+    sorted[c].resize(components_[c]->size());
     for (size_t j = 0; j < sorted[c].size(); ++j) sorted[c][j] = j;
     std::stable_sort(sorted[c].begin(), sorted[c].end(),
                      [&](size_t a, size_t b) {
-                       return components_[c].alternatives[a].probability >
-                              components_[c].alternatives[b].probability;
+                       return components_[c]->alternatives[a].probability >
+                              components_[c]->alternatives[b].probability;
                      });
   }
 
   auto probability_of = [&](const std::vector<size_t>& ranks) {
     double p = 1.0;
     for (size_t c = 0; c < n; ++c) {
-      p *= components_[c].alternatives[sorted[c][ranks[c]]].probability;
+      p *= components_[c]->alternatives[sorted[c][ranks[c]]].probability;
     }
     return p;
   };
@@ -260,7 +264,7 @@ Result<std::vector<World>> DecomposedWorldSet::TopKWorlds(size_t k) const {
     chosen.reserve(n);
     for (size_t c = 0; c < n; ++c) {
       chosen.push_back(
-          &components_[c].alternatives[sorted[c][state.ranks[c]]]);
+          &components_[c]->alternatives[sorted[c][state.ranks[c]]]);
     }
     top.emplace_back(BuildLocalDatabase(chosen), state.probability);
 
@@ -281,7 +285,8 @@ Result<World> DecomposedWorldSet::SampleWorld(base::SplitMix64* rng) const {
   std::vector<const Alternative*> chosen;
   chosen.reserve(components_.size());
   double probability = 1.0;
-  for (const Component& component : components_) {
+  for (const ComponentHandle& handle : components_) {
+    const Component& component = *handle;
     MAYBMS_RETURN_NOT_OK(base::GovernPoll());
     if (component.alternatives.empty()) {
       return Status::EmptyWorldSet("component with no alternatives");
@@ -317,8 +322,16 @@ Status DecomposedWorldSet::DropRelation(const std::string& name) {
   MAYBMS_RETURN_NOT_OK(base::GovernPoll());
   MAYBMS_RETURN_NOT_OK(certain_.DropRelation(name));
   std::string lower = AsciiToLower(name);
-  for (Component& c : components_) {
-    for (Alternative& alt : c.alternatives) alt.tuples.erase(lower);
+  for (ComponentHandle& c : components_) {
+    bool keyed = false;
+    for (const Alternative& alt : c->alternatives) {
+      keyed = keyed || alt.tuples.count(lower) > 0;
+    }
+    if (!keyed) continue;
+    // Copy-on-write: other clones and the store may share the instance.
+    Component pruned = *c;
+    for (Alternative& alt : pruned.alternatives) alt.tuples.erase(lower);
+    c = ShareComponent(std::move(pruned));
   }
   return Status::OK();
 }
@@ -328,7 +341,7 @@ std::vector<size_t> DecomposedWorldSet::RelevantComponents(
   std::vector<size_t> indices;
   for (size_t i = 0; i < components_.size(); ++i) {
     for (const std::string& rel : relations) {
-      if (components_[i].ContributesTo(rel)) {
+      if (components_[i]->ContributesTo(rel)) {
         indices.push_back(i);
         break;
       }
@@ -341,7 +354,7 @@ Result<Component> DecomposedWorldSet::MergeRelevant(
     const std::vector<size_t>& indices) const {
   std::vector<const Component*> parts;
   parts.reserve(indices.size());
-  for (size_t i : indices) parts.push_back(&components_[i]);
+  for (size_t i : indices) parts.push_back(components_[i].get());
   return MergeComponents(parts, max_merge_);
 }
 
@@ -436,7 +449,7 @@ Status DecomposedWorldSet::ApplyDml(const sql::Statement& stmt,
   for (size_t i : relevant) {
     components_.erase(components_.begin() + static_cast<long>(i));
   }
-  components_.push_back(std::move(merged));
+  components_.push_back(ShareComponent(std::move(merged)));
   return Status::OK();
 }
 
@@ -692,8 +705,8 @@ Result<DecomposedWorldSet::PipelineOutput> DecomposedWorldSet::RunPipeline(
     result.component_indices = relevant;
     for (size_t idx : relevant) {
       std::vector<std::vector<Tuple>> per_alt;
-      per_alt.reserve(components_[idx].size());
-      for (const Alternative& alt : components_[idx].alternatives) {
+      per_alt.reserve(components_[idx]->size());
+      for (const Alternative& alt : components_[idx]->alternatives) {
         MAYBMS_RETURN_NOT_OK(base::GovernPoll());
         const std::vector<Tuple>* rows = alt.TuplesFor(rel);
         std::vector<Tuple> projected;
@@ -995,7 +1008,7 @@ Result<DecomposedWorldSet::PipelineOutput> DecomposedWorldSet::RunPipeline(
       };
       std::vector<std::vector<ContribView>> views;
       for (size_t k = 0; k < dec.component_indices.size(); ++k) {
-        const Component& comp = components_[dec.component_indices[k]];
+        const Component& comp = *components_[dec.component_indices[k]];
         std::vector<ContribView> view;
         for (size_t j = 0; j < comp.size(); ++j) {
           view.push_back(ContribView{comp.alternatives[j].probability,
@@ -1250,7 +1263,7 @@ Result<SelectEvaluation> DecomposedWorldSet::EvaluateSelect(
   };
   std::vector<Involved> involved;
   for (size_t k = 0; k < dec.component_indices.size(); ++k) {
-    const Component& comp = components_[dec.component_indices[k]];
+    const Component& comp = *components_[dec.component_indices[k]];
     Involved inv;
     for (size_t j = 0; j < comp.size(); ++j) {
       inv.probs.push_back(comp.alternatives[j].probability);
@@ -1322,7 +1335,7 @@ Status DecomposedWorldSet::MaterializeSelect(const std::string& name,
       }
     }
     certain_.PutRelation(name, Table(schema));
-    components_.push_back(std::move(merged.component));
+    components_.push_back(ShareComponent(std::move(merged.component)));
   };
 
   if (!out.groups.empty()) {
@@ -1358,15 +1371,18 @@ Status DecomposedWorldSet::MaterializeSelect(const std::string& name,
     return Status::OK();
   }
 
-  // Decomposed result: attach contributions in place (fast path) and/or
-  // append the new repair/choice components.
+  // Decomposed result: attach contributions to copies of the involved
+  // components (fast path; the old instances may be shared with clones
+  // and the store) and/or append the new repair/choice components.
   DecomposedResult& dec = *out.decomposed;
   certain_.PutRelation(name, Table(dec.schema, std::move(dec.certain_rows)));
   for (size_t k = 0; k < dec.component_indices.size(); ++k) {
-    Component& comp = components_[dec.component_indices[k]];
+    ComponentHandle& handle = components_[dec.component_indices[k]];
+    Component comp = *handle;
     for (size_t j = 0; j < comp.size(); ++j) {
       comp.alternatives[j].tuples[lower] = std::move(dec.contributions[k][j]);
     }
+    handle = ShareComponent(std::move(comp));
   }
   for (Component& comp : dec.new_components) {
     for (Alternative& alt : comp.alternatives) {
@@ -1378,7 +1394,7 @@ Status DecomposedWorldSet::MaterializeSelect(const std::string& name,
         alt.tuples[lower] = {};
       }
     }
-    components_.push_back(std::move(comp));
+    components_.push_back(ShareComponent(std::move(comp)));
   }
   return Status::OK();
 }
@@ -1397,11 +1413,14 @@ Result<storage::DurableSnapshot> DecomposedWorldSet::ToSnapshot() const {
     snapshot.certain.push_back({name, it->second});
   }
   snapshot.components.reserve(components_.size());
-  for (const Component& component : components_) {
+  for (const ComponentHandle& component : components_) {
     MAYBMS_RETURN_NOT_OK(base::GovernPoll());
     storage::DurableSnapshot::ComponentRef component_ref;
-    component_ref.alternatives.reserve(component.alternatives.size());
-    for (const Alternative& alt : component.alternatives) {
+    // The immutable instance is the store's dedup key: a component this
+    // commit shares with the last one is not written again.
+    component_ref.instance = component;
+    component_ref.alternatives.reserve(component->alternatives.size());
+    for (const Alternative& alt : component->alternatives) {
       storage::DurableSnapshot::AlternativeRef alt_ref;
       alt_ref.probability = alt.probability;
       // std::map iteration: contributions in sorted-key order, restored
@@ -1431,12 +1450,11 @@ Status DecomposedWorldSet::FromSnapshot(
     }
     certain.PutRelation(relation.name, snapshot.tables[relation.table_index]);
   }
-  std::vector<Component> components;
+  std::vector<ComponentHandle> components;
   components.reserve(snapshot.components.size());
   for (const auto& component_ref : snapshot.components) {
     // Builds locals and swaps at the end — a poll abort here cannot tear
-    // the live set. The post-commit reload runs shielded (see
-    // isql::Session::PersistAndReload).
+    // the live set.
     MAYBMS_RETURN_NOT_OK(base::GovernPoll());
     Component component;
     component.alternatives.reserve(component_ref.alternatives.size());
@@ -1450,7 +1468,7 @@ Status DecomposedWorldSet::FromSnapshot(
       }
       component.alternatives.push_back(std::move(alt));
     }
-    components.push_back(std::move(component));
+    components.push_back(ShareComponent(std::move(component)));
   }
   certain_ = std::move(certain);
   components_ = std::move(components);

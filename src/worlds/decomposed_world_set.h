@@ -73,6 +73,7 @@ class DecomposedWorldSet : public WorldSet {
                               size_t threads = 0);
 
   std::unique_ptr<WorldSet> Clone() const override;
+  void MoveFrom(WorldSet&& other) override;
   std::string EngineName() const override { return "decomposed"; }
 
   uint64_t NumWorlds() const override;
@@ -99,7 +100,9 @@ class DecomposedWorldSet : public WorldSet {
 
   /// Introspection for tests and benchmarks.
   const Database& certain_part() const { return certain_; }
-  const std::vector<Component>& components() const { return components_; }
+  const std::vector<ComponentHandle>& components() const {
+    return components_;
+  }
   size_t num_components() const { return components_.size(); }
 
  private:
@@ -169,7 +172,10 @@ class DecomposedWorldSet : public WorldSet {
                             const std::set<std::string>& referenced) const;
 
   Database certain_;
-  std::vector<Component> components_;
+  // Shared immutable instances: Clone() copies handles, and every
+  // mutation site (merge, repair/choice append, per-alternative DML,
+  // drop) stores a new instance instead of changing a shared one.
+  std::vector<ComponentHandle> components_;
   size_t max_merge_;
   size_t threads_;  // per-call parallelism cap; 0 = default
 };

@@ -159,39 +159,44 @@ std::unique_ptr<sql::SelectStatement> StripWorldOps(
 }
 
 ExplicitWorldSet::ExplicitWorldSet(size_t max_worlds, size_t threads)
-    : max_worlds_(max_worlds), threads_(threads) {
-  worlds_.emplace_back(Database(), 1.0);
-}
+    : worlds_(std::make_shared<const std::vector<World>>(
+          std::vector<World>{World(Database(), 1.0)})),
+      max_worlds_(max_worlds),
+      threads_(threads) {}
 
 std::unique_ptr<WorldSet> ExplicitWorldSet::Clone() const {
   return std::make_unique<ExplicitWorldSet>(*this);
 }
 
+void ExplicitWorldSet::MoveFrom(WorldSet&& other) {
+  *this = std::move(static_cast<ExplicitWorldSet&>(other));
+}
+
 double ExplicitWorldSet::Log10NumWorlds() const {
-  return std::log10(static_cast<double>(worlds_.size()));
+  return std::log10(static_cast<double>(worlds().size()));
 }
 
 std::vector<std::string> ExplicitWorldSet::RelationNames() const {
-  return worlds_.empty() ? std::vector<std::string>{}
-                         : worlds_.front().db.RelationNames();
+  return worlds().empty() ? std::vector<std::string>{}
+                          : worlds().front().db.RelationNames();
 }
 
 bool ExplicitWorldSet::HasRelation(const std::string& name) const {
-  return !worlds_.empty() && worlds_.front().db.HasRelation(name);
+  return !worlds().empty() && worlds().front().db.HasRelation(name);
 }
 
 Result<std::vector<World>> ExplicitWorldSet::MaterializeWorlds(
     size_t max_worlds, bool* truncated) const {
-  if (truncated != nullptr) *truncated = worlds_.size() > max_worlds;
-  if (worlds_.size() <= max_worlds) return worlds_;
-  return std::vector<World>(worlds_.begin(), worlds_.begin() + max_worlds);
+  if (truncated != nullptr) *truncated = worlds().size() > max_worlds;
+  if (worlds().size() <= max_worlds) return worlds();
+  return std::vector<World>(worlds().begin(), worlds().begin() + max_worlds);
 }
 
 Result<std::vector<World>> ExplicitWorldSet::TopKWorlds(size_t k) const {
-  std::vector<size_t> order(worlds_.size());
+  std::vector<size_t> order(worlds().size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return worlds_[a].probability > worlds_[b].probability;
+    return worlds()[a].probability > worlds()[b].probability;
   });
   std::vector<World> top;
   top.reserve(std::min(k, order.size()));
@@ -200,22 +205,22 @@ Result<std::vector<World>> ExplicitWorldSet::TopKWorlds(size_t k) const {
     // enumerated world, so which engine holds the data cannot change
     // whether a statement fits its world budget.
     MAYBMS_RETURN_NOT_OK(base::GovernChargeWorlds(1));
-    top.push_back(worlds_[order[i]]);
+    top.push_back(worlds()[order[i]]);
   }
   return top;
 }
 
 Result<World> ExplicitWorldSet::SampleWorld(base::SplitMix64* rng) const {
-  if (worlds_.empty()) return Status::EmptyWorldSet("no worlds to sample");
+  if (worlds().empty()) return Status::EmptyWorldSet("no worlds to sample");
   std::uniform_real_distribution<double> uniform(0.0, 1.0);
   double u = uniform(*rng);
   double cumulative = 0;
-  for (const World& world : worlds_) {
+  for (const World& world : worlds()) {
     MAYBMS_RETURN_NOT_OK(base::GovernPoll());
     cumulative += world.probability;
     if (u <= cumulative) return world;
   }
-  return worlds_.back();  // numeric slack
+  return worlds().back();  // numeric slack
 }
 
 Status ExplicitWorldSet::CreateBaseTable(const std::string& name,
@@ -231,7 +236,9 @@ Status ExplicitWorldSet::CreateBaseTable(const std::string& name,
   // handle bump, and aborting mid-loop would leave the relation present
   // in some worlds only — a cancellation point must never tear state.
   MAYBMS_RETURN_NOT_OK(base::GovernPoll());
-  for (World& world : worlds_) world.db.PutRelation(name, shared);
+  std::vector<World> next = worlds();
+  for (World& world : next) world.db.PutRelation(name, shared);
+  worlds_ = std::make_shared<const std::vector<World>>(std::move(next));
   return Status::OK();
 }
 
@@ -242,9 +249,11 @@ Status ExplicitWorldSet::DropRelation(const std::string& name) {
   // Poll before the loop only: dropping from a prefix of the worlds and
   // then aborting would tear the set (see CreateBaseTable).
   MAYBMS_RETURN_NOT_OK(base::GovernPoll());
-  for (World& world : worlds_) {
+  std::vector<World> next = worlds();
+  for (World& world : next) {
     MAYBMS_RETURN_NOT_OK(world.db.DropRelation(name));
   }
+  worlds_ = std::make_shared<const std::vector<World>>(std::move(next));
   return Status::OK();
 }
 
@@ -266,7 +275,7 @@ Status ExplicitWorldSet::ApplyDml(const sql::Statement& stmt,
   // several worlds fail, the error of the smallest world index is
   // reported (ThreadPool rule 2) — the same error the sequential loop
   // hit first, so rollback behavior is deterministic at any thread count.
-  if (worlds_.empty()) return Status::OK();
+  if (worlds().empty()) return Status::OK();
   base::ThreadPool& pool = base::ThreadPool::Shared();
   // The statement is planned once per thread slot (column resolution,
   // INSERT ... SELECT preparation, subquery analysis) against one world's
@@ -275,24 +284,27 @@ Status ExplicitWorldSet::ApplyDml(const sql::Statement& stmt,
   // world executes, exactly as in the sequential code.
   std::vector<std::optional<engine::PreparedDml>> plans(pool.Slots(threads_));
   MAYBMS_ASSIGN_OR_RETURN(
-      plans[0], engine::PreparedDml::Prepare(stmt, worlds_[0].db, &catalog));
-  std::vector<Database> commit_log(worlds_.size());
+      plans[0], engine::PreparedDml::Prepare(stmt, worlds()[0].db, &catalog));
+  std::vector<Database> commit_log(worlds().size());
   MAYBMS_RETURN_NOT_OK(pool.ParallelFor(
-      worlds_.size(), threads_,
+      worlds().size(), threads_,
       [&](size_t i, size_t slot, size_t /*chunk*/) -> Status {
         if (!plans[slot].has_value()) {
           MAYBMS_ASSIGN_OR_RETURN(
               plans[slot],
-              engine::PreparedDml::Prepare(stmt, worlds_[i].db, &catalog));
+              engine::PreparedDml::Prepare(stmt, worlds()[i].db, &catalog));
         }
-        Database snapshot = worlds_[i].db;  // shares every table handle
+        Database snapshot = worlds()[i].db;  // shares every table handle
         MAYBMS_RETURN_NOT_OK(plans[slot]->Execute(&snapshot));
         commit_log[i] = std::move(snapshot);
         return Status::OK();
       }));
-  for (size_t i = 0; i < worlds_.size(); ++i) {
-    worlds_[i].db = std::move(commit_log[i]);
+  std::vector<World> next;
+  next.reserve(commit_log.size());
+  for (size_t i = 0; i < commit_log.size(); ++i) {
+    next.emplace_back(std::move(commit_log[i]), worlds()[i].probability);
   }
+  worlds_ = std::make_shared<const std::vector<World>>(std::move(next));
   return Status::OK();
 }
 
@@ -308,7 +320,7 @@ void ExplicitWorldSet::SetWorlds(std::vector<World> worlds) {
     // maybms-lint: allow(ungoverned-world-loop)
     for (World& w : worlds) w.probability /= total;
   }
-  worlds_ = std::move(worlds);
+  worlds_ = std::make_shared<const std::vector<World>>(std::move(worlds));
 }
 
 Result<ExplicitWorldSet::PipelineOutput> ExplicitWorldSet::RunPipeline(
@@ -666,7 +678,7 @@ Result<Table> ExplicitWorldSet::EvaluateQuantifierStreaming(
 
   if (stmt.repair.has_value() || stmt.choice.has_value()) {
     MAYBMS_RETURN_NOT_OK(EnumerateRepairChoiceWorlds(
-        pool, threads_, worlds_, stmt, *core, max_worlds_,
+        pool, threads_, worlds(), stmt, *core, max_worlds_,
         [&](size_t combos) {
           chunks.resize(base::ThreadPool::NumChunks(combos));
         },
@@ -679,11 +691,11 @@ Result<Table> ExplicitWorldSet::EvaluateQuantifierStreaming(
           return Status::OK();
         }));
   } else {
-    const size_t n = worlds_.size();
+    const size_t n = worlds().size();
     std::vector<std::optional<engine::PreparedSelect>> plans(slots);
     if (n > 0) {
       MAYBMS_ASSIGN_OR_RETURN(
-          plans[0], engine::PreparedSelect::Prepare(*core, worlds_[0].db));
+          plans[0], engine::PreparedSelect::Prepare(*core, worlds()[0].db));
     }
     chunks.resize(base::ThreadPool::NumChunks(n));
     MAYBMS_RETURN_NOT_OK(pool.ParallelFor(
@@ -691,15 +703,15 @@ Result<Table> ExplicitWorldSet::EvaluateQuantifierStreaming(
           if (!plans[slot].has_value()) {
             MAYBMS_ASSIGN_OR_RETURN(
                 plans[slot],
-                engine::PreparedSelect::Prepare(*core, worlds_[i].db));
+                engine::PreparedSelect::Prepare(*core, worlds()[i].db));
           }
           MAYBMS_ASSIGN_OR_RETURN(Table result,
-                                  plans[slot]->Execute(worlds_[i].db));
+                                  plans[slot]->Execute(worlds()[i].db));
           MAYBMS_RETURN_NOT_OK(
               base::GovernChargeBytes(base::EstimateTableBytes(
                   result.num_rows(), result.schema().num_columns())));
-          return feed(worlds_[i].probability, std::move(result),
-                      worlds_[i].db, slot, chunk);
+          return feed(worlds()[i].probability, std::move(result),
+                      worlds()[i].db, slot, chunk);
         }));
     merge_chunks();
   }
@@ -771,7 +783,7 @@ ExplicitWorldSet::EvaluateGroupedStreaming(
 
   if (stmt.repair.has_value() || stmt.choice.has_value()) {
     MAYBMS_RETURN_NOT_OK(EnumerateRepairChoiceWorlds(
-        pool, threads_, worlds_, stmt, *core, max_worlds_,
+        pool, threads_, worlds(), stmt, *core, max_worlds_,
         [&](size_t combos) {
           chunk_grouped.resize(base::ThreadPool::NumChunks(combos));
         },
@@ -781,11 +793,11 @@ ExplicitWorldSet::EvaluateGroupedStreaming(
         },
         merge_chunks));
   } else {
-    const size_t n = worlds_.size();
+    const size_t n = worlds().size();
     std::vector<std::optional<engine::PreparedSelect>> plans(slots);
     if (n > 0) {
       MAYBMS_ASSIGN_OR_RETURN(
-          plans[0], engine::PreparedSelect::Prepare(*core, worlds_[0].db));
+          plans[0], engine::PreparedSelect::Prepare(*core, worlds()[0].db));
     }
     chunk_grouped.resize(base::ThreadPool::NumChunks(n));
     MAYBMS_RETURN_NOT_OK(pool.ParallelFor(
@@ -793,15 +805,15 @@ ExplicitWorldSet::EvaluateGroupedStreaming(
           if (!plans[slot].has_value()) {
             MAYBMS_ASSIGN_OR_RETURN(
                 plans[slot],
-                engine::PreparedSelect::Prepare(*core, worlds_[i].db));
+                engine::PreparedSelect::Prepare(*core, worlds()[i].db));
           }
           MAYBMS_ASSIGN_OR_RETURN(Table result,
-                                  plans[slot]->Execute(worlds_[i].db));
+                                  plans[slot]->Execute(worlds()[i].db));
           MAYBMS_RETURN_NOT_OK(
               base::GovernChargeBytes(base::EstimateTableBytes(
                   result.num_rows(), result.schema().num_columns())));
-          return feed(worlds_[i].probability, std::move(result),
-                      worlds_[i].db, slot, chunk);
+          return feed(worlds()[i].probability, std::move(result),
+                      worlds()[i].db, slot, chunk);
         }));
     MAYBMS_RETURN_NOT_OK(merge_chunks());
   }
@@ -835,7 +847,7 @@ Result<SelectEvaluation> ExplicitWorldSet::EvaluateSelect(
   }
   MAYBMS_ASSIGN_OR_RETURN(
       PipelineOutput out,
-      RunPipeline(worlds_, stmt, "__result", /*want_per_world_results=*/true));
+      RunPipeline(worlds(), stmt, "__result", /*want_per_world_results=*/true));
   SelectEvaluation eval;
   eval.combined = std::move(out.combined);
   eval.groups = std::move(out.groups);
@@ -859,8 +871,8 @@ Status ExplicitWorldSet::MaterializeSelect(const std::string& name,
   // swaps the snapshot vector in wholesale.
   MAYBMS_ASSIGN_OR_RETURN(
       PipelineOutput out,
-      RunPipeline(worlds_, stmt, name, /*want_per_world_results=*/false));
-  worlds_ = std::move(out.worlds);
+      RunPipeline(worlds(), stmt, name, /*want_per_world_results=*/false));
+  worlds_ = std::make_shared<const std::vector<World>>(std::move(out.worlds));
   return Status::OK();
 }
 
@@ -871,8 +883,8 @@ Result<storage::DurableSnapshot> ExplicitWorldSet::ToSnapshot() const {
   // `tables`, so worlds that share a relation instance keep sharing it on
   // disk and after restore.
   std::map<const Table*, size_t> index;
-  snapshot.worlds.reserve(worlds_.size());
-  for (const World& world : worlds_) {
+  snapshot.worlds.reserve(worlds().size());
+  for (const World& world : worlds()) {
     MAYBMS_RETURN_NOT_OK(base::GovernPoll());
     storage::DurableSnapshot::WorldRef world_ref;
     world_ref.probability = world.probability;
@@ -903,9 +915,7 @@ Status ExplicitWorldSet::FromSnapshot(
   worlds.reserve(snapshot.worlds.size());
   for (const auto& world_ref : snapshot.worlds) {
     // Restore builds into a local vector and swaps at the end, so a poll
-    // aborting here leaves the live set untouched. (The post-commit
-    // reload in isql::Session runs SHIELDED — QueryContextScope(nullptr)
-    // — so a fired deadline can never abort it; see PersistAndReload.)
+    // aborting here leaves the live set untouched.
     MAYBMS_RETURN_NOT_OK(base::GovernPoll());
     World world;
     world.probability = world_ref.probability;
@@ -921,7 +931,7 @@ Status ExplicitWorldSet::FromSnapshot(
   }
   // Adopt probabilities verbatim — NOT SetWorlds, whose renormalization
   // could perturb the doubles and break byte-identical restored results.
-  worlds_ = std::move(worlds);
+  worlds_ = std::make_shared<const std::vector<World>>(std::move(worlds));
   return Status::OK();
 }
 

@@ -32,9 +32,10 @@ class ExplicitWorldSet : public WorldSet {
                             size_t threads = 0);
 
   std::unique_ptr<WorldSet> Clone() const override;
+  void MoveFrom(WorldSet&& other) override;
   std::string EngineName() const override { return "explicit"; }
 
-  uint64_t NumWorlds() const override { return worlds_.size(); }
+  uint64_t NumWorlds() const override { return worlds_->size(); }
   double Log10NumWorlds() const override;
   std::vector<std::string> RelationNames() const override;
   bool HasRelation(const std::string& name) const override;
@@ -57,7 +58,7 @@ class ExplicitWorldSet : public WorldSet {
   Status FromSnapshot(const storage::DurableSnapshot& snapshot) override;
 
   /// Direct access for tests and the formatter.
-  const std::vector<World>& worlds() const { return worlds_; }
+  const std::vector<World>& worlds() const { return *worlds_; }
 
   /// Replaces the worlds wholesale (test setup helper). Probabilities are
   /// normalized to sum to one.
@@ -105,7 +106,10 @@ class ExplicitWorldSet : public WorldSet {
   Result<std::vector<SelectEvaluation::GroupResult>> EvaluateGroupedStreaming(
       const sql::SelectStatement& stmt) const;
 
-  std::vector<World> worlds_;
+  // Shared and immutable, so Clone() is one handle bump; every mutation
+  // builds a new vector (whose worlds share unchanged tables) and swaps
+  // it in.
+  std::shared_ptr<const std::vector<World>> worlds_;
   size_t max_worlds_;
   size_t threads_;  // per-call parallelism cap; 0 = default
 };

@@ -90,6 +90,12 @@ class WorldSet {
 
   virtual std::unique_ptr<WorldSet> Clone() const = 0;
 
+  /// Takes over the contents of `other`, a world-set of the same engine
+  /// (typically a Clone() a statement was applied to). Moves handles
+  /// only; references to this object stay valid, which is how a session
+  /// adopts a statement's new state in place.
+  virtual void MoveFrom(WorldSet&& other) = 0;
+
   /// Name of the representation ("explicit" / "decomposed").
   virtual std::string EngineName() const = 0;
 

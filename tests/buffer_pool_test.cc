@@ -11,6 +11,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "storage/buffer_pool.h"
@@ -24,7 +26,7 @@ class BufferPoolTest : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = std::filesystem::temp_directory_path() /
-           ("maybms-pool-test-" +
+           ("maybms-pool-test-" + std::to_string(::getpid()) + "-" +
             std::to_string(reinterpret_cast<uintptr_t>(this)));
     std::filesystem::create_directories(dir_);
     auto file = File::Open((dir_ / "pool.db").string(), /*create=*/true);

@@ -181,8 +181,8 @@ TEST(DecomposedWorldSetTest, DropRelationRemovesContributions) {
        "create table I as select A, B, C from R repair by key A;");
   Exec(session, "drop table I;");
   EXPECT_FALSE(Wsd(session).HasRelation("I"));
-  for (const Component& c : Wsd(session).components()) {
-    EXPECT_FALSE(c.ContributesTo("i"));
+  for (const ComponentHandle& c : Wsd(session).components()) {
+    EXPECT_FALSE(c->ContributesTo("i"));
   }
 }
 

@@ -20,6 +20,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "base/query_context.h"
@@ -304,7 +306,7 @@ class KillPointBatteryTest : public EngineTest {
   void SetUp() override {
     base::PollTrip::Disarm();
     dir_ = std::filesystem::temp_directory_path() /
-           ("maybms-governance-test-" +
+           ("maybms-governance-test-" + std::to_string(::getpid()) + "-" +
             std::to_string(reinterpret_cast<uintptr_t>(this)));
     std::filesystem::create_directories(dir_);
   }

@@ -181,6 +181,22 @@ TEST_P(SessionTest, RequireTableHelper) {
   EXPECT_TRUE(worlds.RequireTable().ok()) << "single world counts as table";
 }
 
+// A mutating statement runs on a clone that the session then adopts in
+// place: a reference from world_set() keeps observing the live state.
+TEST_P(SessionTest, WorldSetReferenceSurvivesStatements) {
+  Session session((Options()));
+  const worlds::WorldSet& live = session.world_set();
+  maybms::testing::LoadFigure1(session);
+  Exec(session, "create table I as select A, B, C from R repair by key A;");
+  EXPECT_EQ(&live, &session.world_set());
+  EXPECT_EQ(live.NumWorlds(), session.world_set().NumWorlds());
+  EXPECT_GT(live.NumWorlds(), 1u);
+  EXPECT_TRUE(live.HasRelation("I"));
+  EXPECT_FALSE(session.Execute("create table I (X integer);").ok());
+  Exec(session, "drop table I;");
+  EXPECT_FALSE(live.HasRelation("I"));
+}
+
 MAYBMS_INSTANTIATE_ENGINES(SessionTest);
 
 // Engine-cap behaviour is engine-specific.

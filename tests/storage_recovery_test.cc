@@ -10,16 +10,24 @@
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
+#include "isql/formatter.h"
+#include "isql/session.h"
 #include "storage/file.h"
 #include "storage/page.h"
 #include "storage/snapshot.h"
 #include "storage/store.h"
+#include "tests/test_util.h"
+#include "worlds/decomposed_world_set.h"
 
 namespace maybms::storage {
 namespace {
@@ -92,7 +100,7 @@ class StorageRecoveryTest : public ::testing::Test {
   void SetUp() override {
     FaultInjector::Disarm();
     dir_ = std::filesystem::temp_directory_path() /
-           ("maybms-recovery-test-" +
+           ("maybms-recovery-test-" + std::to_string(::getpid()) + "-" +
             std::to_string(reinterpret_cast<uintptr_t>(this)));
     std::filesystem::create_directories(dir_);
   }
@@ -243,6 +251,44 @@ TEST_F(StorageRecoveryTest, EveryKillPointRecoversPreCommitState) {
     ASSERT_TRUE(final_load.ok());
     ExpectSnapshotsEqual(final_load.value(), after);
   }
+}
+
+// A commit killed on its final fsync may still have landed its root, so a
+// later attempt in the same process must not overwrite the pages that
+// root references: a crash during the retry must still recover the old or
+// the complete new state, never the landed root over foreign pages.
+TEST_F(StorageRecoveryTest, RetryNeverOverwritesPagesOfALandedRoot) {
+  const DurableSnapshot v1 = MakeSnapshot(1);
+  const DurableSnapshot v2 = MakeSnapshot(2);
+  const DurableSnapshot v3 = MakeSnapshot(3);
+  uint64_t total_ops = 0;
+  {
+    auto store = PagedStore::Open(StorePath("retry-dry.db"), 64);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE(store.value()->Commit(v1).ok());
+    FaultInjector::Arm(1u << 30, /*tear_killing_write=*/false);
+    ASSERT_TRUE(store.value()->Commit(v2).ok());
+    total_ops = FaultInjector::OpsSinceArm();
+    FaultInjector::Disarm();
+  }
+  const std::string path = StorePath("retry.db");
+  {
+    auto store = PagedStore::Open(path, 64);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE(store.value()->Commit(v1).ok());
+    FaultInjector::Arm(total_ops - 1, /*tear_killing_write=*/false);
+    ASSERT_FALSE(store.value()->Commit(v2).ok());  // root written, not synced
+    // The retry dies right after its first page write.
+    FaultInjector::Arm(1, /*tear_killing_write=*/false);
+    ASSERT_FALSE(store.value()->Commit(v3).ok());
+    FaultInjector::Disarm();
+  }
+  auto reopened = PagedStore::Open(path, 64);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(reopened.value()->generation(), 2u);
+  auto loaded = reopened.value()->Load();
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ExpectSnapshotsEqual(loaded.value(), v2);
 }
 
 // Killing the FIRST commit at every point must recover to the empty
@@ -566,6 +612,323 @@ TEST_F(StorageRecoveryTest, TinyPoolHandlesCommitAndLoad) {
   EXPECT_EQ(loaded.value().tables[0]->num_rows(), 2000u);
   EXPECT_EQ(loaded.value().tables[0]->row(1999),
             MakeTable(1, 2000)->row(1999));
+}
+
+// ---------------------------------------------------------------------------
+// Session level. A paged session builds each statement's new state on a
+// clone, commits it, and adopts it only after the commit succeeded. So a
+// statement whose commit dies at any write/fsync has no effect in memory,
+// and the store holds the old generation or the complete new one.
+// ---------------------------------------------------------------------------
+
+using isql::EngineMode;
+using isql::Session;
+using isql::SessionOptions;
+using isql::StorageMode;
+
+constexpr char kSessionFixture[] = R"sql(
+  create table R (K integer primary key, V integer);
+  insert into R values (1, 10), (2, 20), (3, 30);
+  create table S (K integer, V integer, W integer);
+  insert into S values (1, 1, 1), (1, 2, 3), (2, 3, 1), (2, 4, 1), (3, 5, 2);
+  create table I as select K, V from S repair by key K weight W;
+  create table T (K integer, V integer);
+  insert into T values (1, 7), (1, 8), (2, 9), (2, 6);
+  create table J as select K, V from T repair by key K;
+)sql";
+
+const std::vector<std::string>& SessionProbes() {
+  static const std::vector<std::string> probes = {
+      "select * from R;",
+      "select possible K, V from I;",
+      "select conf, K, V from I;",
+      "select certain count(*) from R;",
+      "select possible K, V from J;",
+  };
+  return probes;
+}
+
+/// The formatted answer (or error) of every probe.
+std::string ProbeSession(Session& session) {
+  std::string out;
+  for (const std::string& probe : SessionProbes()) {
+    auto r = session.Execute(probe);
+    out += probe + "\n";
+    out += r.ok() ? isql::FormatQueryResult(*r) : r.status().ToString();
+    out += "\n";
+  }
+  return out;
+}
+
+SessionOptions SessionStorageOptions(EngineMode engine, bool governed,
+                                     const std::string& dir) {
+  SessionOptions options;
+  options.engine = engine;
+  options.storage = dir.empty() ? StorageMode::kMemory : StorageMode::kPaged;
+  options.storage_dir = dir;
+  options.pool_pages = 16;
+  // Generous limits arm a QueryContext for every statement without ever
+  // tripping it: the governed path, same verdicts.
+  if (governed) options.statement_timeout_ms = 600'000;
+  return options;
+}
+
+/// Probe state of a memory session that ran the fixture plus `statements`.
+std::string TwinState(EngineMode engine,
+                      const std::vector<std::string>& statements) {
+  Session twin(SessionStorageOptions(engine, false, ""));
+  maybms::testing::ExecScript(twin, kSessionFixture);
+  for (const std::string& sql : statements) maybms::testing::Exec(twin, sql);
+  return ProbeSession(twin);
+}
+
+class PagedSessionFaultTest
+    : public StorageRecoveryTest,
+      public ::testing::WithParamInterface<std::tuple<EngineMode, bool>> {};
+
+TEST_P(PagedSessionFaultTest, FailedCommitHasNoEffect) {
+  const auto [engine, governed] = GetParam();
+  const std::string statement = "insert into R values (4, 40), (5, 50);";
+  const std::string next = "update R set V = V + 1 where K = 1;";
+  const std::string pre = TwinState(engine, {});
+  const std::string post = TwinState(engine, {statement});
+  const std::string pre_next = TwinState(engine, {next});
+  const std::string post_next = TwinState(engine, {statement, next});
+  auto options = [&](const std::string& name) {
+    const std::filesystem::path dir = dir_ / name;
+    std::filesystem::create_directories(dir);
+    return SessionStorageOptions(engine, governed, dir.string());
+  };
+
+  // Dry run: the statement's durability ops are its kill points.
+  uint64_t total_ops = 0;
+  {
+    Session session(options("dry"));
+    maybms::testing::ExecScript(session, kSessionFixture);
+    FaultInjector::Arm(1u << 30, /*tear_killing_write=*/false);
+    MAYBMS_ASSERT_OK(session.Execute(statement).status());
+    total_ops = FaultInjector::OpsSinceArm();
+    FaultInjector::Disarm();
+    EXPECT_EQ(ProbeSession(session), post);
+  }
+  ASSERT_GE(total_ops, 4u) << "a commit writes pages, syncs, writes the "
+                              "root and syncs";
+
+  for (uint64_t kill = 0; kill < total_ops; ++kill) {
+    SCOPED_TRACE("kill point " + std::to_string(kill) + " of " +
+                 std::to_string(total_ops));
+    const bool tear = (kill % 2) == 1;
+    // Only a kill on the final fsync leaves the new root in the file.
+    const bool root_landed = kill == total_ops - 1;
+
+    // The live session: the error has no effect, and the session goes on.
+    const std::string live = "live-" + std::to_string(kill);
+    {
+      Session session(options(live));
+      maybms::testing::ExecScript(session, kSessionFixture);
+      const uint64_t generation = session.paged_store()->generation();
+      FaultInjector::Arm(kill, tear);
+      auto died = session.Execute(statement);
+      FaultInjector::Disarm();
+      ASSERT_FALSE(died.ok()) << "the commit must fail at the kill point";
+      EXPECT_EQ(died.status().code(), StatusCode::kIOError)
+          << died.status().ToString();
+      EXPECT_EQ(ProbeSession(session), pre);
+      EXPECT_EQ(session.paged_store()->generation(), generation);
+      MAYBMS_ASSERT_OK(session.Execute(next).status());
+      EXPECT_EQ(ProbeSession(session), pre_next);
+    }
+    {
+      Session reopened(options(live));
+      EXPECT_EQ(ProbeSession(reopened), pre_next);
+    }
+
+    // The "dead process": the session is dropped right after the failed
+    // commit, and a reopen sees the old state or the complete new one.
+    const std::string dead = "dead-" + std::to_string(kill);
+    {
+      Session session(options(dead));
+      maybms::testing::ExecScript(session, kSessionFixture);
+      FaultInjector::Arm(kill, tear);
+      EXPECT_FALSE(session.Execute(statement).ok());
+      FaultInjector::Disarm();
+    }
+    Session reopened(options(dead));
+    EXPECT_EQ(ProbeSession(reopened), root_landed ? post : pre);
+    MAYBMS_ASSERT_OK(reopened.Execute(next).status());
+    EXPECT_EQ(ProbeSession(reopened), root_landed ? post_next : pre_next);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EnginesAndGovernance, PagedSessionFaultTest,
+    ::testing::Combine(::testing::Values(EngineMode::kExplicit,
+                                         EngineMode::kDecomposed),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<EngineMode, bool>>&
+           param_info) {
+      return std::string(std::get<0>(param_info.param) ==
+                                 EngineMode::kExplicit
+                             ? "Explicit"
+                             : "Decomposed") +
+             (std::get<1>(param_info.param) ? "_Governed" : "_Ungoverned");
+    });
+
+// ---------------------------------------------------------------------------
+// Component-run dedup: PagedStore keys tables and decomposed components in
+// one map on their immutable instances, so a commit writes the pages of
+// what the statement changed and nothing else.
+// ---------------------------------------------------------------------------
+
+class ComponentDedupTest : public StorageRecoveryTest {
+ protected:
+  void SetUp() override {
+    StorageRecoveryTest::SetUp();
+    session_ = std::make_unique<Session>(SessionStorageOptions(
+        EngineMode::kDecomposed, false, (dir_ / "dedup").string()));
+    maybms::testing::ExecScript(*session_, kSessionFixture);
+  }
+
+  const std::vector<worlds::ComponentHandle>& Components() {
+    return static_cast<const worlds::DecomposedWorldSet&>(
+               session_->world_set())
+        .components();
+  }
+
+  /// Runs `sql` and returns the runs its commit added, plus the pages it
+  /// flushed through `flushed`.
+  std::vector<std::pair<const void*, PageRun>> CommitRuns(
+      const std::string& sql, uint64_t* flushed) {
+    PagedStore* store = session_->paged_store();
+    std::set<std::pair<const void*, uint64_t>> before;
+    for (const auto& [instance, run] : store->PersistedRuns()) {
+      before.emplace(instance, run.first_page);
+    }
+    const uint64_t flushes = store->pool()->stats().flushes;
+    MAYBMS_EXPECT_OK(session_->Execute(sql).status());
+    *flushed = store->pool()->stats().flushes - flushes;
+    std::vector<std::pair<const void*, PageRun>> added;
+    for (const auto& [instance, run] : store->PersistedRuns()) {
+      if (before.count({instance, run.first_page}) == 0) {
+        added.emplace_back(instance, run);
+      }
+    }
+    return added;
+  }
+
+  /// Pages of `runs`, plus the one manifest page every commit writes.
+  static uint64_t PagesWithManifest(
+      const std::vector<std::pair<const void*, PageRun>>& runs) {
+    uint64_t pages = 1;
+    for (const auto& [instance, run] : runs) pages += run.page_count;
+    return pages;
+  }
+
+  bool Persisted(const void* instance) {
+    for (const auto& [key, run] : session_->paged_store()->PersistedRuns()) {
+      if (key == instance) return true;
+    }
+    return false;
+  }
+
+  std::unique_ptr<Session> session_;
+};
+
+TEST_F(ComponentDedupTest, CertainOnlyCommitWritesNoComponentPages) {
+  const std::vector<worlds::ComponentHandle> before = Components();
+  ASSERT_EQ(before.size(), 5u);  // I: keys 1, 2, 3; J: keys 1, 2
+  for (const auto& component : before) EXPECT_TRUE(Persisted(component.get()));
+
+  uint64_t flushed = 0;
+  const auto added = CommitRuns("insert into R values (4, 40);", &flushed);
+  ASSERT_EQ(Components(), before) << "a certain-only write keeps every "
+                                     "component instance";
+  ASSERT_EQ(added.size(), 1u) << "only R's new instance is written";
+  for (const auto& component : before) {
+    EXPECT_NE(added[0].first, component.get());
+    EXPECT_TRUE(Persisted(component.get()));
+  }
+  EXPECT_EQ(flushed, PagesWithManifest(added));
+}
+
+TEST_F(ComponentDedupTest, RepairedUpdateWritesOnlyTheMergedComponent) {
+  const std::vector<worlds::ComponentHandle> before = Components();
+  ASSERT_EQ(before.size(), 5u);
+  std::set<const void*> j_components;
+  for (const auto& component : before) {
+    if (component->ContributesTo("j")) j_components.insert(component.get());
+  }
+  ASSERT_EQ(j_components.size(), 2u);
+
+  uint64_t flushed = 0;
+  const auto added =
+      CommitRuns("update I set V = V + 10 where K = 1;", &flushed);
+  const std::vector<worlds::ComponentHandle>& after = Components();
+  // I's three components merged into one (2 × 2 × 1 alternatives); J's two
+  // are the same instances as before.
+  ASSERT_EQ(after.size(), 3u);
+  const worlds::Component* merged = nullptr;
+  for (const auto& component : after) {
+    if (j_components.count(component.get()) == 0) merged = component.get();
+  }
+  ASSERT_NE(merged, nullptr);
+  EXPECT_EQ(merged->size(), 4u);
+  for (const auto& component : before) {
+    // The merged-away instances are no longer persisted; J's are, unmoved.
+    EXPECT_EQ(Persisted(component.get()),
+              j_components.count(component.get()) > 0);
+  }
+
+  size_t merged_runs = 0;
+  size_t contributions = 0;
+  for (const auto& alt : merged->alternatives) {
+    contributions += alt.tuples.size();
+  }
+  for (const auto& [instance, run] : added) {
+    EXPECT_EQ(j_components.count(instance), 0u) << "J's components rewritten";
+    if (instance == merged) ++merged_runs;
+  }
+  EXPECT_EQ(merged_runs, contributions);
+  // Besides the merged component, only the emptied certain part of I is
+  // new.
+  EXPECT_EQ(added.size(), contributions + 1);
+  EXPECT_EQ(flushed, PagesWithManifest(added));
+}
+
+TEST_F(ComponentDedupTest, RestartCommitRestartRoundTrips) {
+  const std::filesystem::path dir = dir_ / "dedup";
+  const std::vector<std::string> writes = {
+      "insert into R values (4, 40);",
+      "update I set V = V + 10 where K = 2;",
+      "insert into R values (5, 50);",
+  };
+  session_.reset();
+  session_ = std::make_unique<Session>(
+      SessionStorageOptions(EngineMode::kDecomposed, false, dir.string()));
+  EXPECT_EQ(ProbeSession(*session_), TwinState(EngineMode::kDecomposed, {}));
+
+  // The first commit after a restart writes every component once: a
+  // loaded component has no instance the store could have seen.
+  uint64_t flushed = 0;
+  auto added = CommitRuns(writes[0], &flushed);
+  for (const auto& component : Components()) {
+    EXPECT_TRUE(Persisted(component.get()));
+  }
+  EXPECT_EQ(added.size(), 1u + 5u + 4u)
+      << "R, plus one run per alternative of the five components";
+  // From then on components dedup again.
+  added = CommitRuns(writes[1], &flushed);
+  EXPECT_EQ(flushed, PagesWithManifest(added));
+  added = CommitRuns(writes[2], &flushed);
+  EXPECT_EQ(added.size(), 1u);
+  EXPECT_EQ(flushed, PagesWithManifest(added));
+  const std::string live = ProbeSession(*session_);
+  EXPECT_EQ(live, TwinState(EngineMode::kDecomposed, writes));
+
+  session_.reset();
+  Session reopened(
+      SessionStorageOptions(EngineMode::kDecomposed, false, dir.string()));
+  EXPECT_EQ(ProbeSession(reopened), live);
 }
 
 }  // namespace
