@@ -11,6 +11,7 @@
 //   storage/repair_fanout/{memory,paged/pool_pages:{64,1024,unbounded}}
 //   storage/cold_restart/paged/pool_pages:{64,1024,unbounded}
 //   storage/one_row_write/{memory,paged/pool_pages:64}
+//   storage/one_row_write/{update_middle,delete_middle}/paged
 // Paged cases report peak_mb — the allocation high-water mark of one cold
 // scan with a fresh pool — which grows with pool_pages, not table size.
 
@@ -132,7 +133,8 @@ class PagedFixture {
     Table table = MakeBigTable();
     BufferPool setup_pool(file_.get(), 256);
     uint64_t next_page = 0;
-    auto written = PagedTable::Write(table, &setup_pool, &next_page);
+    auto written = PagedTable::Write(table.schema(), table.rows(), &setup_pool,
+                                     &next_page);
     if (!written.ok()) std::abort();
     run_ = written.value().run();
     if (!setup_pool.FlushAll().ok()) std::abort();
@@ -287,15 +289,35 @@ void BM_ColdRestart(benchmark::State& state, size_t pool_pages) {
 // --- storage/one_row_write ------------------------------------------------
 // The cost of a one-row write next to uncertain data: a 20k-row
 // primary-key table C beside a relation repaired from 40 keys x 3 rows.
-// Iterations alternate inserting and deleting one key of C, so C keeps its
-// size. pages_flushed is the pages each statement's commit wrote (0 in
-// memory mode): C's new run plus the manifest, and no component pages.
-// The store is never compacted, so a paged run grows it by ~650 KiB per
-// iteration; the session removes it at the end of the run.
+// The tail shape alternates inserting and deleting one key after the last
+// row, so C keeps its size; update_middle updates a row in the middle of
+// C, and delete_middle deletes a different middle row each iteration.
+// pages_flushed is the pages each statement's commit wrote (0 in memory
+// mode): the pages of C whose rows changed plus the manifest, and no
+// component pages. The store is never compacted, so a paged run grows it
+// by those few pages per iteration; the session removes it at the end of
+// the run.
 
 constexpr int kWriteRows = 20000;
 
-void BM_OneRowWrite(benchmark::State& state, bool paged) {
+enum class WriteShape { kTail, kUpdateMiddle, kDeleteMiddle };
+
+std::string OneRowStatement(WriteShape shape, int64_t i) {
+  switch (shape) {
+    case WriteShape::kTail:
+      return i % 2 == 0 ? "insert into C values (20000, 1, 1);"
+                        : "delete from C where K = 20000;";
+    case WriteShape::kUpdateMiddle:
+      return "update C set V = V + 1 where K = " +
+             std::to_string(kWriteRows / 2) + ";";
+    case WriteShape::kDeleteMiddle:
+      return "delete from C where K = " +
+             std::to_string(kWriteRows / 4 + i % (kWriteRows / 2)) + ";";
+  }
+  return "";
+}
+
+void BM_OneRowWrite(benchmark::State& state, bool paged, WriteShape shape) {
   auto session = std::make_unique<Session>(StorageOptions(paged, 64));
   std::string repair = "create table P0 (K integer, V integer, W integer);\n"
                        "insert into P0 values ";
@@ -325,9 +347,7 @@ void BM_OneRowWrite(benchmark::State& state, bool paged) {
   int64_t statements = 0;
   for (auto _ : state) {
     isql::QueryResult result =
-        MustQuery(*session, statements % 2 == 0
-                                ? "insert into C values (20000, 1, 1);"
-                                : "delete from C where K = 20000;");
+        MustQuery(*session, OneRowStatement(shape, statements));
     benchmark::DoNotOptimize(result);
     ++statements;
   }
@@ -356,11 +376,23 @@ void RegisterBenchmarks() {
       ->Unit(benchmark::kMillisecond);
   benchmark::RegisterBenchmark(
       "storage/one_row_write/memory",
-      [](benchmark::State& s) { BM_OneRowWrite(s, false); })
+      [](benchmark::State& s) { BM_OneRowWrite(s, false, WriteShape::kTail); })
       ->Unit(benchmark::kMillisecond);
   benchmark::RegisterBenchmark(
       "storage/one_row_write/paged/pool_pages:64",
-      [](benchmark::State& s) { BM_OneRowWrite(s, true); })
+      [](benchmark::State& s) { BM_OneRowWrite(s, true, WriteShape::kTail); })
+      ->Unit(benchmark::kMillisecond);
+  benchmark::RegisterBenchmark(
+      "storage/one_row_write/update_middle/paged",
+      [](benchmark::State& s) {
+        BM_OneRowWrite(s, true, WriteShape::kUpdateMiddle);
+      })
+      ->Unit(benchmark::kMillisecond);
+  benchmark::RegisterBenchmark(
+      "storage/one_row_write/delete_middle/paged",
+      [](benchmark::State& s) {
+        BM_OneRowWrite(s, true, WriteShape::kDeleteMiddle);
+      })
       ->Unit(benchmark::kMillisecond);
 
   for (const PoolAxis& pool : kPools) {

@@ -196,6 +196,11 @@ void Session::InitStorage() {
       MAYBMS_ASSIGN_OR_RETURN(storage::DurableSnapshot snapshot,
                               store_->Load());
       MAYBMS_RETURN_NOT_OK(state_.worlds->FromSnapshot(snapshot));
+      // The rebuilt components are new instances; bind them to the runs
+      // they were loaded from, so the next commit does not rewrite them.
+      MAYBMS_ASSIGN_OR_RETURN(storage::DurableSnapshot restored,
+                              state_.worlds->ToSnapshot());
+      store_->AdoptLoadedComponents(restored);
       MAYBMS_RETURN_NOT_OK(
           RestoreCatalogMetadata(snapshot.metadata, &state_.catalog));
     }

@@ -168,6 +168,35 @@ Result<Tuple> DecodeTuple(const std::byte* data, size_t size) {
   return Tuple(std::move(values));
 }
 
+bool EncodesIdentically(const Tuple& a, const Tuple& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    const Value& x = a.value(i);
+    const Value& y = b.value(i);
+    if (x.type() != y.type()) return false;
+    switch (x.type()) {
+      case DataType::kNull:
+        break;
+      case DataType::kInteger:
+        if (x.AsInteger() != y.AsInteger()) return false;
+        break;
+      case DataType::kReal: {
+        const double dx = x.AsReal();
+        const double dy = y.AsReal();
+        if (std::memcmp(&dx, &dy, sizeof(dx)) != 0) return false;
+        break;
+      }
+      case DataType::kText:
+        if (x.AsText() != y.AsText()) return false;
+        break;
+      case DataType::kBoolean:
+        if (x.AsBoolean() != y.AsBoolean()) return false;
+        break;
+    }
+  }
+  return true;
+}
+
 std::vector<std::byte> EncodeSchema(const Schema& schema) {
   std::vector<std::byte> out;
   PutU16(&out, static_cast<uint16_t>(schema.num_columns()));

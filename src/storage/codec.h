@@ -40,6 +40,7 @@ class Reader {
   Result<std::string> String();
 
   bool AtEnd() const { return pos_ == size_; }
+  size_t remaining() const { return size_ - pos_; }
 
  private:
   Status Need(size_t n);
@@ -54,6 +55,12 @@ class Reader {
 /// meaning.
 std::vector<std::byte> EncodeTuple(const Tuple& t);
 Result<Tuple> DecodeTuple(const std::byte* data, size_t size);
+
+/// True if `a` and `b` encode to the same record bytes: same arity, and
+/// per value the same type and the same payload (doubles bit for bit).
+/// Stricter than Tuple equality, which treats Integer(1) and Real(1.0),
+/// or integers beyond 2^53 that round to the same double, as equal.
+bool EncodesIdentically(const Tuple& a, const Tuple& b);
 
 /// Schema record: u16 column count, then per column
 /// {u8 type tag, name, qualifier}.

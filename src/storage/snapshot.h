@@ -24,13 +24,21 @@ namespace maybms::storage {
 /// which worlds share which relation instances — survives a restart, and
 /// so a relation shared by 1000 worlds is stored once, not 1000 times.
 ///
+/// A table instance the last commit did not write is diffed against the
+/// instance that commit bound to the same relation name in the same place
+/// (the certain core, or the same world index), and only the pages whose
+/// rows changed are written; so the names and places in `certain` and
+/// `worlds` matter to the cost of a commit, not just to its content.
+///
 /// Decomposed alternatives' contributions are schema-less tuple vectors
 /// (the relation's schema lives with the certain-core instance), stored
 /// as dedicated page runs. Each component also carries the immutable
 /// in-memory instance it was taken from; PagedStore::Commit keys its
 /// dedup map on it exactly as on table handles, so a component the
 /// previous commit already wrote costs no pages. Load cannot know those
-/// instances and leaves them null.
+/// instances and leaves them null; once the world-set is rebuilt, the
+/// session passes its snapshot to PagedStore::AdoptLoadedComponents,
+/// which binds the new instances to the loaded runs.
 ///
 /// Probabilities are doubles carried verbatim (bit patterns on disk);
 /// restore assigns them directly WITHOUT renormalizing, so restored

@@ -11,8 +11,23 @@ namespace maybms::storage {
 
 namespace {
 
-constexpr uint32_t kRootMagic = 0x4D42524F;      // "MBRO"
-constexpr uint32_t kManifestMagic = 0x4D424D46;  // "MBMF"
+constexpr uint32_t kRootMagic = 0x4D42524F;  // "MBRO"
+// The manifest magic doubles as its format version. "MBMF" manifests
+// stored every run as one contiguous page range; "MBM2" manifests store
+// runs as page extents.
+constexpr uint32_t kContiguousManifestMagic = 0x4D424D46;  // "MBMF"
+constexpr uint32_t kManifestMagic = 0x4D424D32;            // "MBM2"
+
+// Smallest encodings of manifest entries, which bound the counts read
+// from disk by the bytes that follow them.
+constexpr size_t kExtentBytes = 16;
+constexpr size_t kRunBytes = 16 + kExtentBytes;
+constexpr size_t kRelationRefBytes = 4 + 8;
+constexpr size_t kWorldBytes = 8 + 8;
+constexpr size_t kComponentBytes = 8;
+constexpr size_t kAlternativeBytes = 8 + 8;
+constexpr size_t kContributionBytes = 4 + kRunBytes;
+constexpr size_t kMetadataBytes = 4 + 4;
 
 std::vector<std::byte> EncodeRoot(uint64_t generation,
                                   uint64_t manifest_start,
@@ -27,18 +42,66 @@ std::vector<std::byte> EncodeRoot(uint64_t generation,
   return out;
 }
 
-void EncodeRun(std::vector<std::byte>* out, const PageRun& run) {
-  codec::PutU64(out, run.first_page);
-  codec::PutU64(out, run.page_count);
-  codec::PutU64(out, run.num_rows);
+/// Reads a u64 count of entries of at least `min_entry_bytes` each. A
+/// count the remaining bytes cannot hold is corruption, caught here
+/// rather than by a reserve() that throws.
+Result<uint64_t> DecodeCount(codec::Reader* r, size_t min_entry_bytes,
+                             const char* what) {
+  MAYBMS_ASSIGN_OR_RETURN(uint64_t n, r->U64());
+  if (n > r->remaining() / min_entry_bytes) {
+    return Status::DataLoss("store manifest: " + std::string(what) +
+                            " count " + std::to_string(n) +
+                            " exceeds the manifest's size");
+  }
+  return n;
 }
 
-Result<PageRun> DecodeRun(codec::Reader* r) {
+void EncodeRun(std::vector<std::byte>* out, const PageRun& run) {
+  codec::PutU64(out, run.num_rows);
+  codec::PutU64(out, run.extents.size());
+  for (const PageExtent& extent : run.extents) {
+    codec::PutU64(out, extent.first_page);
+    codec::PutU64(out, extent.page_count);
+  }
+}
+
+/// Decodes a run whose pages must all lie in the data pages below
+/// `end_page` (the root's next free page).
+Result<PageRun> DecodeRun(codec::Reader* r, uint64_t end_page) {
   PageRun run;
-  MAYBMS_ASSIGN_OR_RETURN(run.first_page, r->U64());
-  MAYBMS_ASSIGN_OR_RETURN(run.page_count, r->U64());
   MAYBMS_ASSIGN_OR_RETURN(run.num_rows, r->U64());
+  MAYBMS_ASSIGN_OR_RETURN(uint64_t num_extents,
+                          DecodeCount(r, kExtentBytes, "run extent"));
+  if (num_extents == 0) {
+    return Status::DataLoss("store manifest: a run with no pages");
+  }
+  run.extents.reserve(num_extents);
+  uint64_t pages = 0;
+  for (uint64_t i = 0; i < num_extents; ++i) {
+    PageExtent extent;
+    MAYBMS_ASSIGN_OR_RETURN(extent.first_page, r->U64());
+    MAYBMS_ASSIGN_OR_RETURN(extent.page_count, r->U64());
+    // A run's pages are distinct data pages, so together they fit below
+    // end_page; checked without overflow.
+    if (extent.page_count == 0 || extent.first_page < 2 ||
+        extent.first_page >= end_page ||
+        extent.page_count > end_page - extent.first_page ||
+        extent.page_count > end_page - 2 - pages) {
+      return Status::DataLoss("store manifest: run extent out of bounds");
+    }
+    pages += extent.page_count;
+    run.extents.push_back(extent);
+  }
   return run;
+}
+/// Calls fn(place, relation) for every relation the snapshot binds: the
+/// certain core is place 0, world w is place w + 1.
+template <typename Fn>
+void ForEachBinding(const DurableSnapshot& snapshot, Fn fn) {
+  for (const auto& ref : snapshot.certain) fn(size_t{0}, ref);
+  for (size_t w = 0; w < snapshot.worlds.size(); ++w) {
+    for (const auto& ref : snapshot.worlds[w].relations) fn(w + 1, ref);
+  }
 }
 
 /// The manifest skeleton before table runs are materialized into handles.
@@ -69,7 +132,8 @@ void EncodeRelationRefs(std::vector<std::byte>* out,
 
 Result<std::vector<DurableSnapshot::RelationRef>> DecodeRelationRefs(
     codec::Reader* r) {
-  MAYBMS_ASSIGN_OR_RETURN(uint64_t n, r->U64());
+  MAYBMS_ASSIGN_OR_RETURN(uint64_t n,
+                          DecodeCount(r, kRelationRefBytes, "relation"));
   std::vector<DurableSnapshot::RelationRef> refs;
   refs.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
@@ -119,23 +183,31 @@ std::vector<std::byte> EncodeManifest(const ManifestData& m) {
   return out;
 }
 
-Result<ManifestData> DecodeManifest(const std::vector<std::byte>& bytes) {
+Result<ManifestData> DecodeManifest(const std::vector<std::byte>& bytes,
+                                    uint64_t end_page) {
   codec::Reader r(bytes.data(), bytes.size());
   ManifestData m;
   MAYBMS_ASSIGN_OR_RETURN(uint32_t magic, r.U32());
+  if (magic == kContiguousManifestMagic) {
+    return Status::DataLoss(
+        "store manifest: written in the contiguous-run format (\"MBMF\"), "
+        "which this version does not read; the store must be recreated");
+  }
   if (magic != kManifestMagic) {
     return Status::DataLoss("store manifest: bad magic");
   }
   MAYBMS_ASSIGN_OR_RETURN(m.engine, r.String());
 
-  MAYBMS_ASSIGN_OR_RETURN(uint64_t num_tables, r.U64());
+  MAYBMS_ASSIGN_OR_RETURN(uint64_t num_tables,
+                          DecodeCount(&r, kRunBytes, "table"));
   m.table_runs.reserve(num_tables);
   for (uint64_t i = 0; i < num_tables; ++i) {
-    MAYBMS_ASSIGN_OR_RETURN(PageRun run, DecodeRun(&r));
-    m.table_runs.push_back(run);
+    MAYBMS_ASSIGN_OR_RETURN(PageRun run, DecodeRun(&r, end_page));
+    m.table_runs.push_back(std::move(run));
   }
 
-  MAYBMS_ASSIGN_OR_RETURN(uint64_t num_worlds, r.U64());
+  MAYBMS_ASSIGN_OR_RETURN(uint64_t num_worlds,
+                          DecodeCount(&r, kWorldBytes, "world"));
   m.worlds.reserve(num_worlds);
   for (uint64_t i = 0; i < num_worlds; ++i) {
     DurableSnapshot::WorldRef world;
@@ -146,28 +218,33 @@ Result<ManifestData> DecodeManifest(const std::vector<std::byte>& bytes) {
 
   MAYBMS_ASSIGN_OR_RETURN(m.certain, DecodeRelationRefs(&r));
 
-  MAYBMS_ASSIGN_OR_RETURN(uint64_t num_components, r.U64());
+  MAYBMS_ASSIGN_OR_RETURN(uint64_t num_components,
+                          DecodeCount(&r, kComponentBytes, "component"));
   m.components.reserve(num_components);
   for (uint64_t i = 0; i < num_components; ++i) {
     ManifestData::ComponentRuns component;
-    MAYBMS_ASSIGN_OR_RETURN(uint64_t num_alts, r.U64());
+    MAYBMS_ASSIGN_OR_RETURN(uint64_t num_alts,
+                            DecodeCount(&r, kAlternativeBytes, "alternative"));
     component.alternatives.reserve(num_alts);
     for (uint64_t a = 0; a < num_alts; ++a) {
       ManifestData::AlternativeRuns alt;
       MAYBMS_ASSIGN_OR_RETURN(alt.probability, r.Double());
-      MAYBMS_ASSIGN_OR_RETURN(uint64_t num_contribs, r.U64());
+      MAYBMS_ASSIGN_OR_RETURN(
+          uint64_t num_contribs,
+          DecodeCount(&r, kContributionBytes, "contribution"));
       alt.contributions.reserve(num_contribs);
       for (uint64_t c = 0; c < num_contribs; ++c) {
         MAYBMS_ASSIGN_OR_RETURN(std::string relation, r.String());
-        MAYBMS_ASSIGN_OR_RETURN(PageRun run, DecodeRun(&r));
-        alt.contributions.emplace_back(std::move(relation), run);
+        MAYBMS_ASSIGN_OR_RETURN(PageRun run, DecodeRun(&r, end_page));
+        alt.contributions.emplace_back(std::move(relation), std::move(run));
       }
       component.alternatives.push_back(std::move(alt));
     }
     m.components.push_back(std::move(component));
   }
 
-  MAYBMS_ASSIGN_OR_RETURN(uint64_t num_metadata, r.U64());
+  MAYBMS_ASSIGN_OR_RETURN(uint64_t num_metadata,
+                          DecodeCount(&r, kMetadataBytes, "metadata"));
   m.metadata.reserve(num_metadata);
   for (uint64_t i = 0; i < num_metadata; ++i) {
     MAYBMS_ASSIGN_OR_RETURN(std::string key, r.String());
@@ -262,6 +339,7 @@ Status PagedStore::Commit(const DurableSnapshot& snapshot) {
   // local cursor and a fresh dedup map, and install them only on success.
   uint64_t next = next_free_page_;
   std::map<const void*, RunInfo> persisted;
+  std::map<Binding, const void*> bindings;
   // The runs of an instance the committed generation already holds, kept
   // for the new generation too; null if it must be written.
   auto reuse = [&](const void* instance) -> const RunInfo* {
@@ -277,18 +355,45 @@ Status PagedStore::Commit(const DurableSnapshot& snapshot) {
     manifest.certain = snapshot.certain;
     manifest.metadata = snapshot.metadata;
 
+    // The predecessor of each table instance: what the committed
+    // generation bound to the first place the instance is bound to.
+    std::vector<const RunInfo*> predecessors(snapshot.tables.size(), nullptr);
+    ForEachBinding(snapshot, [&](size_t place, const auto& ref) {
+      if (ref.table_index >= snapshot.tables.size()) return;
+      Binding binding{place, ref.name};
+      bindings[binding] = snapshot.tables[ref.table_index].get();
+      const RunInfo*& predecessor = predecessors[ref.table_index];
+      auto bound = bindings_.find(binding);
+      if (predecessor != nullptr || bound == bindings_.end()) return;
+      auto it = persisted_.find(bound->second);
+      if (it != persisted_.end() && it->second.table != nullptr) {
+        predecessor = &it->second;
+      }
+    });
+
     // 1. Table runs, pointer-deduped against the committed generation:
-    // only instances not already durable are written.
+    // only instances not already durable are written, and of those only
+    // the pages that differ from their predecessor's.
     manifest.table_runs.reserve(snapshot.tables.size());
-    for (const Database::TableHandle& handle : snapshot.tables) {
+    for (size_t t = 0; t < snapshot.tables.size(); ++t) {
+      const Database::TableHandle& handle = snapshot.tables[t];
       if (const RunInfo* info = reuse(handle.get())) {
         manifest.table_runs.push_back(info->runs.front());
         continue;
       }
-      MAYBMS_ASSIGN_OR_RETURN(PagedTable paged,
-                              PagedTable::Write(*handle, &pool_, &next));
+      const RunInfo* predecessor = predecessors[t];
+      PagedTable::Base base;
+      if (predecessor != nullptr) {
+        base = {&predecessor->runs.front(), &predecessor->fills,
+                &predecessor->table->schema(), &predecessor->table->rows()};
+      }
+      MAYBMS_ASSIGN_OR_RETURN(
+          PagedTable paged,
+          PagedTable::Write(handle->schema(), handle->rows(), &pool_, &next,
+                            predecessor != nullptr ? &base : nullptr));
       manifest.table_runs.push_back(paged.run());
-      persisted[handle.get()] = RunInfo{{paged.run()}, handle};
+      persisted[handle.get()] =
+          RunInfo{{paged.run()}, paged.fills(), handle.get(), handle};
     }
 
     // 2. Component contributions as schema-less tuple runs, deduped the
@@ -320,7 +425,8 @@ Status PagedStore::Commit(const DurableSnapshot& snapshot) {
             runs.push_back(reused->runs[runs.size()]);
           } else {
             MAYBMS_ASSIGN_OR_RETURN(
-                PagedTable run, PagedTable::WriteTuples(tuples, &pool_, &next));
+                PagedTable run,
+                PagedTable::Write(Schema(), tuples, &pool_, &next));
             runs.push_back(run.run());
           }
           alt_runs.contributions.emplace_back(relation, runs.back());
@@ -329,7 +435,7 @@ Status PagedStore::Commit(const DurableSnapshot& snapshot) {
       }
       if (reused == nullptr && component.instance != nullptr) {
         persisted[component.instance.get()] =
-            RunInfo{std::move(runs), component.instance};
+            RunInfo{std::move(runs), {}, nullptr, component.instance};
       }
       manifest.components.push_back(std::move(component_runs));
     }
@@ -400,6 +506,8 @@ Status PagedStore::Commit(const DurableSnapshot& snapshot) {
   generation_ += 1;
   next_free_page_ = next;
   persisted_ = std::move(persisted);
+  bindings_ = std::move(bindings);
+  loaded_components_.clear();
   has_data_ = true;
   return Status::OK();
 }
@@ -419,7 +527,8 @@ Result<DurableSnapshot> PagedStore::Load() {
       bytes.insert(bytes.end(), record.first, record.first + record.second);
     }
   }
-  MAYBMS_ASSIGN_OR_RETURN(ManifestData manifest, DecodeManifest(bytes));
+  MAYBMS_ASSIGN_OR_RETURN(ManifestData manifest,
+                          DecodeManifest(bytes, root_.next_free_page));
 
   DurableSnapshot snapshot;
   snapshot.engine = std::move(manifest.engine);
@@ -428,38 +537,83 @@ Result<DurableSnapshot> PagedStore::Load() {
   snapshot.metadata = std::move(manifest.metadata);
 
   // Materialize each deduped table instance ONCE and prime the dedup map
-  // with the fresh handles: worlds sharing a table index share the
-  // restored instance, and the next Commit rewrites none of them.
+  // with the fresh handles (and the page fills the scan saw): worlds
+  // sharing a table index share the restored instance, and the next
+  // Commit rewrites none of them.
   std::map<const void*, RunInfo> persisted;
   snapshot.tables.reserve(manifest.table_runs.size());
-  for (const PageRun& run : manifest.table_runs) {
+  for (PageRun& run : manifest.table_runs) {
     PagedTable paged(&pool_, run);
-    MAYBMS_ASSIGN_OR_RETURN(Database::TableHandle handle, paged.Materialize());
-    persisted[handle.get()] = RunInfo{{run}, handle};
+    std::vector<PageFill> fills;
+    MAYBMS_ASSIGN_OR_RETURN(Database::TableHandle handle,
+                            paged.Materialize(&fills));
+    persisted[handle.get()] =
+        RunInfo{{std::move(run)}, std::move(fills), handle.get(), handle};
     snapshot.tables.push_back(std::move(handle));
   }
+  std::map<Binding, const void*> bindings;
+  ForEachBinding(snapshot, [&](size_t place, const auto& ref) {
+    if (ref.table_index < snapshot.tables.size()) {
+      bindings[{place, ref.name}] = snapshot.tables[ref.table_index].get();
+    }
+  });
 
+  std::vector<LoadedComponent> loaded_components;
   snapshot.components.reserve(manifest.components.size());
-  for (const auto& component_runs : manifest.components) {
+  loaded_components.reserve(manifest.components.size());
+  for (auto& component_runs : manifest.components) {
     DurableSnapshot::ComponentRef component;
+    LoadedComponent loaded;
+    loaded.alternatives = component_runs.alternatives.size();
     component.alternatives.reserve(component_runs.alternatives.size());
-    for (const auto& alt_runs : component_runs.alternatives) {
+    for (auto& alt_runs : component_runs.alternatives) {
       DurableSnapshot::AlternativeRef alt;
       alt.probability = alt_runs.probability;
       alt.contributions.reserve(alt_runs.contributions.size());
-      for (const auto& [relation, run] : alt_runs.contributions) {
+      for (auto& [relation, run] : alt_runs.contributions) {
         PagedTable paged(&pool_, run);
         MAYBMS_ASSIGN_OR_RETURN(std::vector<Tuple> tuples,
                                 paged.MaterializeTuples());
         alt.contributions.emplace_back(relation, std::move(tuples));
+        loaded.runs.push_back(std::move(run));
       }
       component.alternatives.push_back(std::move(alt));
     }
     snapshot.components.push_back(std::move(component));
+    loaded_components.push_back(std::move(loaded));
   }
 
   persisted_ = std::move(persisted);
+  bindings_ = std::move(bindings);
+  loaded_components_ = std::move(loaded_components);
   return snapshot;
+}
+
+void PagedStore::AdoptLoadedComponents(const DurableSnapshot& restored) {
+  const size_t count =
+      std::min(restored.components.size(), loaded_components_.size());
+  for (size_t c = 0; c < count; ++c) {
+    const DurableSnapshot::ComponentRef& component = restored.components[c];
+    LoadedComponent& loaded = loaded_components_[c];
+    // The same alternatives, and per contribution the same row count.
+    auto same_shape = [&] {
+      if (component.alternatives.size() != loaded.alternatives) return false;
+      size_t run = 0;
+      for (const auto& alt : component.alternatives) {
+        for (const auto& contribution : alt.contributions) {
+          if (run == loaded.runs.size() ||
+              loaded.runs[run++].num_rows != contribution.second.size()) {
+            return false;
+          }
+        }
+      }
+      return run == loaded.runs.size();
+    };
+    if (component.instance == nullptr || !same_shape()) continue;
+    persisted_[component.instance.get()] =
+        RunInfo{std::move(loaded.runs), {}, nullptr, component.instance};
+  }
+  loaded_components_.clear();
 }
 
 std::vector<std::pair<const void*, PageRun>> PagedStore::PersistedRuns()

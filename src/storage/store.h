@@ -27,35 +27,44 @@ namespace maybms::storage {
 ///                    generation g writes slot g % 2 — the OTHER slot
 ///                    (the previous commit) is never touched.
 ///   pages 2..        data: table runs, tuple runs, manifest runs,
-///                    append-only in commit order.
+///                    append-only in commit order. A run is a list of
+///                    page extents (paged_table.h), and pages may be
+///                    shared by the runs of several generations.
 ///
 /// Commit protocol (all-or-nothing; fault-injection-proven by
 /// tests/storage_recovery_test.cc at every kill point):
 ///   1. append page runs for every table instance and every decomposed
-///      component instance not already persisted (pointer-deduped against
-///      the last committed generation through one map keyed on the
-///      immutable instances, so an unchanged relation shared by many
-///      worlds, or an unchanged component, is neither rewritten nor
-///      duplicated — the copy-on-write sharing structure maps 1:1 onto
-///      shared page runs, and a statement that changes one relation
-///      writes that relation's pages and the manifest only);
+///      component instance not already persisted. Instances are
+///      pointer-deduped against the last committed generation through one
+///      map keyed on the immutable instances, so an unchanged relation
+///      shared by many worlds, or an unchanged component, is neither
+///      rewritten nor duplicated. A table instance that is new is diffed
+///      against its predecessor — the instance the last generation bound
+///      to the same name in the same place (the certain core, or the same
+///      world) — and only the pages whose rows changed are re-encoded;
+///      the predecessor's other pages are reused as they are. So a
+///      statement that changes one row writes a few pages of that
+///      relation and the manifest;
 ///   2. append the manifest (the DurableSnapshot skeleton: world/
-///      component structure, run locations, metadata);
+///      component structure, run extents, metadata);
 ///   3. FlushAll + fsync            — every new page durable;
 ///   4. write root slot (g+1) % 2 + fsync — the atomic switch.
 /// A crash anywhere before step 4's fsync completes leaves the previous
 /// root slot intact and pointing at fully-durable pages: reopen recovers
 /// the exact pre-commit state. Nothing referenced by a durable root is
-/// ever overwritten; dead pages from failed or superseded commits are
-/// simply unreferenced (no compaction yet — see docs/architecture.md).
+/// ever overwritten: reused pages are only read, and new pages are taken
+/// above every page a root may reference. Dead pages from failed or
+/// superseded commits are simply unreferenced (no compaction yet — see
+/// docs/architecture.md).
 ///
 /// Recovery (Open): read both root slots; the valid-checksum slot with
 /// the highest generation wins. Both invalid means no commit ever
 /// completed — an empty store (the pre-first-commit state), which is the
 /// correct recovery for a crash during the very first commit. Any
 /// corruption BELOW a valid root (manifest or data pages) is detected by
-/// the page checksums at Load and reported as kDataLoss — never silently
-/// read.
+/// the page checksums and the manifest's bounds checks at Load and
+/// reported as kDataLoss — never silently read. So is a manifest in the
+/// older contiguous-run format.
 class PagedStore {
  public:
   /// Opens (creating if absent) the store file and recovers the latest
@@ -76,11 +85,15 @@ class PagedStore {
 
   /// Materializes the committed generation. Also primes the pointer-dedup
   /// map with the returned table handles, so a following Commit only
-  /// writes tables that changed since the load. Loaded components carry
-  /// no instance (the world-set builds its own from the tuples), so the
-  /// first commit after a restart writes every component once; later
-  /// commits dedup them.
+  /// writes tables that changed since the load.
   Result<DurableSnapshot> Load();
+
+  /// Binds the components of `restored` — the snapshot of the world-set
+  /// rebuilt from the last Load — to the runs Load read them from, by
+  /// position, so the next Commit writes none of them. A component whose
+  /// alternative, contribution or row counts differ from what was loaded
+  /// stays unbound and is written again.
+  void AdoptLoadedComponents(const DurableSnapshot& restored);
 
   BufferPool* pool() { return &pool_; }
   File* file() { return file_.get(); }
@@ -111,9 +124,17 @@ class PagedStore {
     // A table: its one run. A component: one run per contribution, in
     // alternative order, then contribution order.
     std::vector<PageRun> runs;
+    // A table: the per-page fills of its run, and the instance itself, so
+    // a successor can be diffed against its rows.
+    std::vector<PageFill> fills;
+    const Table* table = nullptr;
     // Keeps the instance alive so its address stays a unique key.
     std::shared_ptr<const void> keepalive;
   };
+
+  /// Where a relation is bound: 0 for the certain core, w + 1 for world
+  /// w, with its name.
+  using Binding = std::pair<size_t, std::string>;
 
   std::unique_ptr<File> file_;
   BufferPool pool_;
@@ -126,6 +147,18 @@ class PagedStore {
   /// Pointer-dedup across commits: table and component instances already
   /// durable under the committed root.
   std::map<const void*, RunInfo> persisted_;
+
+  /// The table instance the committed generation binds at each place:
+  /// the predecessors a Commit diffs new instances against.
+  std::map<Binding, const void*> bindings_;
+
+  /// The runs of each component the last Load read, in manifest order,
+  /// until AdoptLoadedComponents binds them or a Commit supersedes them.
+  struct LoadedComponent {
+    size_t alternatives = 0;
+    std::vector<PageRun> runs;
+  };
+  std::vector<LoadedComponent> loaded_components_;
 };
 
 }  // namespace maybms::storage

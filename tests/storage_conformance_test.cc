@@ -27,7 +27,9 @@
 
 #include <unistd.h>
 
+#include "base/rng.h"
 #include "base/string_util.h"
+#include "isql/formatter.h"
 #include "isql/session.h"
 #include "sql/parser.h"
 #include "storage/buffer_pool.h"
@@ -407,6 +409,219 @@ TEST_P(StorageRestartTest, ReopenedStoreAnswersIdentically) {
 
 INSTANTIATE_TEST_SUITE_P(
     Engines, StorageRestartTest,
+    ::testing::Values(EngineMode::kExplicit, EngineMode::kDecomposed),
+    [](const ::testing::TestParamInfo<EngineMode>& param_info) {
+      return param_info.param == EngineMode::kExplicit ? "Explicit"
+                                                       : "Decomposed";
+    });
+
+// ---------------------------------------------------------------------------
+// Page-granular commits at the session level: a write re-encodes only the
+// pages of the rows it changed, yet a reopen must answer exactly like a
+// memory twin, and the rewritten runs must stay about as packed as a
+// fresh write of the same rows.
+// ---------------------------------------------------------------------------
+
+class PageReuseTest : public ::testing::TestWithParam<EngineMode> {
+ protected:
+  void SetUp() override {
+    dir_ = (std::filesystem::temp_directory_path() /
+            ("maybms-page-reuse-" + std::to_string(::getpid()) + "-" +
+             (GetParam() == EngineMode::kExplicit ? "e" : "d")))
+               .string();
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_ + "/live");
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  std::unique_ptr<Session> OpenPaged() {
+    return std::make_unique<Session>(
+        PagedOptions(GetParam(), /*pool_pages=*/64, dir_ + "/live"));
+  }
+
+  /// The formatted answer (or error) of every probe.
+  static std::string Probe(Session& session,
+                           const std::vector<std::string>& probes) {
+    std::string out;
+    for (const std::string& probe : probes) {
+      auto r = session.Execute(probe);
+      out += probe + "\n" +
+             (r.ok() ? isql::FormatQueryResult(*r) : r.status().ToString()) +
+             "\n";
+    }
+    return out;
+  }
+
+  /// Page count of the run holding relation `name`, and of the same rows
+  /// written afresh into a new store.
+  std::pair<uint64_t, uint64_t> RunPages(Session& session,
+                                         const std::string& name) {
+    auto snapshot = session.world_set().ToSnapshot();
+    EXPECT_TRUE(snapshot.ok());
+    const std::vector<storage::DurableSnapshot::RelationRef>& refs =
+        snapshot->certain.empty() ? snapshot->worlds.at(0).relations
+                                  : snapshot->certain;
+    Database::TableHandle table;
+    for (const auto& ref : refs) {
+      if (ref.name == name) table = snapshot->tables.at(ref.table_index);
+    }
+    EXPECT_NE(table, nullptr);
+    uint64_t live = 0;
+    for (const auto& [instance, run] :
+         session.paged_store()->PersistedRuns()) {
+      if (instance == table.get()) live = run.page_count();
+    }
+    const std::string fresh_path = dir_ + "/fresh.db";
+    std::filesystem::remove(fresh_path);
+    auto fresh = storage::PagedStore::Open(fresh_path, 16);
+    EXPECT_TRUE(fresh.ok());
+    storage::DurableSnapshot alone;
+    alone.engine = "decomposed";
+    alone.tables.push_back(table);
+    alone.certain.push_back({name, 0});
+    EXPECT_TRUE(fresh.value()->Commit(alone).ok());
+    uint64_t written = 0;
+    for (const auto& [instance, run] : fresh.value()->PersistedRuns()) {
+      written += run.page_count();
+    }
+    return {live, written};
+  }
+
+  std::string dir_;
+};
+
+TEST_P(PageReuseTest, OneRowWritesOnALargeTableFlushAFewPages) {
+  constexpr int kRows = 20000;
+  std::string values;
+  for (int k = 0; k < kRows; ++k) {
+    values += (k > 0 ? ", (" : "(") + std::to_string(k) + ", " +
+              std::to_string(k % 1000) + ", " + std::to_string(k % 50) + ")";
+  }
+  const std::vector<std::string> setup = {
+      "create table C (K integer primary key, V integer, G integer);",
+      "insert into C values " + values + ";",
+  };
+  // A one-row insert (appended after the last row), and an update and a
+  // delete of the first, a middle and the last row.
+  const std::vector<std::string> writes = {
+      "insert into C values (-1, 7, 7);",
+      "update C set V = V + 1 where K = 0;",
+      "update C set V = V + 1 where K = 10000;",
+      "update C set V = V + 1 where K = 19999;",
+      "delete from C where K = 0;",
+      "delete from C where K = 10000;",
+      "delete from C where K = 19999;",
+      "insert into C values (20000, 8, 8);",
+  };
+  const std::vector<std::string> probes = {
+      "select count(*), sum(V), sum(G) from C;",
+      "select * from C where K < 3 or K > 19997 or (K > 9998 and K < 10002);",
+      "select certain count(*) from C where V > 500;",
+  };
+
+  Session memory(MemoryOptions(GetParam()));
+  std::unique_ptr<Session> paged = OpenPaged();
+  for (const std::string& sql : setup) {
+    MAYBMS_ASSERT_OK(memory.Execute(sql).status());
+    MAYBMS_ASSERT_OK(paged->Execute(sql).status());
+  }
+  for (const std::string& sql : writes) {
+    SCOPED_TRACE(sql);
+    MAYBMS_ASSERT_OK(memory.Execute(sql).status());
+    const uint64_t flushes = paged->paged_store()->pool()->stats().flushes;
+    MAYBMS_ASSERT_OK(paged->Execute(sql).status());
+    // At most 4 data pages, plus the one-page manifest.
+    EXPECT_LE(paged->paged_store()->pool()->stats().flushes - flushes, 5u);
+    paged.reset();
+    paged = OpenPaged();
+    EXPECT_EQ(Probe(*paged, probes), Probe(memory, probes));
+  }
+}
+
+TEST_P(PageReuseTest, SeededMixedDmlMatchesMemoryTwinAndStaysPacked) {
+  constexpr int kRows = 3000;
+  constexpr int kStatements = 1000;
+  constexpr int kReopenEvery = 50;
+  base::SplitMix64 rng(20260917);
+  auto uniform = [&rng](int64_t lo, int64_t hi) {
+    return lo +
+           static_cast<int64_t>(rng() % static_cast<uint64_t>(hi - lo + 1));
+  };
+  auto row = [&](int64_t key) {
+    return "(" + std::to_string(key) + ", " + std::to_string(uniform(0, 999)) +
+           ", '" + std::string(static_cast<size_t>(uniform(1, 24)), 's') +
+           std::to_string(key) + "')";
+  };
+  int64_t next_key = 0;
+  auto rows = [&](int n) {
+    std::string out;
+    for (int i = 0; i < n; ++i) out += (i > 0 ? ", " : "") + row(next_key++);
+    return out;
+  };
+
+  Session memory(MemoryOptions(GetParam()));
+  std::unique_ptr<Session> paged = OpenPaged();
+  auto both = [&](const std::string& sql) {
+    auto m = memory.Execute(sql);
+    auto p = paged->Execute(sql);
+    ASSERT_EQ(m.ok(), p.ok()) << sql << "\n" << p.status().ToString();
+  };
+  both("create table T (K integer primary key, V integer, S text);");
+  both("insert into T values " + rows(kRows) + ";");
+  const std::vector<std::string> probes = {
+      "select * from T;",
+      "select count(*), sum(V) from T;",
+      "select certain count(*) from T where V > 500;",
+  };
+
+  for (int i = 1; i <= kStatements; ++i) {
+    const std::string key = std::to_string(uniform(0, next_key - 1));
+    const std::string from = std::to_string(uniform(0, next_key - 1));
+    std::string sql;
+    switch (uniform(0, 6)) {
+      case 0:
+        sql = "insert into T values " + rows(1) + ";";
+        break;
+      case 1:
+        sql = "update T set V = V + 1 where K = " + key + ";";
+        break;
+      case 2:
+        sql = "delete from T where K = " + key + ";";
+        break;
+      case 3:
+        sql = "update T set V = V + 3 where K >= " + from + " and K < " +
+              from + " + 40;";
+        break;
+      case 4:
+        sql = "delete from T where K >= " + from + " and K < " + from +
+              " + 25;";
+        break;
+      case 5:
+        sql = "insert into T values " + rows(20) + ";";
+        break;
+      default:
+        // Rows change size, so they move between pages.
+        sql = "update T set S = '" +
+              std::string(static_cast<size_t>(uniform(0, 60)), 'x') +
+              "' where K = " + key + ";";
+        break;
+    }
+    both(sql);
+    if (::testing::Test::HasFatalFailure()) return;
+    if (i % kReopenEvery != 0) continue;
+
+    SCOPED_TRACE("after statement " + std::to_string(i) + ": " + sql);
+    paged.reset();
+    paged = OpenPaged();
+    EXPECT_EQ(Probe(*paged, probes), Probe(memory, probes));
+    const auto [live, fresh] = RunPages(*paged, "T");
+    EXPECT_LE(live * 2, fresh * 3)
+        << live << " pages where a fresh write takes " << fresh;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, PageReuseTest,
     ::testing::Values(EngineMode::kExplicit, EngineMode::kDecomposed),
     [](const ::testing::TestParamInfo<EngineMode>& param_info) {
       return param_info.param == EngineMode::kExplicit ? "Explicit"

@@ -9,6 +9,7 @@
 
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <set>
 #include <string>
@@ -22,6 +23,7 @@
 
 #include "isql/formatter.h"
 #include "isql/session.h"
+#include "storage/codec.h"
 #include "storage/file.h"
 #include "storage/page.h"
 #include "storage/snapshot.h"
@@ -149,11 +151,12 @@ TEST_F(StorageRecoveryTest, UnchangedTablesReusePageRuns) {
 
   DurableSnapshot v1 = MakeSnapshot(1);
   ASSERT_TRUE(store->Commit(v1).ok());
-  uint64_t shared_first_page = 0;
+  std::vector<PageExtent> shared_extents;
   for (const auto& [table, run] : store->PersistedRuns()) {
-    if (table == v1.tables[0].get()) shared_first_page = run.first_page;
+    if (table == v1.tables[0].get()) shared_extents = run.extents;
   }
-  ASSERT_GE(shared_first_page, 2u);
+  ASSERT_FALSE(shared_extents.empty());
+  ASSERT_GE(shared_extents.front().first_page, 2u);
 
   // v2 keeps table 0's instance and replaces table 1.
   DurableSnapshot v2 = v1;
@@ -165,7 +168,7 @@ TEST_F(StorageRecoveryTest, UnchangedTablesReusePageRuns) {
   for (const auto& [table, run] : store->PersistedRuns()) {
     if (table == v2.tables[0].get()) {
       // The unchanged instance was NOT rewritten: same page run.
-      EXPECT_EQ(run.first_page, shared_first_page);
+      EXPECT_EQ(run.extents, shared_extents);
       found = true;
     }
   }
@@ -437,6 +440,60 @@ TEST_F(StorageRecoveryTest, DecomposedComponentsRoundTrip) {
   EXPECT_TRUE(restored.alternatives[1].contributions[0].second.empty());
 }
 
+// After a Load, rebuilt components bind to the runs they were loaded from
+// by position, and only when their shape matches; a mismatched one is
+// written again rather than bound to runs that are not its own.
+TEST_F(StorageRecoveryTest, AdoptLoadedComponentsBindsOnlyMatchingShapes) {
+  auto component = [](int64_t seed, int alternatives) {
+    DurableSnapshot::ComponentRef ref;
+    for (int a = 0; a < alternatives; ++a) {
+      DurableSnapshot::AlternativeRef alt;
+      alt.probability = 1.0 / alternatives;
+      alt.contributions.emplace_back(
+          "r", std::vector<Tuple>{Tuple({Value::Integer(seed * 10 + a),
+                                         Value::Text("c")})});
+      ref.alternatives.push_back(std::move(alt));
+    }
+    return ref;
+  };
+  DurableSnapshot snapshot;
+  snapshot.engine = "decomposed";
+  snapshot.tables.push_back(MakeTable(1, 4));
+  snapshot.certain.push_back({"R", 0});
+  snapshot.components.push_back(component(1, 2));
+  snapshot.components.push_back(component(2, 3));
+  const std::string path = StorePath("adopt.db");
+  {
+    auto store = PagedStore::Open(path, 16);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE(store.value()->Commit(snapshot).ok());
+  }
+
+  auto store = PagedStore::Open(path, 16);
+  ASSERT_TRUE(store.ok());
+  auto loaded = store.value()->Load();
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  DurableSnapshot restored = loaded.value();
+  restored.components[0].instance = std::make_shared<int>(0);
+  // The second component comes back with one alternative fewer.
+  restored.components[1] = component(2, 2);
+  restored.components[1].instance = std::make_shared<int>(1);
+  store.value()->AdoptLoadedComponents(restored);
+
+  const uint64_t flushes = store.value()->pool()->stats().flushes;
+  ASSERT_TRUE(store.value()->Commit(restored).ok());
+  // The mismatched component's two runs and the manifest; nothing else.
+  EXPECT_EQ(store.value()->pool()->stats().flushes - flushes, 3u);
+  auto reloaded = store.value()->Load();
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  ASSERT_EQ(reloaded.value().components.size(), 2u);
+  EXPECT_EQ(reloaded.value().components[0].alternatives.size(), 2u);
+  EXPECT_EQ(reloaded.value().components[1].alternatives.size(), 2u);
+  EXPECT_EQ(reloaded.value().components[1].alternatives[1].contributions[0]
+                .second[0],
+            Tuple({Value::Integer(21), Value::Text("c")}));
+}
+
 // ---- Read-path faults (ISSUE 10): a failing disk on the READ side must
 // surface kIOError/kDataLoss deterministically — never hang, never
 // silently succeed, and never "recover" an empty store over good data.
@@ -612,6 +669,382 @@ TEST_F(StorageRecoveryTest, TinyPoolHandlesCommitAndLoad) {
   EXPECT_EQ(loaded.value().tables[0]->num_rows(), 2000u);
   EXPECT_EQ(loaded.value().tables[0]->row(1999),
             MakeTable(1, 2000)->row(1999));
+}
+
+// ---------------------------------------------------------------------------
+// Page-granular commits. A new table instance is diffed against the one
+// the last generation bound to the same name, and only the pages whose
+// rows changed are written; every other page of the run is reused. A
+// reused page belongs to a landed root, so it must never be written again.
+// ---------------------------------------------------------------------------
+
+/// A decomposed-style snapshot whose certain core binds `table` as C.
+DurableSnapshot CertainOnly(Database::TableHandle table) {
+  DurableSnapshot snapshot;
+  snapshot.engine = "decomposed";
+  snapshot.tables.push_back(std::move(table));
+  snapshot.certain.push_back({"C", 0});
+  return snapshot;
+}
+
+Database::TableHandle WithRows(const Table& table, std::vector<Tuple> rows) {
+  return std::make_shared<Table>(table.schema(), std::move(rows));
+}
+
+std::vector<std::byte> FileBytes(const std::string& path) {
+  auto file = File::Open(path, /*create=*/false);
+  EXPECT_TRUE(file.ok());
+  auto size = file.value()->Size();
+  EXPECT_TRUE(size.ok());
+  std::vector<std::byte> bytes(size.value());
+  EXPECT_TRUE(file.value()->ReadAt(0, bytes.data(), bytes.size()).ok());
+  return bytes;
+}
+
+/// Every byte of `before` outside the two root slots is still in the file:
+/// no page that existed before a commit was written by it.
+void ExpectLandedPagesUntouched(const std::vector<std::byte>& before,
+                                const std::string& path) {
+  const std::vector<std::byte> after = FileBytes(path);
+  ASSERT_GE(after.size(), before.size());
+  for (size_t offset = 2 * kPageSize; offset < before.size();
+       offset += kPageSize) {
+    EXPECT_EQ(std::memcmp(before.data() + offset, after.data() + offset,
+                          kPageSize),
+              0)
+        << "page " << offset / kPageSize << " was overwritten";
+  }
+}
+
+/// The page count of `table`'s run when written alone into a new store.
+uint64_t FreshRunPages(const std::string& path,
+                       const Database::TableHandle& table) {
+  auto store = PagedStore::Open(path, 16);
+  EXPECT_TRUE(store.ok());
+  EXPECT_TRUE(store.value()->Commit(CertainOnly(table)).ok());
+  for (const auto& [instance, run] : store.value()->PersistedRuns()) {
+    if (instance == table.get()) return run.page_count();
+  }
+  ADD_FAILURE() << "table not persisted";
+  return 0;
+}
+
+TEST_F(StorageRecoveryTest, OneRowEditsFlushOnlyTheChangedPages) {
+  constexpr int64_t kRows = 20000;
+  const Database::TableHandle base = MakeTable(1, kRows);
+  const Tuple extra({Value::Integer(-1), Value::Text("inserted")});
+  struct Edit {
+    std::string name;
+    std::vector<Tuple> rows;
+  };
+  std::vector<Edit> edits;
+  for (size_t at : {size_t{0}, size_t{kRows / 2}, size_t{kRows - 1}}) {
+    const std::string where = "@" + std::to_string(at);
+    std::vector<Tuple> inserted = base->rows();
+    inserted.insert(inserted.begin() + static_cast<std::ptrdiff_t>(
+                                           at == kRows - 1 ? kRows : at),
+                    extra);
+    edits.push_back({"insert" + where, std::move(inserted)});
+    std::vector<Tuple> updated = base->rows();
+    updated[at] = Tuple({Value::Integer(-2), Value::Text("updated")});
+    edits.push_back({"update" + where, std::move(updated)});
+    std::vector<Tuple> deleted = base->rows();
+    deleted.erase(deleted.begin() + static_cast<std::ptrdiff_t>(at));
+    edits.push_back({"delete" + where, std::move(deleted)});
+  }
+
+  for (Edit& edit : edits) {
+    SCOPED_TRACE(edit.name);
+    const std::string path = StorePath(edit.name + ".db");
+    const Database::TableHandle next = WithRows(*base, std::move(edit.rows));
+    {
+      auto store = PagedStore::Open(path, 64);
+      ASSERT_TRUE(store.ok());
+      ASSERT_TRUE(store.value()->Commit(CertainOnly(base)).ok());
+      const std::vector<std::byte> landed = FileBytes(path);
+      const uint64_t flushes = store.value()->pool()->stats().flushes;
+      ASSERT_TRUE(store.value()->Commit(CertainOnly(next)).ok());
+      // At most 4 data pages, plus the one-page manifest.
+      EXPECT_LE(store.value()->pool()->stats().flushes - flushes, 5u);
+      ExpectLandedPagesUntouched(landed, path);
+    }
+    auto reopened = PagedStore::Open(path, 64);
+    ASSERT_TRUE(reopened.ok());
+    auto loaded = reopened.value()->Load();
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    ExpectSnapshotsEqual(loaded.value(), CertainOnly(next));
+    uint64_t pages = 0;
+    for (const auto& [instance, run] : reopened.value()->PersistedRuns()) {
+      pages += run.page_count();
+    }
+    EXPECT_LE(pages, FreshRunPages(StorePath(edit.name + "-fresh.db"), next) +
+                         1);
+  }
+}
+
+// The diff compares encodings, not Tuple equality: Integer(1) equals
+// Real(1.0), and integers past 2^53 equal their neighbours as doubles,
+// but a kept page must hold exactly the row it stands for.
+TEST_F(StorageRecoveryTest, RowsEqualOnlyAsValuesAreRewritten) {
+  const std::string path = StorePath("encodings.db");
+  constexpr int64_t kBig = int64_t{1} << 53;
+  std::vector<Tuple> rows;
+  for (int64_t i = 0; i < 3000; ++i) {
+    rows.push_back(Tuple({Value::Integer(i), Value::Integer(kBig)}));
+  }
+  const Database::TableHandle v1 = std::make_shared<Table>(
+      Schema({Column("K", DataType::kInteger), Column("V", DataType::kReal)}),
+      rows);
+  rows[10] = Tuple({Value::Integer(10), Value::Integer(kBig + 1)});
+  rows[1500] = Tuple({Value::Real(1500.0), Value::Integer(kBig)});
+  rows[2999] = Tuple({Value::Integer(2999), Value::Real(-0.0)});
+  const Database::TableHandle v2 = WithRows(*v1, rows);
+  rows[2999] = Tuple({Value::Integer(2999), Value::Real(0.0)});
+  const Database::TableHandle v3 = WithRows(*v1, rows);
+  ASSERT_TRUE(v1->row(10) == v2->row(10)) << "the rows must be value-equal";
+  ASSERT_TRUE(v2->row(2999) == v3->row(2999));
+  {
+    auto store = PagedStore::Open(path, 16);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE(store.value()->Commit(CertainOnly(v1)).ok());
+    ASSERT_TRUE(store.value()->Commit(CertainOnly(v2)).ok());
+    ASSERT_TRUE(store.value()->Commit(CertainOnly(v3)).ok());
+  }
+  auto reopened = PagedStore::Open(path, 16);
+  ASSERT_TRUE(reopened.ok());
+  auto loaded = reopened.value()->Load();
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const Table& got = *loaded.value().tables.at(0);
+  ASSERT_EQ(got.num_rows(), 3000u);
+  EXPECT_EQ(got.row(10).value(1).AsInteger(), kBig + 1);
+  EXPECT_EQ(got.row(1500).value(0).type(), DataType::kReal);
+  EXPECT_EQ(got.row(2999).value(1).type(), DataType::kReal);
+  EXPECT_EQ(Bits(got.row(2999).value(1).AsReal()), Bits(0.0));
+}
+
+// The writer decides from the recorded page fills alone which kept pages
+// to absorb, and re-encodes their rows from the new instance. Fills that
+// understate every page's bytes make the fresh region absorb the page
+// before it and every page after it; the run must still hold exactly the
+// new rows, in order.
+TEST_F(StorageRecoveryTest, AbsorbedPagesAreReencodedRowForRow) {
+  auto file = File::Open(StorePath("absorb.db"), /*create=*/true);
+  ASSERT_TRUE(file.ok());
+  BufferPool pool(file.value().get(), 16);
+  uint64_t next = 2;
+  const Database::TableHandle v1 = MakeTable(1, 2000);
+  auto first = PagedTable::Write(v1->schema(), v1->rows(), &pool, &next);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_GE(first.value().run().page_count(), 6u);
+  std::vector<PageFill> understated = first.value().fills();
+  for (PageFill& fill : understated) fill.bytes = 0;
+
+  std::vector<Tuple> rows = v1->rows();
+  rows[600] = Tuple({Value::Integer(-1), Value::Text("updated")});
+  const PageRun base_run = first.value().run();
+  const PagedTable::Base base{&base_run, &understated, &v1->schema(),
+                              &v1->rows()};
+  auto second = PagedTable::Write(v1->schema(), rows, &pool, &next, &base);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  ASSERT_EQ(second.value().fills().size(),
+            second.value().run().page_count());
+  ASSERT_EQ(second.value().run().extents.size(), 2u);
+  EXPECT_EQ(second.value().run().extents.front().page_count, 1u)
+      << "the page before the edit was absorbed";
+  EXPECT_GE(second.value().run().extents.back().first_page,
+            base_run.extents.front().first_page + base_run.page_count())
+      << "the pages after the edit were absorbed";
+
+  auto table = PagedTable(&pool, second.value().run()).Materialize();
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  ASSERT_EQ(table.value()->num_rows(), rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    ASSERT_EQ(table.value()->row(i), rows[i]) << "row " << i;
+  }
+}
+
+// The every-kill-point battery over a commit that reuses pages: each
+// outcome is the old state or the complete new one, the pages the old
+// root references are never written, and a retry after reopen reuses
+// them again without writing them either.
+TEST_F(StorageRecoveryTest, EveryKillPointOfAPageReusingCommitNeverOverwrites) {
+  const Database::TableHandle v1 = MakeTable(1, 2000);
+  std::vector<Tuple> rows = v1->rows();
+  rows[1000] = Tuple({Value::Integer(-1), Value::Text("updated")});
+  const DurableSnapshot before = CertainOnly(v1);
+  const DurableSnapshot after = CertainOnly(WithRows(*v1, rows));
+
+  uint64_t total_ops = 0;
+  {
+    auto store = PagedStore::Open(StorePath("reuse-dry.db"), 16);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE(store.value()->Commit(before).ok());
+    FaultInjector::Arm(1u << 30, /*tear_killing_write=*/false);
+    ASSERT_TRUE(store.value()->Commit(after).ok());
+    total_ops = FaultInjector::OpsSinceArm();
+    FaultInjector::Disarm();
+  }
+  ASSERT_GE(total_ops, 4u);
+  // At most two data pages and the manifest, two fsyncs and the root.
+  ASSERT_LE(total_ops, 6u) << "a one-row edit writes a few pages, not the run";
+
+  for (uint64_t kill = 0; kill < total_ops; ++kill) {
+    SCOPED_TRACE("kill point " + std::to_string(kill) + " of " +
+                 std::to_string(total_ops));
+    const std::string path =
+        StorePath("reuse-kill-" + std::to_string(kill) + ".db");
+    std::vector<std::byte> landed;
+    {
+      auto store = PagedStore::Open(path, 16);
+      ASSERT_TRUE(store.ok());
+      ASSERT_TRUE(store.value()->Commit(before).ok());
+      landed = FileBytes(path);
+      FaultInjector::Arm(kill, /*tear_killing_write=*/(kill % 2) == 1);
+      EXPECT_FALSE(store.value()->Commit(after).ok());
+      FaultInjector::Disarm();
+    }
+    ExpectLandedPagesUntouched(landed, path);
+
+    const bool root_landed = kill == total_ops - 1;
+    auto reopened = PagedStore::Open(path, 16);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    auto loaded = reopened.value()->Load();
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    ExpectSnapshotsEqual(loaded.value(), root_landed ? after : before);
+
+    ASSERT_TRUE(reopened.value()->Commit(after).ok());
+    ExpectLandedPagesUntouched(landed, path);
+    auto final_load = reopened.value()->Load();
+    ASSERT_TRUE(final_load.ok()) << final_load.status().ToString();
+    ExpectSnapshotsEqual(final_load.value(), after);
+  }
+}
+
+// ---- Manifest decoding never trusts sizes read from disk.
+
+/// Replaces the bytes of the single-page, single-record manifest the
+/// newest root references, and re-seals the page, so only the decoder
+/// can object.
+void RewriteManifest(const std::string& path,
+                     const std::function<void(std::vector<std::byte>*)>& edit) {
+  auto file = File::Open(path, /*create=*/false);
+  ASSERT_TRUE(file.ok());
+  uint64_t best_generation = 0;
+  uint64_t manifest_page = 0;
+  for (uint64_t slot = 0; slot < 2; ++slot) {
+    auto page = std::make_unique<Page>();
+    ASSERT_TRUE(file.value()
+                    ->ReadAt(slot * kPageSize, page->data(), kPageSize)
+                    .ok());
+    if (!page->VerifyChecksum(slot).ok()) continue;
+    auto record = page->Record(0);
+    ASSERT_TRUE(record.ok());
+    codec::Reader r(record.value().first, record.value().second);
+    ASSERT_TRUE(r.U32().ok());
+    const uint64_t generation = r.U64().value();
+    const uint64_t manifest_start = r.U64().value();
+    ASSERT_EQ(r.U64().value(), 1u) << "a one-page manifest";
+    if (generation > best_generation) {
+      best_generation = generation;
+      manifest_page = manifest_start;
+    }
+  }
+  ASSERT_GE(manifest_page, 2u);
+  auto page = std::make_unique<Page>();
+  ASSERT_TRUE(file.value()
+                  ->ReadAt(manifest_page * kPageSize, page->data(), kPageSize)
+                  .ok());
+  ASSERT_EQ(page->num_records(), 1u);
+  auto record = page->Record(0);
+  ASSERT_TRUE(record.ok());
+  std::vector<std::byte> bytes(record.value().first,
+                               record.value().first + record.value().second);
+  edit(&bytes);
+  page->Format(manifest_page);
+  ASSERT_TRUE(page->AppendRecord(bytes.data(), bytes.size()));
+  page->SealChecksum();
+  ASSERT_TRUE(file.value()
+                  ->WriteAt(manifest_page * kPageSize, page->data(), kPageSize)
+                  .ok());
+}
+
+void PutU64At(std::vector<std::byte>* bytes, size_t offset, uint64_t v) {
+  ASSERT_LE(offset + sizeof(v), bytes->size());
+  std::memcpy(bytes->data() + offset, &v, sizeof(v));
+}
+
+Status LoadStatus(const std::string& path) {
+  auto store = PagedStore::Open(path, 16);
+  if (!store.ok()) return store.status();
+  return store.value()->Load().status();
+}
+
+TEST_F(StorageRecoveryTest, OversizedManifestCountsAreDataLossNotACrash) {
+  // Offsets into the manifest: u32 magic, then the engine name as u32
+  // length + bytes, then the table count and the first table run.
+  const size_t tables_at = 4 + 4 + std::string("explicit").size();
+  const std::string path = StorePath("counts.db");
+  for (size_t offset : {tables_at, tables_at + 8, tables_at + 16}) {
+    SCOPED_TRACE("u64 at manifest offset " + std::to_string(offset));
+    std::filesystem::remove(path);
+    {
+      auto store = PagedStore::Open(path, 16);
+      ASSERT_TRUE(store.ok());
+      ASSERT_TRUE(store.value()->Commit(MakeSnapshot(1)).ok());
+    }
+    // The table count, the first run's row count, its extent count.
+    RewriteManifest(path, [offset](std::vector<std::byte>* bytes) {
+      PutU64At(bytes, offset, uint64_t{1} << 60);
+    });
+    const Status status = LoadStatus(path);
+    EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
+  }
+
+  // A component run whose row count its pages cannot hold: the reserve
+  // for its tuples must never see that count.
+  std::filesystem::remove(path);
+  {
+    DurableSnapshot snapshot;
+    snapshot.engine = "decomposed";
+    DurableSnapshot::ComponentRef component;
+    DurableSnapshot::AlternativeRef alt;
+    alt.contributions.emplace_back(
+        "r", std::vector<Tuple>{Tuple({Value::Integer(1)})});
+    component.alternatives.push_back(std::move(alt));
+    snapshot.components.push_back(std::move(component));
+    auto store = PagedStore::Open(path, 16);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE(store.value()->Commit(snapshot).ok());
+  }
+  // magic, engine, no tables, no worlds, no certain relations, one
+  // component of one alternative (probability, one contribution named
+  // "r"), then the run's row count.
+  const size_t rows_at = 4 + 4 + std::string("decomposed").size() + 8 + 8 +
+                         8 + 8 + 8 + 8 + 8 + 4 + 1;
+  RewriteManifest(path, [rows_at](std::vector<std::byte>* bytes) {
+    PutU64At(bytes, rows_at, uint64_t{1} << 60);
+  });
+  const Status status = LoadStatus(path);
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
+}
+
+TEST_F(StorageRecoveryTest, ContiguousRunFormatIsDataLossNotMisread) {
+  const std::string path = StorePath("old-format.db");
+  {
+    auto store = PagedStore::Open(path, 16);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE(store.value()->Commit(MakeSnapshot(1)).ok());
+  }
+  // A manifest of the older layout starts with the magic "MBMF"; the
+  // magic alone must stop the decoder.
+  RewriteManifest(path, [](std::vector<std::byte>* bytes) {
+    const uint32_t contiguous_magic = 0x4D424D46;
+    std::memcpy(bytes->data(), &contiguous_magic, sizeof(contiguous_magic));
+  });
+  const Status status = LoadStatus(path);
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
+  EXPECT_NE(status.message().find("contiguous-run format"), std::string::npos)
+      << status.ToString();
 }
 
 // ---------------------------------------------------------------------------
@@ -796,32 +1229,51 @@ class ComponentDedupTest : public StorageRecoveryTest {
   }
 
   /// Runs `sql` and returns the runs its commit added, plus the pages it
-  /// flushed through `flushed`.
+  /// flushed through `flushed`. An added run may keep pages of the runs
+  /// before it; those are remembered for PagesWithManifest.
   std::vector<std::pair<const void*, PageRun>> CommitRuns(
       const std::string& sql, uint64_t* flushed) {
     PagedStore* store = session_->paged_store();
     std::set<std::pair<const void*, uint64_t>> before;
+    pages_before_.clear();
     for (const auto& [instance, run] : store->PersistedRuns()) {
-      before.emplace(instance, run.first_page);
+      before.emplace(instance, run.extents.front().first_page);
+      for (uint64_t page : PagesOf(run)) pages_before_.insert(page);
     }
     const uint64_t flushes = store->pool()->stats().flushes;
     MAYBMS_EXPECT_OK(session_->Execute(sql).status());
     *flushed = store->pool()->stats().flushes - flushes;
     std::vector<std::pair<const void*, PageRun>> added;
     for (const auto& [instance, run] : store->PersistedRuns()) {
-      if (before.count({instance, run.first_page}) == 0) {
+      if (before.count({instance, run.extents.front().first_page}) == 0) {
         added.emplace_back(instance, run);
       }
     }
     return added;
   }
 
-  /// Pages of `runs`, plus the one manifest page every commit writes.
-  static uint64_t PagesWithManifest(
-      const std::vector<std::pair<const void*, PageRun>>& runs) {
-    uint64_t pages = 1;
-    for (const auto& [instance, run] : runs) pages += run.page_count;
+  static std::vector<uint64_t> PagesOf(const PageRun& run) {
+    std::vector<uint64_t> pages;
+    for (const PageExtent& extent : run.extents) {
+      for (uint64_t p = 0; p < extent.page_count; ++p) {
+        pages.push_back(extent.first_page + p);
+      }
+    }
     return pages;
+  }
+
+  /// Pages of `runs` that no run held before the last CommitRuns — the
+  /// pages that commit wrote — plus the one manifest page every commit
+  /// writes.
+  uint64_t PagesWithManifest(
+      const std::vector<std::pair<const void*, PageRun>>& runs) const {
+    std::set<uint64_t> fresh;
+    for (const auto& [instance, run] : runs) {
+      for (uint64_t page : PagesOf(run)) {
+        if (pages_before_.count(page) == 0) fresh.insert(page);
+      }
+    }
+    return fresh.size() + 1;
   }
 
   bool Persisted(const void* instance) {
@@ -832,6 +1284,7 @@ class ComponentDedupTest : public StorageRecoveryTest {
   }
 
   std::unique_ptr<Session> session_;
+  std::set<uint64_t> pages_before_;
 };
 
 TEST_F(ComponentDedupTest, CertainOnlyCommitWritesNoComponentPages) {
@@ -907,16 +1360,18 @@ TEST_F(ComponentDedupTest, RestartCommitRestartRoundTrips) {
       SessionStorageOptions(EngineMode::kDecomposed, false, dir.string()));
   EXPECT_EQ(ProbeSession(*session_), TwinState(EngineMode::kDecomposed, {}));
 
-  // The first commit after a restart writes every component once: a
-  // loaded component has no instance the store could have seen.
+  // The restart bound the rebuilt components to the runs they were
+  // loaded from, so the first commit after it writes R and nothing else.
+  for (const auto& component : Components()) {
+    EXPECT_TRUE(Persisted(component.get()));
+  }
   uint64_t flushed = 0;
   auto added = CommitRuns(writes[0], &flushed);
   for (const auto& component : Components()) {
     EXPECT_TRUE(Persisted(component.get()));
   }
-  EXPECT_EQ(added.size(), 1u + 5u + 4u)
-      << "R, plus one run per alternative of the five components";
-  // From then on components dedup again.
+  EXPECT_EQ(added.size(), 1u) << "R only: no component is rewritten";
+  EXPECT_EQ(flushed, PagesWithManifest(added));
   added = CommitRuns(writes[1], &flushed);
   EXPECT_EQ(flushed, PagesWithManifest(added));
   added = CommitRuns(writes[2], &flushed);
@@ -929,6 +1384,36 @@ TEST_F(ComponentDedupTest, RestartCommitRestartRoundTrips) {
   Session reopened(
       SessionStorageOptions(EngineMode::kDecomposed, false, dir.string()));
   EXPECT_EQ(ProbeSession(reopened), live);
+}
+
+// A restart followed by a one-row write on a large certain table writes
+// a few pages of that table and the manifest, and no component pages.
+TEST_F(ComponentDedupTest, RestartThenOneRowWriteFlushesNoComponentPages) {
+  std::string values;
+  for (int k = 0; k < 2000; ++k) {
+    values += (k > 0 ? ", (" : "(") + std::to_string(k) + ", " +
+              std::to_string(k % 97) + ")";
+  }
+  maybms::testing::Exec(*session_,
+                        "create table C (K integer primary key, V integer);");
+  maybms::testing::Exec(*session_, "insert into C values " + values + ";");
+  const std::filesystem::path dir = dir_ / "dedup";
+  session_.reset();
+  session_ = std::make_unique<Session>(
+      SessionStorageOptions(EngineMode::kDecomposed, false, dir.string()));
+  const std::vector<worlds::ComponentHandle> components = Components();
+  ASSERT_EQ(components.size(), 5u);
+
+  uint64_t flushed = 0;
+  const auto added =
+      CommitRuns("update C set V = V + 1 where K = 1000;", &flushed);
+  ASSERT_EQ(added.size(), 1u) << "C's new instance only";
+  for (const auto& component : components) {
+    EXPECT_NE(added[0].first, component.get());
+    EXPECT_TRUE(Persisted(component.get()));
+  }
+  EXPECT_EQ(flushed, PagesWithManifest(added));
+  EXPECT_LE(flushed, 3u) << "a page or two of C, and the manifest";
 }
 
 }  // namespace
