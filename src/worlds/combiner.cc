@@ -1,8 +1,6 @@
 #include "worlds/combiner.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <iterator>
 #include <utility>
 
 #include "types/value.h"
@@ -10,16 +8,8 @@
 
 namespace maybms::worlds {
 
-bool QuantifierCombiner::UsingSetBasedOracle() {
-  static const bool enabled = [] {
-    const char* env = std::getenv("MAYBMS_COMBINER_ORACLE");
-    return env != nullptr && env[0] == '1';
-  }();
-  return enabled;
-}
-
 QuantifierCombiner::QuantifierCombiner(sql::WorldQuantifier quantifier)
-    : quantifier_(quantifier), use_oracle_(UsingSetBasedOracle()) {}
+    : quantifier_(quantifier) {}
 
 Result<QuantifierCombiner> QuantifierCombiner::Create(
     sql::WorldQuantifier quantifier) {
@@ -37,10 +27,6 @@ Result<QuantifierCombiner> QuantifierCombiner::Create(
 
 void QuantifierCombiner::Feed(double probability, const Table& table) {
   ++worlds_fed_;
-  if (use_oracle_) {
-    retained_.emplace_back(probability, table);
-    return;
-  }
   if (!saw_schema_) {
     first_schema_ = table.schema();
     saw_schema_ = true;
@@ -62,13 +48,6 @@ void QuantifierCombiner::Feed(double probability, const Table& table) {
 }
 
 void QuantifierCombiner::Merge(QuantifierCombiner&& other) {
-  if (use_oracle_) {
-    retained_.insert(retained_.end(),
-                     std::make_move_iterator(other.retained_.begin()),
-                     std::make_move_iterator(other.retained_.end()));
-    worlds_fed_ += other.worlds_fed_;
-    return;
-  }
   if (!saw_schema_ && other.saw_schema_) {
     first_schema_ = std::move(other.first_schema_);
     saw_schema_ = true;
@@ -101,28 +80,7 @@ Result<Table> QuantifierCombiner::Finish(double normalizer) {
     return Status::EmptyWorldSet(
         "conf is undefined over zero total probability mass");
   }
-  if (use_oracle_) {
-    // Differential mode: normalize the retained weights and delegate to
-    // the set-based combinators kept in world_set.cc.
-    if (normalizer != 1.0) {
-      for (auto& [prob, table] : retained_) prob /= normalizer;
-    }
-    switch (quantifier_) {
-      case sql::WorldQuantifier::kPossible:
-        return CombinePossible(retained_);
-      case sql::WorldQuantifier::kCertain:
-        return CombineCertain(retained_);
-      case sql::WorldQuantifier::kConf:
-        return CombineConf(retained_);
-      case sql::WorldQuantifier::kNone:
-        break;
-    }
-    return Status::InvalidArgument(
-        "group worlds by requires possible, certain, or conf");
-  }
-
-  // Deterministic emission order: the same tuple total order the
-  // set-based combinators produce (std::map / SortedDistinct).
+  // Deterministic emission order: the tuple total order.
   std::vector<std::pair<const Tuple*, const Accum*>> ordered;
   ordered.reserve(acc_.size());
   for (const auto& [row, entry] : acc_) {

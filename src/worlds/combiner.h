@@ -3,10 +3,9 @@
 
 // Streaming world-combination for possible / certain / conf.
 //
-// The set-based combinators in world_set.h (CombinePossible/CombineCertain/
-// CombineConf) take the full vector of (probability, answer table) pairs —
-// which forces every per-world answer to stay materialized until the last
-// world has been evaluated, and costs O(W log W) comparisons plus one
+// Combining from the full vector of (probability, answer table) pairs
+// would force every per-world answer to stay materialized until the last
+// world has been evaluated, and cost O(W log W) comparisons plus one
 // Table allocation per world. The paper's world-set algebra only ever
 // needs tuple-level accumulation: a tuple's confidence is the sum of the
 // probabilities of the worlds whose answer contains it, a tuple is certain
@@ -22,16 +21,10 @@
 // and compare under Value's total order (Tuple::Hash / Tuple::Compare),
 // where NULL is a plain value (two NULL answer fields are identical for
 // world-combination purposes) and numerics are type-tagged consistently
-// (Integer(1) and Real(1.0) coincide, exactly as in the set-based
-// combinators). Output order is deterministic: rows are emitted sorted by
-// the same total order the set-based combinators produce.
-//
-// Oracle hook: setting MAYBMS_COMBINER_ORACLE=1 in the environment makes
-// every combiner retain its fed entries and delegate to the set-based
-// functions at Finish() — the retained implementations stay alive as a
-// differential oracle (tests/combiner_property_test.cc compares the two
-// on randomized inputs, and the hook lets the whole engine run on the
-// oracle path end to end).
+// (Integer(1) and Real(1.0) coincide). Output order is deterministic:
+// rows are emitted sorted by that total order. The set-based definitions
+// the combiner must reproduce live in tests/set_combiners.h, and
+// tests/combiner_property_test.cc compares the two on randomized inputs.
 
 #include <cstddef>
 #include <map>
@@ -61,8 +54,8 @@ namespace maybms::worlds {
 /// to one. possible/certain ignore the weights entirely.
 class QuantifierCombiner {
  public:
-  /// Rejects WorldQuantifier::kNone with the same error the set-based
-  /// dispatch produced.
+  /// Rejects WorldQuantifier::kNone ("group worlds by requires possible,
+  /// certain, or conf").
   static Result<QuantifierCombiner> Create(sql::WorldQuantifier quantifier);
 
   QuantifierCombiner(QuantifierCombiner&&) = default;
@@ -85,15 +78,11 @@ class QuantifierCombiner {
   /// Consumes `other`.
   void Merge(QuantifierCombiner&& other);
 
-  /// Emits the combined relation, sorted by tuple total order (identical
-  /// to the set-based combinators' output). Consumes the combiner.
+  /// Emits the combined relation, sorted by tuple total order. Consumes
+  /// the combiner.
   /// A conf combination with `normalizer` <= 0 (zero total surviving
   /// mass) is an error, never NaN confidences.
   Result<Table> Finish(double normalizer = 1.0);
-
-  /// True when MAYBMS_COMBINER_ORACLE=1: combiners retain their input and
-  /// delegate to the set-based functions (differential/test mode).
-  static bool UsingSetBasedOracle();
 
  private:
   explicit QuantifierCombiner(sql::WorldQuantifier quantifier);
@@ -111,19 +100,13 @@ class QuantifierCombiner {
   bool saw_schema_ = false;    // any table fed (possible/certain schema)
   Schema first_schema_;        // schema of the very first fed table
   double nonempty_prob_ = 0;   // conf, 0-column answers: P(non-empty)
-
-  // Oracle mode: retained input, combined via world_set.h functions.
-  bool use_oracle_ = false;
-  std::vector<std::pair<double, Table>> retained_;
 };
 
 /// Streaming accumulator for `group worlds by`: one QuantifierCombiner
 /// per distinct (canonicalized) group key, fed unnormalized world
 /// probabilities; Finish() normalizes within each group and emits groups
-/// in the deterministic total order of their canonical key rows. Shared
-/// by both engines' streaming grouped tails (ExplicitWorldSet /
-/// DecomposedWorldSet::EvaluateGroupedStreaming) so normalization and
-/// emission order cannot drift between them.
+/// in the deterministic total order of their canonical key rows. It is
+/// the grouped sink of the shared world pipeline (worlds/world_pipeline.h).
 class GroupedQuantifierCombiner {
  public:
   /// kNone is rejected at the first Feed, with the same error the

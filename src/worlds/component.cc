@@ -44,45 +44,73 @@ Status Component::Normalize() {
   return Status::OK();
 }
 
-Result<Component> MergeComponents(const std::vector<const Component*>& parts,
-                                  size_t max_alternatives) {
-  Component merged;
-  if (parts.empty()) {
-    merged.alternatives.push_back(Alternative{});  // the trivial choice
-    return merged;
+std::vector<size_t> DecodeProductIndex(uint64_t index,
+                                       const std::vector<size_t>& radices) {
+  std::vector<size_t> digits(radices.size());
+  for (size_t k = 0; k < radices.size(); ++k) {
+    digits[k] = static_cast<size_t>(index % radices[k]);
+    index /= radices[k];
   }
+  return digits;
+}
 
+Status MergeCapError(size_t max_alternatives) {
+  return Status::Unsupported(
+      "component merge would exceed " + std::to_string(max_alternatives) +
+      " alternatives; the query correlates too many components");
+}
+
+Result<uint64_t> ProductSize(const std::vector<const Component*>& parts,
+                             size_t max_alternatives) {
   uint64_t total = 1;
   for (const Component* part : parts) {
     total *= static_cast<uint64_t>(part->size());
     if (max_alternatives != 0 && total > max_alternatives) {
-      return Status::Unsupported(
-          "component merge would exceed " + std::to_string(max_alternatives) +
-          " alternatives; the query correlates too many components");
+      return MergeCapError(max_alternatives);
     }
   }
+  return total;
+}
 
+double ChooseAlternatives(const std::vector<const Component*>& parts,
+                          uint64_t index,
+                          std::vector<const Alternative*>* chosen) {
+  std::vector<size_t> radices;
+  radices.reserve(parts.size());
+  for (const Component* part : parts) radices.push_back(part->size());
+  const std::vector<size_t> digits = DecodeProductIndex(index, radices);
+  double probability = 1.0;
+  chosen->clear();
+  for (size_t k = 0; k < parts.size(); ++k) {
+    const Alternative& alt = parts[k]->alternatives[digits[k]];
+    probability *= alt.probability;
+    chosen->push_back(&alt);
+  }
+  return probability;
+}
+
+Alternative FlattenAlternatives(const std::vector<const Alternative*>& chosen,
+                                double probability) {
+  Alternative flat;
+  flat.probability = probability;
+  for (const Alternative* alt : chosen) {
+    for (const auto& [rel, tuples] : alt->tuples) {
+      auto& dst = flat.tuples[rel];
+      dst.insert(dst.end(), tuples.begin(), tuples.end());
+    }
+  }
+  return flat;
+}
+
+Result<Component> MergeComponents(const std::vector<const Component*>& parts,
+                                  size_t max_alternatives) {
+  MAYBMS_ASSIGN_OR_RETURN(uint64_t total, ProductSize(parts, max_alternatives));
+  Component merged;
   merged.alternatives.reserve(static_cast<size_t>(total));
-  std::vector<size_t> pick(parts.size(), 0);
-  while (true) {
-    Alternative combo;
-    combo.probability = 1.0;
-    for (size_t i = 0; i < parts.size(); ++i) {
-      const Alternative& alt = parts[i]->alternatives[pick[i]];
-      combo.probability *= alt.probability;
-      for (const auto& [rel, tuples] : alt.tuples) {
-        auto& dst = combo.tuples[rel];
-        dst.insert(dst.end(), tuples.begin(), tuples.end());
-      }
-    }
-    merged.alternatives.push_back(std::move(combo));
-
-    size_t i = 0;
-    for (; i < parts.size(); ++i) {
-      if (++pick[i] < parts[i]->size()) break;
-      pick[i] = 0;
-    }
-    if (i == parts.size()) break;
+  std::vector<const Alternative*> chosen;
+  for (uint64_t i = 0; i < total; ++i) {
+    const double probability = ChooseAlternatives(parts, i, &chosen);
+    merged.alternatives.push_back(FlattenAlternatives(chosen, probability));
   }
   return merged;
 }

@@ -2,6 +2,7 @@
 #define MAYBMS_WORLDS_COMPONENT_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -55,6 +56,33 @@ using ComponentHandle = std::shared_ptr<const Component>;
 inline ComponentHandle ShareComponent(Component component) {
   return ComponentHandle(new Component(std::move(component)));
 }
+
+/// The digits of `index` in the mixed radix `radices`, digit 0 least
+/// significant. This is the one enumeration order of every product in
+/// the engines: component sub-products (MergeComponents, the decomposed
+/// world source, per-world listings) and repair/choice partition blocks.
+std::vector<size_t> DecodeProductIndex(uint64_t index,
+                                       const std::vector<size_t>& radices);
+
+/// The size of the product of `parts`, or the merge-cap error when it
+/// exceeds `max_alternatives` (0 = unlimited).
+Result<uint64_t> ProductSize(const std::vector<const Component*>& parts,
+                             size_t max_alternatives);
+
+/// The error ProductSize and MergeComponents return above the cap.
+Status MergeCapError(size_t max_alternatives);
+
+/// Alternative `index` of the product of `parts`, one chosen alternative
+/// per part (decoded by DecodeProductIndex). Returns their probability
+/// product, multiplied in part order.
+double ChooseAlternatives(const std::vector<const Component*>& parts,
+                          uint64_t index,
+                          std::vector<const Alternative*>* chosen);
+
+/// One alternative carrying every contribution of `chosen` (concatenated
+/// per relation in `chosen` order) with the given probability.
+Alternative FlattenAlternatives(const std::vector<const Alternative*>& chosen,
+                                double probability);
 
 /// Flattens the product of `parts` into a single component whose
 /// alternatives are all combinations, with merged contributions and

@@ -16,8 +16,8 @@
 //    probabilities sum to 1 within its component, and world probability
 //    is the product over components. Operations that would correlate
 //    components (joins of uncertain relations, aggregates over them,
-//    assert, group worlds by, DML touching them) first merge the
-//    RELEVANT components only — never the full product.
+//    assert, group worlds by, DML touching them) enumerate the RELEVANT
+//    components' sub-product only — never the full product.
 //  * Query plans are schema-only and never capture alternative contents;
 //    per-world state (subquery materializations, hash indexes) lives in
 //    per-execution caches (engine/planner.h).
@@ -31,11 +31,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "worlds/component.h"
+#include "worlds/world_pipeline.h"
 #include "worlds/world_set.h"
 
 namespace maybms::worlds {
@@ -51,19 +51,27 @@ namespace maybms::worlds {
 /// ICDE'07 paper's "10^10^6 worlds" point.
 ///
 /// Query processing avoids world enumeration wherever the paper's
-/// operations allow:
-///  * selections/projections over one uncertain relation are pushed into
-///    each alternative (no component merging — the fast path);
-///  * possible/certain/conf over decomposable results use per-component
-///    math (conf uses the closed form 1 − ∏_c (1 − p_c(t)));
-///  * only `assert`, `group worlds by`, and queries that genuinely
-///    correlate components (joins of uncertain relations, aggregates over
-///    them, subqueries) enumerate the *relevant* sub-product and merge
-///    those components — never the full world-set.
+/// operations allow. Statements without `assert` and `group worlds by`
+/// first try three shortcuts:
+///  * certain-only: no uncertain relation is referenced — one evaluation
+///    over the certain core;
+///  * the fast path: selections/projections over one uncertain relation
+///    are pushed into each alternative (no merge, structure preserved);
+///  * the clean repair/choice product over certain relations: one new
+///    component per partition block.
+/// Their possible/certain/conf use per-component math (conf uses the
+/// closed form 1 − ∏_c (1 − p_c(t))). Everything else — `assert`,
+/// `group worlds by`, and queries that genuinely correlate components
+/// (joins of uncertain relations, aggregates over them, subqueries) —
+/// runs the shared world pipeline over the *relevant* sub-product,
+/// decoded lazily world by world; it is never the full world-set and is
+/// never materialized. A `create table ... as` through the pipeline
+/// replaces the relevant components with one component of the surviving
+/// worlds.
 class DecomposedWorldSet : public WorldSet {
  public:
-  /// `max_merge` caps the alternatives a single merge may produce (the
-  /// correlated sub-product); 0 = unlimited. `threads` caps the shared
+  /// `max_merge` caps the correlated sub-product a statement may
+  /// enumerate or merge, in alternatives; 0 = unlimited. `threads` caps the shared
   /// thread pool's parallelism for per-alternative loops (0 =
   /// MAYBMS_THREADS / hardware); results and errors are byte-identical at
   /// every thread count (see base/thread_pool.h).
@@ -106,70 +114,18 @@ class DecomposedWorldSet : public WorldSet {
   size_t num_components() const { return components_.size(); }
 
  private:
-  /// The decomposed (non-merged) form of a query result: a certain part
-  /// plus per-alternative contributions aligned with components.
-  /// `components[i]`'s alternative j contributes `contributions[i][j]`.
-  struct DecomposedResult {
-    Schema schema;
-    std::vector<Tuple> certain_rows;
-    std::vector<size_t> component_indices;            // into components_
-    std::vector<std::vector<std::vector<Tuple>>> contributions;
-    std::vector<Component> new_components;            // repair/choice output
+  /// A select run through the shared pipeline (worlds/world_pipeline.h)
+  /// over the sub-product of the components the statement references.
+  struct PipelineRun {
+    std::vector<size_t> relevant;  // those components (into components_)
+    PipelineResult result;
   };
+  Result<PipelineRun> RunPipeline(const sql::SelectStatement& stmt,
+                                  const std::string& result_name,
+                                  size_t keep_worlds) const;
 
-  /// The merged form: one flattened component (replacing `replaced`
-  /// components of components_) whose alternative i has full result table
-  /// `results[i]`.
-  struct MergedResult {
-    Component component;
-    std::vector<Table> results;
-    std::vector<size_t> replaced;  // indices into components_
-  };
-
-  struct PipelineOutput {
-    std::optional<Table> certain_result;      // result certain in all worlds
-    std::optional<DecomposedResult> decomposed;
-    std::optional<MergedResult> merged;
-    std::optional<Table> combined;            // quantifier answer
-    std::vector<SelectEvaluation::GroupResult> groups;
-  };
-
-  /// `result_name` is the relation name under which the statement's
-  /// per-world result is visible to `assert` conditions and
-  /// `group worlds by` queries (the CREATE TABLE target name, or
-  /// "__result" for plain selects) — mirroring the explicit engine.
-  Result<PipelineOutput> RunPipeline(const sql::SelectStatement& stmt,
-                                     const std::string& result_name) const;
-
-  /// Streaming grouped-quantifier evaluation: one pass over the local
-  /// worlds of the relevant sub-product keeping a per-group-key
-  /// QuantifierCombiner (fed unnormalized alternative probabilities,
-  /// normalized per group at Finish) — per-alternative answers are never
-  /// materialized as a batch. Used by EvaluateSelect for grouped
-  /// statements without repair/choice whose assert/grouping queries do
-  /// not reference the internal "__result" relation; everything else
-  /// falls back to the materializing pipeline.
-  Result<std::vector<SelectEvaluation::GroupResult>> EvaluateGroupedStreaming(
-      const sql::SelectStatement& stmt) const;
-
-  /// Indices of components contributing to any of `relations` (lower-case).
-  std::vector<size_t> RelevantComponents(
-      const std::set<std::string>& relations) const;
-
-  /// Builds the database of one local world: the certain core plus the
-  /// contributions of the given alternatives.
-  Database BuildLocalDatabase(const std::vector<const Alternative*>& chosen)
-      const;
-
-  /// Merges the given components into a single flattened component
-  /// (enumerating their sub-product, capped by max_merge_).
-  Result<Component> MergeRelevant(const std::vector<size_t>& indices) const;
-
-  /// True if the statement qualifies for the per-alternative push-down
-  /// fast path (single uncertain relation scan, per-tuple predicate, plain
-  /// projection).
-  bool QualifiesForFastPath(const sql::SelectStatement& stmt,
-                            const std::set<std::string>& referenced) const;
+  /// The components at `indices`, in that order.
+  std::vector<const Component*> Parts(const std::vector<size_t>& indices) const;
 
   Database certain_;
   // Shared immutable instances: Clone() copies handles, and every

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "worlds/world_pipeline.h"
 #include "worlds/world_set.h"
 
 namespace maybms::worlds {
@@ -20,10 +21,13 @@ namespace maybms::worlds {
 /// materialized databases, so the total world count is capped; exceeding
 /// the cap is an error directing users to the decomposed engine.
 ///
-/// Per-world work (the pipeline core, streaming combination, DML
-/// snapshots) runs on the shared chunked thread pool (base/thread_pool.h).
-/// `threads` caps the parallelism (0 = MAYBMS_THREADS / hardware);
-/// results and errors are byte-identical at every thread count.
+/// Selects run through the shared world pipeline (worlds/world_pipeline.h)
+/// with the stored worlds, read in place, as its world source; the engine
+/// itself only commits a `create table ... as` result. Per-world work (the
+/// pipeline, DML snapshots) runs on the shared chunked thread pool
+/// (base/thread_pool.h). `threads` caps the parallelism (0 =
+/// MAYBMS_THREADS / hardware); results and errors are byte-identical at
+/// every thread count.
 class ExplicitWorldSet : public WorldSet {
  public:
   static constexpr size_t kDefaultMaxWorlds = 1 << 20;
@@ -65,46 +69,9 @@ class ExplicitWorldSet : public WorldSet {
   void SetWorlds(std::vector<World> worlds);
 
  private:
-  struct PipelineOutput {
-    std::vector<World> worlds;  // result stored under the pipeline name
-    std::vector<std::pair<double, Table>> per_world_results;
-    std::optional<Table> combined;
-    std::vector<SelectEvaluation::GroupResult> groups;
-  };
-
-  /// Runs the full I-SQL select pipeline over `input`:
-  /// SQL core (+ repair/choice world creation) -> assert -> group worlds
-  /// by / possible / certain / conf. The per-world result relation is
-  /// stored under `result_name` in the returned worlds.
-  /// `want_per_world_results` controls whether the (probability, answer)
-  /// copies for quantifier-free statements are collected — EvaluateSelect
-  /// needs them, MaterializeSelect does not.
-  Result<PipelineOutput> RunPipeline(std::vector<World> input,
-                                     const sql::SelectStatement& stmt,
-                                     const std::string& result_name,
-                                     bool want_per_world_results) const;
-
-  /// Streaming evaluation of a possible/certain/conf statement without
-  /// `group worlds by`: per-world answers are folded into a
-  /// QuantifierCombiner (worlds/combiner.h) the moment they are produced
-  /// and discarded immediately — no retained per-world result tables and
-  /// no database copies (sole exception: an assert condition that
-  /// literally names the internal "__result" relation forces a per-world
-  /// copy to expose it). Read-only; used by EvaluateSelect.
-  Result<Table> EvaluateQuantifierStreaming(
-      const sql::SelectStatement& stmt) const;
-
-  /// Streaming evaluation of a grouped quantifier statement
-  /// (`select possible/certain/conf ... group worlds by (q)`): one pass
-  /// over the (derived) worlds keeping a per-group-key QuantifierCombiner
-  /// fed with unnormalized world probabilities — Finish(group mass)
-  /// normalizes within each group — instead of materializing every
-  /// per-world answer before grouping. Read-only; used by EvaluateSelect.
-  /// Callers fall back to the materializing pipeline when the assert or
-  /// grouping query references the internal "__result" relation (only
-  /// there can they observe the per-world answer).
-  Result<std::vector<SelectEvaluation::GroupResult>> EvaluateGroupedStreaming(
-      const sql::SelectStatement& stmt) const;
+  /// Pipeline options for this engine: its world cap and cap error.
+  PipelineOptions Options(const std::string& result_name,
+                          size_t keep_worlds) const;
 
   // Shared and immutable, so Clone() is one handle bump; every mutation
   // builds a new vector (whose worlds share unchanged tables) and swaps
@@ -113,12 +80,6 @@ class ExplicitWorldSet : public WorldSet {
   size_t max_worlds_;
   size_t threads_;  // per-call parallelism cap; 0 = default
 };
-
-/// Returns a copy of `stmt` with all world-set operations removed, leaving
-/// the per-world SQL core (select list, from, where, grouping, ordering,
-/// union). Shared by both world-set implementations.
-std::unique_ptr<sql::SelectStatement> StripWorldOps(
-    const sql::SelectStatement& stmt);
 
 }  // namespace maybms::worlds
 

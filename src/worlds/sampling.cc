@@ -10,7 +10,7 @@
 #include "engine/expr_eval.h"
 #include "engine/prepared.h"
 #include "worlds/combiner.h"
-#include "worlds/explicit_world_set.h"
+#include "worlds/world_set.h"
 
 namespace maybms::worlds {
 

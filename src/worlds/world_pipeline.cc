@@ -1,0 +1,370 @@
+#include "worlds/world_pipeline.h"
+
+#include <map>
+#include <memory>
+#include <set>
+#include <utility>
+
+#include "base/query_context.h"
+#include "base/string_util.h"
+#include "base/thread_pool.h"
+#include "engine/expr_eval.h"
+#include "engine/planner.h"
+#include "engine/prepared.h"
+#include "worlds/combiner.h"
+#include "worlds/component.h"
+#include "worlds/partition.h"
+
+namespace maybms::worlds {
+
+namespace {
+
+/// A surviving world as the collector keeps it.
+struct Survivor {
+  PipelineWorld world;
+  std::vector<Tuple> group_key;  // canonical; only for materialized groups
+};
+
+/// The state of every sink: one per chunk while a batch of worlds runs,
+/// merged in chunk order into the run's total afterwards.
+struct SinkState {
+  std::optional<QuantifierCombiner> combiner;
+  std::optional<GroupedQuantifierCombiner> grouped;
+  std::vector<Survivor> kept;  // at most keep_worlds, in world order
+  size_t survivors = 0;
+  double mass = 0;  // surviving (unnormalized) probability mass
+};
+
+class Pipeline {
+ public:
+  Pipeline(const WorldSource& source, const sql::SelectStatement& stmt,
+           const PipelineOptions& options);
+
+  Result<PipelineResult> Run();
+
+ private:
+  /// Runs the SQL core in every source world.
+  Status RunCore();
+  /// Runs the repair/choice projection in every combination of every
+  /// source world's partition blocks.
+  Status RunFanOut();
+  /// One world's tail: assert filter → group key → sink.
+  Status Tail(size_t source_index, double probability, const Database& db,
+              Table answer, size_t slot, size_t chunk);
+  void BeginBatch(size_t n);
+  Status EndBatch();
+  Result<PipelineResult> Finish();
+
+  const WorldSource& source_;
+  const sql::SelectStatement& stmt_;
+  const PipelineOptions& options_;
+  std::unique_ptr<sql::SelectStatement> core_;
+  base::ThreadPool& pool_;
+  const size_t slots_;
+  bool expose_result_ = false;
+  bool keep_group_keys_ = false;
+  // Per-slot scratch (base/thread_pool.h rule 3): the assert's subquery
+  // plans, and the grouping query planned at the slot's first survivor.
+  std::vector<engine::SubqueryPlanCache> assert_plans_;
+  std::vector<std::optional<engine::PreparedSelect>> group_plans_;
+  std::vector<SinkState> chunks_;
+  SinkState total_;
+};
+
+Pipeline::Pipeline(const WorldSource& source, const sql::SelectStatement& stmt,
+                   const PipelineOptions& options)
+    : source_(source),
+      stmt_(stmt),
+      options_(options),
+      core_(StripWorldOps(stmt)),
+      pool_(base::ThreadPool::Shared()),
+      slots_(pool_.Slots(options.threads)),
+      assert_plans_(slots_),
+      group_plans_(slots_) {
+  std::set<std::string> refs;
+  if (stmt.assert_condition) {
+    CollectReferencedRelations(*stmt.assert_condition, &refs);
+  }
+  if (stmt.group_worlds_by) {
+    CollectReferencedRelations(*stmt.group_worlds_by, &refs);
+  }
+  expose_result_ = refs.count(AsciiToLower(options.result_name)) > 0;
+  keep_group_keys_ = stmt.group_worlds_by && options.keep_worlds > 0;
+}
+
+Result<PipelineResult> Pipeline::Run() {
+  MAYBMS_RETURN_NOT_OK(ValidateWorldOps(stmt_));
+  if (source_.size() > 0) {
+    MAYBMS_RETURN_NOT_OK(stmt_.repair.has_value() || stmt_.choice.has_value()
+                             ? RunFanOut()
+                             : RunCore());
+  }
+  return Finish();
+}
+
+Status Pipeline::RunCore() {
+  // Planned once per slot against the shared schema catalog; slot 0
+  // eagerly, so preparation errors surface before any world runs.
+  std::vector<std::optional<engine::PreparedSelect>> plans(slots_);
+  MAYBMS_ASSIGN_OR_RETURN(
+      plans[0], engine::PreparedSelect::Prepare(*core_, source_.schema_db()));
+  const size_t n = source_.size();
+  BeginBatch(n);
+  MAYBMS_RETURN_NOT_OK(pool_.ParallelFor(
+      n, options_.threads,
+      [&](size_t i, size_t slot, size_t chunk) -> Status {
+        if (!plans[slot].has_value()) {
+          MAYBMS_ASSIGN_OR_RETURN(plans[slot],
+                                  engine::PreparedSelect::Prepare(
+                                      *core_, source_.schema_db()));
+        }
+        World scratch;
+        const World& world = source_.Get(i, &scratch);
+        MAYBMS_ASSIGN_OR_RETURN(Table answer, plans[slot]->Execute(world.db));
+        return Tail(i, world.probability, world.db, std::move(answer), slot,
+                    chunk);
+      }));
+  return EndBatch();
+}
+
+Status Pipeline::RunFanOut() {
+  const Database& schema_db = source_.schema_db();
+  MAYBMS_ASSIGN_OR_RETURN(engine::PreparedFromWhere source_plan,
+                          engine::PreparedFromWhere::Prepare(stmt_, schema_db));
+  // Projections build subquery-plan caches during Execute, so each slot
+  // owns one; slot 0's is prepared eagerly.
+  std::vector<std::optional<engine::PreparedProjection>> projections(slots_);
+  MAYBMS_ASSIGN_OR_RETURN(projections[0],
+                          engine::PreparedProjection::Prepare(
+                              *core_, schema_db, source_plan.output_schema()));
+  uint64_t produced = 0;
+  // Source worlds advance strictly in sequence (world i's combinations
+  // before world i+1's partition), so errors interleave identically at
+  // every thread count.
+  for (size_t i = 0; i < source_.size(); ++i) {
+    MAYBMS_RETURN_NOT_OK(base::GovernPoll());
+    World scratch;
+    const World& world = source_.Get(i, &scratch);
+    MAYBMS_ASSIGN_OR_RETURN(Table rows, source_plan.Execute(world.db));
+    std::vector<PartitionBlock> blocks;
+    if (stmt_.repair.has_value()) {
+      MAYBMS_ASSIGN_OR_RETURN(blocks, RepairPartition(rows, *stmt_.repair));
+    } else {
+      MAYBMS_ASSIGN_OR_RETURN(blocks, ChoicePartition(rows, *stmt_.choice));
+    }
+    // The combination count is checked against the room left under the
+    // cap before any combination runs (never overflowing).
+    const uint64_t room = options_.fan_out_cap - produced;
+    std::vector<size_t> radices;
+    uint64_t combos = 1;
+    for (const PartitionBlock& block : blocks) {
+      const size_t choices = block.choices.size();
+      if (choices != 0 && combos > room / choices) {
+        return options_.fan_out_error;
+      }
+      combos *= choices;
+      radices.push_back(choices);
+    }
+    if (combos > room) return options_.fan_out_error;
+    produced += combos;
+    // THE world-budget charge site: the derived worlds come into
+    // existence here, whichever sink consumes them.
+    MAYBMS_RETURN_NOT_OK(base::GovernChargeWorlds(combos));
+
+    BeginBatch(static_cast<size_t>(combos));
+    MAYBMS_RETURN_NOT_OK(pool_.ParallelFor(
+        static_cast<size_t>(combos), options_.threads,
+        [&](size_t c, size_t slot, size_t chunk) -> Status {
+          if (!projections[slot].has_value()) {
+            MAYBMS_ASSIGN_OR_RETURN(
+                projections[slot],
+                engine::PreparedProjection::Prepare(
+                    *core_, schema_db, source_plan.output_schema()));
+          }
+          // An empty block list (repair of an empty relation) yields
+          // exactly the single empty choice c == 0.
+          const std::vector<size_t> digits = DecodeProductIndex(c, radices);
+          double probability = world.probability;
+          std::vector<Tuple> chosen;
+          for (size_t b = 0; b < blocks.size(); ++b) {
+            const WeightedChoice& choice = blocks[b].choices[digits[b]];
+            probability *= choice.probability;
+            for (size_t r : choice.row_indices) chosen.push_back(rows.row(r));
+          }
+          MAYBMS_ASSIGN_OR_RETURN(Table answer,
+                                  projections[slot]->Execute(world.db, chosen));
+          return Tail(i, probability, world.db, std::move(answer), slot,
+                      chunk);
+        }));
+    MAYBMS_RETURN_NOT_OK(EndBatch());
+  }
+  return Status::OK();
+}
+
+Status Pipeline::Tail(size_t source_index, double probability,
+                      const Database& db, Table answer, size_t slot,
+                      size_t chunk) {
+  // Memory-budget charge for the per-world answer: once per world,
+  // whichever sink consumes it.
+  MAYBMS_RETURN_NOT_OK(base::GovernChargeBytes(base::EstimateTableBytes(
+      answer.num_rows(), answer.schema().num_columns())));
+  Database::TableHandle shared;  // set once the answer must outlive Tail
+  Database exposed;
+  const Database* view = &db;
+  if (expose_result_) {
+    shared = std::make_shared<const Table>(std::move(answer));
+    exposed = db;
+    exposed.PutRelation(options_.result_name, shared);
+    view = &exposed;
+  }
+  const Table& result = shared != nullptr ? *shared : answer;
+  if (stmt_.assert_condition) {
+    engine::SubqueryCache cache(&assert_plans_[slot]);
+    engine::EvalContext ctx{view, nullptr, nullptr, nullptr, nullptr, &cache};
+    MAYBMS_ASSIGN_OR_RETURN(
+        Trivalent keep, engine::EvalPredicate(*stmt_.assert_condition, ctx));
+    if (keep != Trivalent::kTrue) return Status::OK();
+  }
+
+  SinkState& sink = chunks_[chunk];
+  ++sink.survivors;
+  sink.mass += probability;
+  const bool keep = sink.kept.size() < options_.keep_worlds;
+  std::vector<Tuple> group_key;
+  if (stmt_.group_worlds_by) {
+    if (!group_plans_[slot].has_value()) {
+      MAYBMS_ASSIGN_OR_RETURN(
+          group_plans_[slot],
+          engine::PreparedSelect::Prepare(*stmt_.group_worlds_by, *view));
+    }
+    MAYBMS_ASSIGN_OR_RETURN(Table key, group_plans_[slot]->Execute(*view));
+    if (!sink.grouped.has_value()) sink.grouped.emplace(stmt_.quantifier);
+    MAYBMS_RETURN_NOT_OK(sink.grouped->Feed(probability, result, key));
+    if (keep && keep_group_keys_) group_key = CanonicalizeGroupKey(key).rows();
+  } else if (stmt_.quantifier != sql::WorldQuantifier::kNone) {
+    if (!sink.combiner.has_value()) {
+      MAYBMS_ASSIGN_OR_RETURN(sink.combiner,
+                              QuantifierCombiner::Create(stmt_.quantifier));
+    }
+    sink.combiner->Feed(probability, result);
+  } else if (keep && shared == nullptr) {
+    shared = std::make_shared<const Table>(std::move(answer));
+  }
+  if (keep) {
+    // A quantifier's kept worlds get the combined answer at Finish.
+    if (stmt_.quantifier != sql::WorldQuantifier::kNone) shared = nullptr;
+    sink.kept.push_back(
+        {{source_index, probability, std::move(shared)}, std::move(group_key)});
+  }
+  return Status::OK();
+}
+
+void Pipeline::BeginBatch(size_t n) {
+  chunks_.clear();
+  chunks_.resize(base::ThreadPool::NumChunks(n));
+}
+
+Status Pipeline::EndBatch() {
+  for (SinkState& chunk : chunks_) {
+    if (chunk.combiner.has_value()) {
+      if (total_.combiner.has_value()) {
+        total_.combiner->Merge(std::move(*chunk.combiner));
+      } else {
+        total_.combiner = std::move(chunk.combiner);
+      }
+    }
+    if (chunk.grouped.has_value()) {
+      if (total_.grouped.has_value()) {
+        MAYBMS_RETURN_NOT_OK(total_.grouped->Merge(std::move(*chunk.grouped)));
+      } else {
+        total_.grouped = std::move(chunk.grouped);
+      }
+    }
+    for (Survivor& survivor : chunk.kept) {
+      if (total_.kept.size() == options_.keep_worlds) break;
+      total_.kept.push_back(std::move(survivor));
+    }
+    total_.survivors += chunk.survivors;
+    total_.mass += chunk.mass;
+  }
+  chunks_.clear();
+  return Status::OK();
+}
+
+Result<PipelineResult> Pipeline::Finish() {
+  if (stmt_.assert_condition) {
+    if (total_.survivors == 0) {
+      return Status::EmptyWorldSet("assert eliminated every world");
+    }
+    // World probabilities are positive (partition weights must be), so
+    // survivors imply mass > 0. Guard anyway: dividing by zero would
+    // poison every confidence with NaN.
+    if (!(total_.mass > 0)) {
+      return Status::EmptyWorldSet("assert leaves no probability mass");
+    }
+  }
+  const double normalizer = stmt_.assert_condition ? total_.mass : 1.0;
+
+  PipelineResult out;
+  out.truncated = stmt_.quantifier == sql::WorldQuantifier::kNone &&
+                  total_.survivors > total_.kept.size();
+  // The answer every kept world stores when a quantifier collapsed it:
+  // one shared instance (per group), not one copy per world.
+  Database::TableHandle combined;
+  std::map<std::vector<Tuple>, Database::TableHandle> group_answers;
+  if (stmt_.group_worlds_by) {
+    if (total_.grouped.has_value()) {
+      MAYBMS_ASSIGN_OR_RETURN(out.groups, total_.grouped->Finish());
+    }
+    if (keep_group_keys_) {
+      for (const SelectEvaluation::GroupResult& group : out.groups) {
+        group_answers.emplace(group.key.rows(),
+                              std::make_shared<const Table>(group.table));
+      }
+    }
+  } else if (stmt_.quantifier != sql::WorldQuantifier::kNone) {
+    if (!total_.combiner.has_value()) {  // no world at all
+      MAYBMS_ASSIGN_OR_RETURN(total_.combiner,
+                              QuantifierCombiner::Create(stmt_.quantifier));
+    }
+    MAYBMS_ASSIGN_OR_RETURN(out.combined, total_.combiner->Finish(normalizer));
+    if (!total_.kept.empty()) {
+      combined = std::make_shared<const Table>(*out.combined);
+    }
+  }
+  out.worlds.reserve(total_.kept.size());
+  for (Survivor& survivor : total_.kept) {
+    PipelineWorld& world = survivor.world;
+    world.probability /= normalizer;
+    if (stmt_.group_worlds_by) {
+      world.answer = group_answers.at(survivor.group_key);
+    } else if (combined != nullptr) {
+      world.answer = combined;
+    }
+    out.worlds.push_back(std::move(world));
+  }
+  return out;
+}
+
+}  // namespace
+
+Result<PipelineResult> RunWorldPipeline(const WorldSource& source,
+                                        const sql::SelectStatement& stmt,
+                                        const PipelineOptions& options) {
+  return Pipeline(source, stmt, options).Run();
+}
+
+Result<SelectEvaluation> ToSelectEvaluation(PipelineResult result) {
+  SelectEvaluation eval;
+  eval.combined = std::move(result.combined);
+  eval.groups = std::move(result.groups);
+  eval.truncated = result.truncated;
+  eval.per_world.reserve(result.worlds.size());
+  for (const PipelineWorld& world : result.worlds) {
+    MAYBMS_RETURN_NOT_OK(base::GovernPoll());
+    eval.per_world.emplace_back(world.probability, *world.answer);
+  }
+  return eval;
+}
+
+}  // namespace maybms::worlds

@@ -1,0 +1,105 @@
+#ifndef MAYBMS_WORLDS_WORLD_PIPELINE_H_
+#define MAYBMS_WORLDS_WORLD_PIPELINE_H_
+
+// The I-SQL select pipeline, written once for both engines:
+//
+//   world source → [repair/choice fan-out] → per-world tail → sink
+//
+//  * A WorldSource is all an engine supplies: its number of worlds and,
+//    for an index, that world's probability and database. The explicit
+//    engine hands over its stored worlds; the decomposed engine decodes
+//    worlds of the relevant component sub-product on demand.
+//  * Fan-out (`repair by key` / `choice of`) turns each source world into
+//    one derived world per combination of its partition blocks. It is the
+//    world-budget charge site, and the engine supplies its cap and error.
+//  * The tail runs in every (derived) world: SQL core → assert filter →
+//    group key → sink. The world's answer is visible as a relation named
+//    `result_name` only when the assert or GROUP WORLDS BY query names it.
+//  * Sinks: a QuantifierCombiner (possible/certain/conf), a
+//    GroupedQuantifierCombiner (group worlds by), and a collector of the
+//    surviving worlds (plain selects and materializations).
+//
+// Normalization has one rule: sinks are fed unnormalized world
+// probabilities and divide by the surviving mass at the end — the mass
+// left after `assert` (1 without an assert: sources are normalized). A
+// materialization renormalizes its stored survivors by the same total.
+//
+// Determinism: worlds run on the shared pool in fixed chunks; every sink
+// keeps per-chunk state merged in chunk order, so answers, probabilities
+// and errors are byte-identical at every thread count
+// (base/thread_pool.h). Two engines that hand over the same worlds in the
+// same order get bit-identical results.
+
+#include <cstddef>
+#include <cstdint>
+#include <limits>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "base/result.h"
+#include "sql/ast.h"
+#include "storage/catalog.h"
+#include "worlds/world.h"
+#include "worlds/world_set.h"
+
+namespace maybms::worlds {
+
+/// The worlds a pipeline runs over, in a fixed order.
+class WorldSource {
+ public:
+  virtual ~WorldSource() = default;
+
+  virtual size_t size() const = 0;
+
+  /// A database carrying the shared schema catalog; plans are prepared
+  /// against it once and executed in every world.
+  virtual const Database& schema_db() const = 0;
+
+  /// World `i` (< size()): a stored world in place, or one built into
+  /// `scratch`. Thread-safe; the same `i` always yields the same world.
+  virtual const World& Get(size_t i, World* scratch) const = 0;
+};
+
+struct PipelineOptions {
+  /// Name under which the assert / GROUP WORLDS BY query may see the
+  /// statement's own per-world answer: "__result" for a select, the
+  /// target for `create table ... as`.
+  std::string result_name = "__result";
+  /// How many surviving worlds to return (in world order); the rest are
+  /// evaluated and counted but not kept.
+  size_t keep_worlds = 0;
+  size_t threads = 0;  // 0 = MAYBMS_THREADS / hardware
+  /// Repair/choice fan-out cap on the total derived worlds, and the error
+  /// returned above it.
+  uint64_t fan_out_cap = std::numeric_limits<uint64_t>::max();
+  Status fan_out_error;
+};
+
+/// One surviving world as a materialization commits it.
+struct PipelineWorld {
+  size_t source_index = 0;  // the source world it came from
+  double probability = 0;   // renormalized
+  /// The world's answer; for a quantifier the combined answer, and under
+  /// GROUP WORLDS BY its group's combined answer (one shared instance).
+  Database::TableHandle answer;
+};
+
+struct PipelineResult {
+  std::vector<PipelineWorld> worlds;  // the first keep_worlds survivors
+  bool truncated = false;             // more survivors than were kept
+  std::optional<Table> combined;      // possible/certain/conf
+  std::vector<SelectEvaluation::GroupResult> groups;  // group worlds by
+};
+
+/// Runs `stmt` over `source`. Read-only: callers commit the result.
+Result<PipelineResult> RunWorldPipeline(const WorldSource& source,
+                                        const sql::SelectStatement& stmt,
+                                        const PipelineOptions& options);
+
+/// The EvaluateSelect view of a pipeline result.
+Result<SelectEvaluation> ToSelectEvaluation(PipelineResult result);
+
+}  // namespace maybms::worlds
+
+#endif  // MAYBMS_WORLDS_WORLD_PIPELINE_H_

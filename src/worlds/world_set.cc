@@ -1,18 +1,25 @@
 #include "worlds/world_set.h"
 
-#include <algorithm>
-#include <map>
-
 #include "base/string_util.h"
 #include "engine/executor.h"
 
 namespace maybms::worlds {
 
 Status ValidateWorldOps(const sql::SelectStatement& stmt) {
-  if ((stmt.repair.has_value() || stmt.choice.has_value()) &&
-      stmt.union_next) {
+  const bool creates_worlds =
+      stmt.repair.has_value() || stmt.choice.has_value();
+  if (creates_worlds && stmt.union_next) {
     return Status::Unsupported(
         "repair by key / choice of cannot be combined with UNION");
+  }
+  // The repair/choice projection only maps the chosen rows, so these
+  // clauses would be silently ignored; reject them like aggregates.
+  if (creates_worlds &&
+      (stmt.distinct || !stmt.group_by.empty() || stmt.having ||
+       !stmt.order_by.empty() || stmt.limit.has_value())) {
+    return Status::Unsupported(
+        "DISTINCT, GROUP BY, HAVING, ORDER BY and LIMIT cannot be combined "
+        "with repair by key / choice of");
   }
   if (stmt.repair.has_value() && stmt.choice.has_value()) {
     return Status::Unsupported(
@@ -22,7 +29,22 @@ Status ValidateWorldOps(const sql::SelectStatement& stmt) {
     return Status::Unsupported(
         "world-set operations are not allowed in UNION branches");
   }
+  if (stmt.group_worlds_by && engine::HasWorldOps(*stmt.group_worlds_by)) {
+    return Status::Unsupported(
+        "the GROUP WORLDS BY query must be a plain SQL query");
+  }
   return Status::OK();
+}
+
+std::unique_ptr<sql::SelectStatement> StripWorldOps(
+    const sql::SelectStatement& stmt) {
+  std::unique_ptr<sql::SelectStatement> core = stmt.Clone();
+  core->quantifier = sql::WorldQuantifier::kNone;
+  core->repair.reset();
+  core->choice.reset();
+  core->assert_condition.reset();
+  core->group_worlds_by.reset();
+  return core;
 }
 
 namespace {
@@ -124,85 +146,6 @@ void CollectReferencedRelations(const sql::SelectStatement& stmt,
   if (stmt.assert_condition) CollectFromExpr(*stmt.assert_condition, out);
   if (stmt.group_worlds_by) CollectReferencedRelations(*stmt.group_worlds_by, out);
   if (stmt.union_next) CollectReferencedRelations(*stmt.union_next, out);
-}
-
-bool ReferencesInternalResult(const sql::SelectStatement& stmt) {
-  std::set<std::string> refs;
-  CollectReferencedRelations(stmt, &refs);
-  return refs.count("__result") > 0;
-}
-
-Table CombinePossible(const std::vector<std::pair<double, Table>>& entries) {
-  Table out;
-  bool first = true;
-  for (const auto& [prob, table] : entries) {
-    (void)prob;
-    if (first) {
-      out = table;
-      first = false;
-    } else {
-      for (const Tuple& row : table.rows()) out.AppendUnchecked(row);
-    }
-  }
-  out.DeduplicateRows();
-  return out;
-}
-
-Table CombineCertain(const std::vector<std::pair<double, Table>>& entries) {
-  if (entries.empty()) return Table();
-  Table acc = entries[0].second.SortedDistinct();
-  for (size_t i = 1; i < entries.size(); ++i) {
-    Table next(acc.schema());
-    for (const Tuple& row : acc.rows()) {
-      if (entries[i].second.ContainsTuple(row)) next.AppendUnchecked(row);
-    }
-    acc = std::move(next);
-  }
-  return acc;
-}
-
-Table CombineConf(const std::vector<std::pair<double, Table>>& entries) {
-  // 0-column answers: confidence that the answer is non-empty.
-  bool zero_ary = true;
-  for (const auto& [prob, table] : entries) {
-    (void)prob;
-    if (table.schema().num_columns() > 0) {
-      zero_ary = false;
-      break;
-    }
-  }
-  if (zero_ary) {
-    double conf = 0;
-    for (const auto& [prob, table] : entries) {
-      if (!table.empty()) conf += prob;
-    }
-    Schema schema;
-    schema.AddColumn(Column("conf", DataType::kReal));
-    Table out(std::move(schema));
-    out.AppendUnchecked(Tuple({Value::Real(conf)}));
-    return out;
-  }
-
-  // Distinct tuples across all worlds, each with the total probability of
-  // the worlds whose answer contains it.
-  std::map<Tuple, double> conf;
-  Schema value_schema;
-  for (const auto& [prob, table] : entries) {
-    if (value_schema.num_columns() == 0 && table.schema().num_columns() > 0) {
-      value_schema = table.schema();
-    }
-    Table distinct = table.SortedDistinct();
-    for (const Tuple& row : distinct.rows()) conf[row] += prob;
-  }
-  Schema schema = value_schema;
-  schema.AddColumn(Column("conf", DataType::kReal));
-  Table out(std::move(schema));
-  for (const auto& [row, p] : conf) {
-    Tuple extended = row;
-    extended.Append(Value::Real(p));
-    out.AppendUnchecked(std::move(extended));
-  }
-  return out;
 }
 
 Table CanonicalizeGroupKey(const Table& table) { return table.SortedDistinct(); }

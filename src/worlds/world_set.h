@@ -30,10 +30,10 @@
 //
 // Trivalent logic / NULL keys: per-world evaluation uses standard SQL
 // three-valued logic (engine/expr_eval.h); the cross-world combinators
-// (CombinePossible/CombineCertain/CombineConf) compare answer *tuples*
-// under the total order of Value, where NULL is a plain value — two NULL
-// answer fields compare equal for world-combination purposes even though
-// NULL = NULL is UNKNOWN inside a query.
+// (worlds/combiner.h) compare answer *tuples* under the total order of
+// Value, where NULL is a plain value — two NULL answer fields compare
+// equal for world-combination purposes even though NULL = NULL is UNKNOWN
+// inside a query.
 
 #include <cstddef>
 #include <cstdint>
@@ -75,7 +75,9 @@ struct SelectEvaluation {
 };
 
 /// A set of possible worlds over a shared set of relation names, with an
-/// I-SQL evaluation interface. Two implementations exist:
+/// I-SQL evaluation interface. Both implementations evaluate selects
+/// through the one pipeline in worlds/world_pipeline.h and differ only in
+/// the world source they hand it:
 ///
 ///  * ExplicitWorldSet — one materialized database per world (the textbook
 ///    semantics; baseline);
@@ -176,10 +178,12 @@ class WorldSet {
 // ---- Shared helpers used by both implementations -------------------------
 
 /// Statement-shape checks every world-set implementation applies before
-/// running the I-SQL pipeline (repair/choice vs UNION combinations). The
-/// error messages are part of the differential-conformance surface: both
-/// engines — and every evaluation path within an engine — must fail
-/// identically, so there is exactly one copy of them.
+/// running the I-SQL pipeline: repair/choice vs UNION, DISTINCT, GROUP BY,
+/// HAVING, ORDER BY and LIMIT combinations, and a GROUP WORLDS BY query
+/// that is not plain SQL. The error messages are part of the
+/// differential-conformance surface: both engines — and every evaluation
+/// path within an engine — must fail identically, so there is exactly one
+/// copy of them.
 Status ValidateWorldOps(const sql::SelectStatement& stmt);
 
 /// Collects the (lower-cased) names of all relations referenced anywhere in
@@ -190,35 +194,11 @@ void CollectReferencedRelations(const sql::SelectStatement& stmt,
 void CollectReferencedRelations(const sql::Expr& expr,
                                 std::set<std::string>* out);
 
-/// True if the statement references the internal "__result" relation —
-/// the name under which a statement's own per-world answer is exposed to
-/// `assert` / `group worlds by` in the materializing pipelines. Both
-/// engines use this as the gate for the streaming evaluation paths
-/// (which never materialize that relation, and so must fall back when it
-/// is observable); keeping the rule here prevents the engines from
-/// diverging on which statements stream.
-bool ReferencesInternalResult(const sql::SelectStatement& stmt);
-
-// The set-based combinators below are the *retained oracle* for the
-// streaming QuantifierCombiner (worlds/combiner.h), which both engines
-// use on their hot paths. They stay exercised two ways: the combiner
-// property suite compares the two on randomized inputs, and setting
-// MAYBMS_COMBINER_ORACLE=1 routes every combination in the engine through
-// them end to end.
-
-/// Combines per-world results under `possible`: the distinct union.
-/// Entries' tables must share arity.
-Table CombinePossible(const std::vector<std::pair<double, Table>>& entries);
-
-/// Combines per-world results under `certain`: tuples present in every
-/// world's answer.
-Table CombineCertain(const std::vector<std::pair<double, Table>>& entries);
-
-/// Combines per-world results under `conf`: each distinct tuple extended
-/// with the sum of probabilities of the worlds whose answer contains it.
-/// For 0-column answers (bare `select conf`), produces a single-row table
-/// with one `conf` column holding P(answer non-empty).
-Table CombineConf(const std::vector<std::pair<double, Table>>& entries);
+/// Returns a copy of `stmt` with all world-set operations removed, leaving
+/// the per-world SQL core (select list, from, where, grouping, ordering,
+/// union).
+std::unique_ptr<sql::SelectStatement> StripWorldOps(
+    const sql::SelectStatement& stmt);
 
 /// Canonical key for group-worlds-by: the sorted distinct rows of the
 /// grouping query's answer.

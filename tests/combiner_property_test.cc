@@ -1,8 +1,8 @@
 // Property suite for the streaming QuantifierCombiner (worlds/combiner.h)
-// against the retained set-based oracle (CombinePossible/CombineCertain/
-// CombineConf in worlds/world_set.h), plus a peak-allocation check that
-// the explicit engine's streaming quantifier path really does discard
-// per-world answers as it goes.
+// against the set-based reference (CombinePossible/CombineCertain/
+// CombineConf in tests/set_combiners.h), plus peak-allocation checks that
+// the shared world pipeline really does discard per-world answers as it
+// goes, on both engines.
 //
 // The randomized inputs deliberately stress the tuple-identity rules the
 // combiner must share with the oracle: duplicate tuples within one world
@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "isql/session.h"
+#include "tests/set_combiners.h"
 #include "tests/test_util.h"
 #include "worlds/combiner.h"
 #include "worlds/world_set.h"
@@ -199,11 +200,11 @@ Table RunOracle(sql::WorldQuantifier quantifier,
                 const std::vector<std::pair<double, Table>>& entries) {
   switch (quantifier) {
     case sql::WorldQuantifier::kPossible:
-      return worlds::CombinePossible(entries);
+      return maybms::testing::CombinePossible(entries);
     case sql::WorldQuantifier::kCertain:
-      return worlds::CombineCertain(entries);
+      return maybms::testing::CombineCertain(entries);
     default:
-      return worlds::CombineConf(entries);
+      return maybms::testing::CombineConf(entries);
   }
 }
 
@@ -218,19 +219,7 @@ const char* QuantifierName(sql::WorldQuantifier q) {
   }
 }
 
-class CombinerPropertyTest : public ::testing::TestWithParam<uint32_t> {
- protected:
-  void SetUp() override {
-    // Under MAYBMS_COMBINER_ORACLE=1 the combiner itself delegates to
-    // the set-based functions, so a streaming-vs-oracle comparison would
-    // compare the oracle against itself and validate nothing. Skip
-    // loudly instead of passing trivially.
-    if (QuantifierCombiner::UsingSetBasedOracle()) {
-      GTEST_SKIP() << "MAYBMS_COMBINER_ORACLE=1: streaming combiner not "
-                      "exercised; property comparison would be vacuous";
-    }
-  }
-};
+class CombinerPropertyTest : public ::testing::TestWithParam<uint32_t> {};
 
 // 100 seeds x 3 quantifiers = 300 randomized streaming-vs-oracle cases.
 TEST_P(CombinerPropertyTest, StreamingMatchesSetBasedOracle) {
@@ -375,48 +364,68 @@ TEST(CombinerEdgeTest, RejectsMissingQuantifier) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-world result retention (ISSUE 4 satellite): the explicit engine's
-// quantifier evaluation must not keep per-world answers — or copies of
-// the worlds themselves — alive until the end of the statement.
+// Per-world result retention: quantifier, assert and grouped evaluation
+// must not keep per-world answers — or copies of the worlds, or a merged
+// sub-product — alive until the end of the statement, on either engine.
 // ---------------------------------------------------------------------------
 
-TEST(ExplicitStreamingRetentionTest, QuantifierEvalPeakAllocationIsFlat) {
-  if (QuantifierCombiner::UsingSetBasedOracle()) {
-    GTEST_SKIP() << "MAYBMS_COMBINER_ORACLE=1 retains fed worlds by design";
+class StreamingRetentionTest : public maybms::testing::EngineTest {
+ protected:
+  /// Peak allocation over the live baseline of a second evaluation of
+  /// `sql` (the first warms up plans and gtest bookkeeping) over 2^12 =
+  /// 4096 worlds from a 12-key-group repair.
+  size_t PeakDelta(const std::string& sql) {
+    isql::Session session(Options());
+    std::string script;
+    script += "create table R (K integer, V integer);\n";
+    script += "insert into R values ";
+    for (int k = 0; k < 12; ++k) {
+      if (k > 0) script += ", ";
+      script +=
+          "(" + std::to_string(k) + ", 1), (" + std::to_string(k) + ", 2)";
+    }
+    script += ";\ncreate table I as select K, V from R repair by key K;\n";
+    EXPECT_TRUE(session.ExecuteScript(script).ok());
+    EXPECT_TRUE(session.Execute(sql).ok()) << sql;
+
+    const size_t live_before = g_live_bytes.load();
+    g_peak_bytes.store(live_before);
+    auto result = session.Execute(sql);
+    EXPECT_TRUE(result.ok()) << sql;
+    return g_peak_bytes.load() - live_before;
   }
-  isql::SessionOptions options;
-  options.engine = isql::EngineMode::kExplicit;
-  isql::Session session(options);
+};
+MAYBMS_INSTANTIATE_ENGINES(StreamingRetentionTest);
 
-  // 2^12 = 4096 worlds from a 12-key-group repair; the world-set itself
-  // occupies several MB.
-  std::string script;
-  script += "create table R (K integer, V integer);\n";
-  script += "insert into R values ";
-  for (int k = 0; k < 12; ++k) {
-    if (k > 0) script += ", ";
-    script += "(" + std::to_string(k) + ", 1), (" + std::to_string(k) + ", 2)";
-  }
-  script += ";\ncreate table I as select K, V from R repair by key K;\n";
-  ASSERT_TRUE(session.ExecuteScript(script).ok());
+// Collect-then-combine would copy every world's database plus one Table
+// per world (tens of MB here), and a merged sub-product costs ~6 MB.
+// Streaming keeps one world's answer per thread plus the accumulators:
+// well under 2 MB even with slack for plan structures and the result.
+constexpr size_t kRetentionBound = 2u << 20;
 
-  // Warm up once (plans, gtest bookkeeping), then measure the peak of a
-  // second evaluation.
-  ASSERT_TRUE(session.Execute("select certain count(*) from I;").ok());
+TEST_P(StreamingRetentionTest, QuantifierEvalPeakAllocationIsFlat) {
+  const size_t peak = PeakDelta("select certain count(*) from I;");
+  EXPECT_LT(peak, kRetentionBound)
+      << "quantifier evaluation retained per-world state (" << peak / 1024
+      << " KiB peak over baseline)";
+}
 
-  const size_t live_before = g_live_bytes.load();
-  g_peak_bytes.store(live_before);
-  auto result = session.Execute("select certain count(*) from I;");
-  ASSERT_TRUE(result.ok());
-  const size_t peak_delta = g_peak_bytes.load() - live_before;
+TEST_P(StreamingRetentionTest, AssertConfPeakAllocationIsFlat) {
+  const size_t peak = PeakDelta(
+      "select conf, K, V from I assert exists "
+      "(select * from I where K = 0 and V = 1);");
+  EXPECT_LT(peak, kRetentionBound)
+      << "assert evaluation retained per-world state (" << peak / 1024
+      << " KiB peak over baseline)";
+}
 
-  // The old collect-then-combine path copied every world's database plus
-  // one Table per world (tens of MB here). Streaming keeps one world's
-  // answer plus the accumulator: well under 2 MB even with slack for
-  // plan structures and the result.
-  EXPECT_LT(peak_delta, 2u << 20)
-      << "quantifier evaluation retained per-world state ("
-      << peak_delta / 1024 << " KiB peak over baseline)";
+TEST_P(StreamingRetentionTest, GroupWorldsByPeakAllocationIsFlat) {
+  const size_t peak = PeakDelta(
+      "select possible K, V from I group worlds by "
+      "(select V from I where K = 0);");
+  EXPECT_LT(peak, kRetentionBound)
+      << "grouped evaluation retained per-world state (" << peak / 1024
+      << " KiB peak over baseline)";
 }
 
 }  // namespace

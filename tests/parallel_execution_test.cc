@@ -30,6 +30,8 @@ using isql::QueryResult;
 using isql::Session;
 using isql::SessionOptions;
 using maybms::testing::ExecScript;
+using maybms::testing::ExpectResultsIdentical;
+using maybms::testing::ExpectTablesIdentical;
 using maybms::testing::ExpectSameDistribution;
 using maybms::testing::WorldDistribution;
 using maybms::testing::WorldDistributionOrdered;
@@ -51,68 +53,6 @@ void SetupEightWorlds(Session& session) {
     insert into M values (0,1),(1,1),(2,1),(3,1),(4,1),(5,1),(6,1),(7,1);
     create table C as select K from M choice of K;
   )sql");
-}
-
-/// Exact value equality; reals must match within `real_tolerance`, which
-/// defaults to 0.0 — i.e. bitwise — because "byte-identical at every
-/// thread count" is the engine contract. (The directed combiner-merge
-/// tests below pass a tiny tolerance: merging per-chunk partial sums
-/// reassociates floating-point addition relative to a single sequential
-/// feed. The ENGINE is still exactly deterministic because its chunk
-/// geometry is a function of the trip count alone, never of the thread
-/// count — see base/thread_pool.h.)
-void ExpectTablesIdentical(const Table& a, const Table& b,
-                           const std::string& context,
-                           double real_tolerance = 0.0) {
-  ASSERT_EQ(a.num_rows(), b.num_rows()) << context;
-  ASSERT_EQ(a.schema().num_columns(), b.schema().num_columns()) << context;
-  for (size_t i = 0; i < a.num_rows(); ++i) {
-    const Tuple& x = a.row(i);
-    const Tuple& y = b.row(i);
-    ASSERT_EQ(x.size(), y.size()) << context << " row " << i;
-    for (size_t j = 0; j < x.size(); ++j) {
-      ASSERT_EQ(x.value(j).type(), y.value(j).type())
-          << context << " row " << i << " col " << j;
-      if (x.value(j).type() == DataType::kReal) {
-        EXPECT_NEAR(x.value(j).AsReal(), y.value(j).AsReal(), real_tolerance)
-            << context << " row " << i << " col " << j;
-      } else {
-        EXPECT_EQ(x.value(j).ToString(), y.value(j).ToString())
-            << context << " row " << i << " col " << j;
-      }
-    }
-  }
-}
-
-void ExpectResultsIdentical(const QueryResult& a, const QueryResult& b,
-                            const std::string& context) {
-  ASSERT_EQ(a.kind(), b.kind()) << context;
-  switch (a.kind()) {
-    case QueryResult::Kind::kMessage:
-      break;
-    case QueryResult::Kind::kTable:
-      ExpectTablesIdentical(a.table(), b.table(), context);
-      break;
-    case QueryResult::Kind::kWorlds:
-      ExpectSameDistribution(WorldDistribution(a.worlds()),
-                             WorldDistribution(b.worlds()), /*tolerance=*/0.0);
-      ExpectSameDistribution(WorldDistributionOrdered(a.worlds()),
-                             WorldDistributionOrdered(b.worlds()),
-                             /*tolerance=*/0.0);
-      break;
-    case QueryResult::Kind::kGroups: {
-      ASSERT_EQ(a.groups().size(), b.groups().size()) << context;
-      for (size_t i = 0; i < a.groups().size(); ++i) {
-        EXPECT_EQ(a.groups()[i].probability, b.groups()[i].probability)
-            << context << " group " << i;
-        ExpectTablesIdentical(a.groups()[i].key, b.groups()[i].key,
-                              context + " key " + std::to_string(i));
-        ExpectTablesIdentical(a.groups()[i].table, b.groups()[i].table,
-                              context + " table " + std::to_string(i));
-      }
-      break;
-    }
-  }
 }
 
 class ParallelExecutionTest : public ::testing::TestWithParam<EngineMode> {};

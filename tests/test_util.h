@@ -113,6 +113,68 @@ inline void ExpectSameDistribution(const std::map<std::string, double>& a,
   }
 }
 
+/// Exact value equality; reals must match within `real_tolerance`, which
+/// defaults to 0.0 — i.e. bitwise — because "byte-identical at every
+/// thread count" is the engine contract. (Callers comparing against a
+/// single sequential feed pass a tiny tolerance: merging per-chunk partial
+/// sums reassociates floating-point addition. The ENGINE is still exactly
+/// deterministic because its chunk geometry is a function of the trip
+/// count alone, never of the thread count — see base/thread_pool.h.)
+inline void ExpectTablesIdentical(const Table& a, const Table& b,
+                                  const std::string& context,
+                                  double real_tolerance = 0.0) {
+  ASSERT_EQ(a.num_rows(), b.num_rows()) << context;
+  ASSERT_EQ(a.schema().num_columns(), b.schema().num_columns()) << context;
+  for (size_t i = 0; i < a.num_rows(); ++i) {
+    const Tuple& x = a.row(i);
+    const Tuple& y = b.row(i);
+    ASSERT_EQ(x.size(), y.size()) << context << " row " << i;
+    for (size_t j = 0; j < x.size(); ++j) {
+      ASSERT_EQ(x.value(j).type(), y.value(j).type())
+          << context << " row " << i << " col " << j;
+      if (x.value(j).type() == DataType::kReal) {
+        EXPECT_NEAR(x.value(j).AsReal(), y.value(j).AsReal(), real_tolerance)
+            << context << " row " << i << " col " << j;
+      } else {
+        EXPECT_EQ(x.value(j).ToString(), y.value(j).ToString())
+            << context << " row " << i << " col " << j;
+      }
+    }
+  }
+}
+
+inline void ExpectResultsIdentical(const isql::QueryResult& a,
+                                   const isql::QueryResult& b,
+                                   const std::string& context) {
+  ASSERT_EQ(a.kind(), b.kind()) << context;
+  switch (a.kind()) {
+    case isql::QueryResult::Kind::kMessage:
+      break;
+    case isql::QueryResult::Kind::kTable:
+      ExpectTablesIdentical(a.table(), b.table(), context);
+      break;
+    case isql::QueryResult::Kind::kWorlds:
+      ExpectSameDistribution(WorldDistribution(a.worlds()),
+                             WorldDistribution(b.worlds()), /*tolerance=*/0.0);
+      ExpectSameDistribution(WorldDistributionOrdered(a.worlds()),
+                             WorldDistributionOrdered(b.worlds()),
+                             /*tolerance=*/0.0);
+      break;
+    case isql::QueryResult::Kind::kGroups: {
+      ASSERT_EQ(a.groups().size(), b.groups().size()) << context;
+      for (size_t i = 0; i < a.groups().size(); ++i) {
+        EXPECT_EQ(a.groups()[i].probability, b.groups()[i].probability)
+            << context << " group " << i;
+        ExpectTablesIdentical(a.groups()[i].key, b.groups()[i].key,
+                              context + " key " + std::to_string(i));
+        ExpectTablesIdentical(a.groups()[i].table, b.groups()[i].table,
+                              context + " table " + std::to_string(i));
+      }
+      break;
+    }
+  }
+}
+
 /// Loads the paper's Figure 1 database (relations R and S).
 inline void LoadFigure1(isql::Session& session) {
   ExecScript(session, R"sql(

@@ -7,12 +7,16 @@
 #include <gtest/gtest.h>
 
 #include "sql/parser.h"
+#include "tests/set_combiners.h"
 #include "tests/test_util.h"
 #include "worlds/explicit_world_set.h"
 
 namespace maybms::worlds {
 namespace {
 
+using maybms::testing::CombineCertain;
+using maybms::testing::CombineConf;
+using maybms::testing::CombinePossible;
 using maybms::testing::I;
 using maybms::testing::Row;
 using maybms::testing::T;
