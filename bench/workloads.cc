@@ -87,8 +87,6 @@ std::unique_ptr<isql::Session> MakeSession(isql::EngineMode mode,
   isql::SessionOptions options;
   options.engine = mode;
   options.max_display_worlds = 1 << 22;
-  options.max_explicit_worlds = 1 << 22;
-  options.max_merge = 1 << 22;
   options.threads = threads;
   return std::make_unique<isql::Session>(options);
 }

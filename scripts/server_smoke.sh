@@ -33,6 +33,19 @@ trap cleanup EXIT
 
 fail() { echo "server-smoke: FAIL: $*" >&2; exit 1; }
 
+# --- Strict numeric flags -------------------------------------------------
+# A malformed or out-of-range value is a usage error (exit 2), never a
+# wrapped or ignored one. `timeout` stops a binary that starts serving
+# instead.
+for flags in "--port 70000" "--max-worlds abc" "--threads -1"; do
+  rc=0
+  # shellcheck disable=SC2086  # split the flag from its value
+  timeout 10 "${SERVER}" ${flags} >"${workdir}/flags.out" 2>&1 || rc=$?
+  [[ "${rc}" -eq 2 ]] \
+    || fail "maybms_server ${flags} exited ${rc} (want 2): $(cat "${workdir}/flags.out")"
+done
+echo "server-smoke: malformed numeric flags exit 2"
+
 # --- Start the server on an ephemeral port -------------------------------
 "${SERVER}" --port 0 --max-connections 8 >"${workdir}/server.log" 2>&1 &
 server_pid=$!

@@ -33,6 +33,18 @@ bool AsciiEqualsIgnoreCase(std::string_view a, std::string_view b) {
   return true;
 }
 
+std::optional<uint64_t> ParseDecimal(std::string_view text, uint64_t max) {
+  if (text.empty()) return std::nullopt;
+  uint64_t value = 0;
+  for (char c : text) {
+    if (c < '0' || c > '9') return std::nullopt;
+    const uint64_t digit = static_cast<uint64_t>(c - '0');
+    if (digit > max || value > (max - digit) / 10) return std::nullopt;
+    value = value * 10 + digit;
+  }
+  return value;
+}
+
 std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
   std::string out;
   for (size_t i = 0; i < parts.size(); ++i) {

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cstdlib>
 #include <exception>
+#include <optional>
 #include <string>
 
 #include "base/parallel_region.h"
 #include "base/query_context.h"
+#include "base/string_util.h"
 
 namespace maybms::base {
 
@@ -80,9 +82,8 @@ size_t ThreadPool::DefaultThreads() {
   // glibc (~2.5us) and never changes — cache it, or its cost dwarfs
   // small statements: Slots() + ParallelFor() pay it once each.
   if (const char* env = std::getenv("MAYBMS_THREADS")) {
-    char* end = nullptr;
-    unsigned long v = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0' && v > 0) return static_cast<size_t>(v);
+    const std::optional<uint64_t> v = ParseDecimal(env, kMaxThreads);
+    if (v.has_value() && *v > 0) return static_cast<size_t>(*v);
   }
   static const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;

@@ -47,8 +47,8 @@
 //
 // Thread count resolution: a per-call `threads` argument of 0 means
 // DefaultThreads(), which honours the MAYBMS_THREADS environment variable
-// (if set to a positive integer) and falls back to
-// std::thread::hardware_concurrency(). Session code exposes the same knob
+// (if it is all digits, positive and at most kMaxThreads) and otherwise
+// falls back to std::thread::hardware_concurrency(). Session code exposes the same knob
 // as SessionOptions::threads. threads:1 runs inline on the caller — but
 // through the same chunked algorithm, so it is the determinism reference.
 
@@ -83,9 +83,14 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// MAYBMS_THREADS (positive integer) if set, else
-  /// std::thread::hardware_concurrency() (at least 1). Re-read on every
-  /// call so tests can vary the environment.
+  /// The largest MAYBMS_THREADS value DefaultThreads accepts.
+  static constexpr size_t kMaxThreads = 1024;
+
+  /// MAYBMS_THREADS if it is a positive all-digit value of at most
+  /// kMaxThreads (base/string_util.h ParseDecimal), else
+  /// std::thread::hardware_concurrency() (at least 1). "-1", "+2", " 2"
+  /// and overflow all fall back. Re-read on every call so tests can vary
+  /// the environment.
   static size_t DefaultThreads();
 
   /// The process-wide pool used by the engines. Sized once at first use:

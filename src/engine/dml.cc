@@ -219,6 +219,7 @@ Status PreparedDmlImpl::ExecuteInsert(Database* db) {
       new_rows.push_back(std::move(row));
     }
   }
+  if (new_rows.empty()) return Status::OK();
 
   for (const Tuple& source : new_rows) {
     std::vector<Value> values(schema.num_columns(), Value::Null());
@@ -249,12 +250,14 @@ Status PreparedDmlImpl::ExecuteUpdate(Database* db) {
   // The cache reads the pre-update relation in `db` (the copy is only
   // published at the end), so one cache serves the whole row loop.
   SubqueryCache subquery_cache(&plans);
+  bool matched = false;
   for (Tuple& row : *updated.mutable_rows()) {
     EvalContext ctx{db, &schema, &row, nullptr, nullptr, &subquery_cache};
     if (stmt.where) {
       MAYBMS_ASSIGN_OR_RETURN(Trivalent match, EvalPredicate(*stmt.where, ctx));
       if (match != Trivalent::kTrue) continue;
     }
+    matched = true;
     // Evaluate all assignments against the pre-update row, then apply.
     std::vector<Value> new_values;
     new_values.reserve(assignments.size());
@@ -270,6 +273,9 @@ Status PreparedDmlImpl::ExecuteUpdate(Database* db) {
     }
   }
 
+  // A statement that changed nothing keeps the stored instance, so
+  // sharing (and the paged store's dedup) survives it.
+  if (!matched) return Status::OK();
   if (update_writes_constrained_column) {
     MAYBMS_RETURN_NOT_OK(CheckTableConstraints(updated, *constraints));
   }
@@ -293,6 +299,7 @@ Status PreparedDmlImpl::ExecuteDelete(Database* db) {
     }
     if (!remove) updated.AppendUnchecked(row);
   }
+  if (updated.num_rows() == existing->num_rows()) return Status::OK();
   db->PutRelation(stmt.table_name, std::move(updated));
   return Status::OK();
 }

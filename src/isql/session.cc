@@ -1,10 +1,10 @@
 #include "isql/session.h"
 
 #include <atomic>
-#include <cerrno>
 #include <cstdlib>
 #include <filesystem>
 #include <limits>
+#include <optional>
 #include <system_error>
 #include <utility>
 
@@ -75,28 +75,19 @@ Status RestoreCatalogMetadata(
   return Status::OK();
 }
 
-/// Strict environment-variable number parsing, matching what
-/// ThreadPool::DefaultThreads does for MAYBMS_THREADS: the whole string
-/// must be digits and the value must be positive. Anything else —
-/// "abc", "64k" (silent truncation to 64), "-1" (strtoull wraps to a
-/// huge pool), "0", overflow — is an error, never a silent fallback.
+/// Strict environment-variable number parsing (base/string_util.h): the
+/// whole string must be digits and the value positive. Anything else —
+/// "abc", "64k", "-1", "0", overflow — is an error, never a silent
+/// fallback.
 Result<size_t> ParsePositiveEnv(const char* name, const char* text) {
-  const std::string value(text);
-  const Status invalid = Status::InvalidArgument(
-      std::string(name) + " must be a positive integer, got \"" + value +
-      "\"");
-  if (value.empty() ||
-      value.find_first_not_of("0123456789") != std::string::npos) {
-    return invalid;
+  const std::optional<uint64_t> parsed =
+      ParseDecimal(text, std::numeric_limits<size_t>::max());
+  if (!parsed.has_value() || *parsed == 0) {
+    return Status::InvalidArgument(std::string(name) +
+                                   " must be a positive integer, got \"" +
+                                   text + "\"");
   }
-  errno = 0;
-  char* end = nullptr;
-  unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
-  if (errno == ERANGE || end != value.c_str() + value.size() || parsed == 0 ||
-      parsed > std::numeric_limits<size_t>::max()) {
-    return invalid;
-  }
-  return static_cast<size_t>(parsed);
+  return static_cast<size_t>(*parsed);
 }
 
 bool IsMutatingStatement(sql::StatementKind kind) {
@@ -250,12 +241,15 @@ void Session::ResolveGovernance() {
 }
 
 std::unique_ptr<worlds::WorldSet> Session::MakeWorldSet() const {
+  // Both engines stop a statement at the fixed world cap
+  // (worlds::kMaxStatementWorlds); the governance world budget is the
+  // operator's own, lower limit.
   if (options_.engine == EngineMode::kExplicit) {
     return std::make_unique<worlds::ExplicitWorldSet>(
-        options_.max_explicit_worlds, options_.threads);
+        worlds::kMaxStatementWorlds, options_.threads);
   }
-  return std::make_unique<worlds::DecomposedWorldSet>(options_.max_merge,
-                                                      options_.threads);
+  return std::make_unique<worlds::DecomposedWorldSet>(
+      worlds::kMaxStatementWorlds, options_.threads);
 }
 
 Result<QueryResult> Session::Execute(const std::string& sql) {

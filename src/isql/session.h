@@ -64,13 +64,6 @@ struct SessionOptions {
   /// Cap on per-world answers rendered/returned by SELECT queries.
   size_t max_display_worlds = 64;
 
-  /// Cap on materialized worlds in the explicit engine.
-  size_t max_explicit_worlds = 1 << 20;
-
-  /// Cap on alternatives a single component merge may produce in the
-  /// decomposed engine.
-  size_t max_merge = 1 << 20;
-
   /// Worker threads for per-world execution loops (0 = the MAYBMS_THREADS
   /// environment variable, else the hardware concurrency). Results are
   /// byte-identical at every setting; see base/thread_pool.h.
@@ -86,8 +79,9 @@ struct SessionOptions {
   /// Wall-clock deadline per statement, ms (MAYBMS_STATEMENT_TIMEOUT_MS).
   uint64_t statement_timeout_ms = 0;
 
-  /// Cap on worlds a statement may materialize/enumerate
-  /// (MAYBMS_MAX_WORLDS).
+  /// Budget of worlds a statement may derive or decode
+  /// (MAYBMS_MAX_WORLDS). Independently, both engines stop every
+  /// statement at the fixed world cap worlds::kMaxStatementWorlds.
   uint64_t max_worlds = 0;
 
   /// Cap on estimated result bytes a statement may accumulate, MiB
@@ -129,6 +123,8 @@ struct SessionSnapshot {
 ///  * CREATE TABLE ... AS materializes the statement's world operations;
 ///  * INSERT/UPDATE/DELETE run in every world; a constraint violation in
 ///    any world discards the update in all worlds;
+///  * no statement enumerates more than worlds::kMaxStatementWorlds
+///    worlds on either engine (kUnsupported before any world runs);
 ///  * views are named queries; views may contain world operations (e.g.
 ///    `assert`), in which case querying the view evaluates against the
 ///    derived world-set the view denotes.

@@ -2,6 +2,9 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <optional>
+
+#include "base/string_util.h"
 
 namespace maybms::sql {
 
@@ -106,7 +109,13 @@ Result<Token> Lexer::NextToken() {
       tok.real_value = std::strtod(text.c_str(), nullptr);
     } else {
       tok.type = TokenType::kIntegerLiteral;
-      tok.int_value = std::strtoll(text.c_str(), nullptr, 10);
+      const std::optional<uint64_t> value =
+          ParseDecimal(text, uint64_t{1} << 63);
+      if (!value.has_value()) {
+        return Status::ParseError("integer literal out of range: " + text +
+                                  " at offset " + std::to_string(tok.offset));
+      }
+      tok.int_value = *value;
     }
     tok.text = std::move(text);
     return tok;

@@ -1,5 +1,7 @@
 #include "sql/parser.h"
 
+#include <cstdint>
+#include <limits>
 #include <unordered_set>
 
 #include "base/string_util.h"
@@ -82,6 +84,14 @@ Result<std::string> Parser::ExpectIdentifier(const std::string& what) {
     return ErrorHere("expected " + what);
   }
   return Advance().text;
+}
+
+Result<int64_t> Parser::IntegerLiteral() {
+  if (Peek().int_value >
+      static_cast<uint64_t>(std::numeric_limits<int64_t>::max())) {
+    return ErrorHere("integer literal out of range");
+  }
+  return static_cast<int64_t>(Advance().int_value);
 }
 
 Status Parser::ErrorHere(const std::string& message) const {
@@ -294,7 +304,7 @@ Result<std::unique_ptr<SelectStatement>> Parser::ParseSimpleSelect() {
     if (Peek().type != TokenType::kIntegerLiteral) {
       return ErrorHere("expected integer after LIMIT");
     }
-    select->limit = Advance().int_value;
+    MAYBMS_ASSIGN_OR_RETURN(select->limit, IntegerLiteral());
   }
 
   return select;
@@ -671,6 +681,13 @@ Result<ExprPtr> Parser::ParseMultiplicative() {
 
 Result<ExprPtr> Parser::ParseUnary() {
   if (Match(TokenType::kMinus)) {
+    // -9223372036854775808 is INT64_MIN; its magnitude alone is too big.
+    if (Peek().type == TokenType::kIntegerLiteral &&
+        Peek().int_value == uint64_t{1} << 63) {
+      Advance();
+      return ExprPtr(std::make_unique<LiteralExpr>(
+          Value::Integer(std::numeric_limits<int64_t>::min())));
+    }
     MAYBMS_ASSIGN_OR_RETURN(ExprPtr operand, ParseUnary());
     return ExprPtr(
         std::make_unique<UnaryExpr>(UnaryOp::kNegate, std::move(operand)));
@@ -684,9 +701,8 @@ Result<ExprPtr> Parser::ParsePrimary() {
 
   switch (tok.type) {
     case TokenType::kIntegerLiteral: {
-      Token t = Advance();
-      return ExprPtr(
-          std::make_unique<LiteralExpr>(Value::Integer(t.int_value)));
+      MAYBMS_ASSIGN_OR_RETURN(int64_t value, IntegerLiteral());
+      return ExprPtr(std::make_unique<LiteralExpr>(Value::Integer(value)));
     }
     case TokenType::kRealLiteral: {
       Token t = Advance();

@@ -49,6 +49,8 @@ class Parser {
   Status Expect(TokenType type, const std::string& what);
   Result<std::string> ExpectIdentifier(const std::string& what);
   Status ErrorHere(const std::string& message) const;
+  /// Consumes an integer literal; one above INT64_MAX is a parse error.
+  Result<int64_t> IntegerLiteral();
 
   // Statements.
   Result<StatementPtr> ParseStatementInternal();

@@ -35,7 +35,8 @@ enum class TokenType {
 struct Token {
   TokenType type = TokenType::kEnd;
   std::string text;        // identifier/keyword text or literal spelling
-  int64_t int_value = 0;   // for kIntegerLiteral
+  uint64_t int_value = 0;  // for kIntegerLiteral: at most 2^63 (the
+                           // magnitude of INT64_MIN, valid after '-')
   double real_value = 0;   // for kRealLiteral
   size_t offset = 0;       // byte offset in the input
 };

@@ -1,8 +1,12 @@
 #include "types/value.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <functional>
+#include <optional>
+#include <string_view>
 
 #include "base/string_util.h"
 
@@ -201,13 +205,20 @@ Result<Value> Value::CastTo(DataType target) const {
         return Value::Integer(static_cast<int64_t>(AsReal()));
       }
       if (type() == DataType::kText) {
-        char* end = nullptr;
+        // Leading whitespace and a sign, then digits that fit in 64 bits.
         const std::string& s = AsText();
-        long long v = std::strtoll(s.c_str(), &end, 10);
-        if (end != s.c_str() + s.size() || s.empty()) {
+        std::string_view digits = s;
+        digits.remove_prefix(std::min(s.find_first_not_of(" \t\n\v\f\r"),
+                                      s.size()));
+        const bool negative = digits.starts_with('-');
+        if (negative || digits.starts_with('+')) digits.remove_prefix(1);
+        const std::optional<uint64_t> magnitude = ParseDecimal(
+            digits, (uint64_t{1} << 63) - (negative ? 0 : 1));
+        if (!magnitude.has_value()) {
           return Status::TypeError("cannot cast '" + s + "' to INTEGER");
         }
-        return Value::Integer(v);
+        return Value::Integer(static_cast<int64_t>(
+            negative ? uint64_t{0} - *magnitude : *magnitude));
       }
       if (type() == DataType::kBoolean) {
         return Value::Integer(AsBoolean() ? 1 : 0);

@@ -1,5 +1,7 @@
 #include "worlds/component.h"
 
+#include <limits>
+
 namespace maybms::worlds {
 
 const std::vector<Tuple>* Alternative::TuplesFor(
@@ -54,22 +56,21 @@ std::vector<size_t> DecodeProductIndex(uint64_t index,
   return digits;
 }
 
-Status MergeCapError(size_t max_alternatives) {
-  return Status::Unsupported(
-      "component merge would exceed " + std::to_string(max_alternatives) +
-      " alternatives; the query correlates too many components");
-}
-
-Result<uint64_t> ProductSize(const std::vector<const Component*>& parts,
-                             size_t max_alternatives) {
+uint64_t RadixProduct(const std::vector<size_t>& radices) {
+  constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
   uint64_t total = 1;
-  for (const Component* part : parts) {
-    total *= static_cast<uint64_t>(part->size());
-    if (max_alternatives != 0 && total > max_alternatives) {
-      return MergeCapError(max_alternatives);
-    }
+  for (size_t radix : radices) {
+    if (radix != 0 && total > kMax / radix) return kMax;
+    total *= radix;
   }
   return total;
+}
+
+uint64_t ProductSize(const std::vector<const Component*>& parts) {
+  std::vector<size_t> radices;
+  radices.reserve(parts.size());
+  for (const Component* part : parts) radices.push_back(part->size());
+  return RadixProduct(radices);
 }
 
 double ChooseAlternatives(const std::vector<const Component*>& parts,
@@ -90,29 +91,17 @@ double ChooseAlternatives(const std::vector<const Component*>& parts,
 }
 
 Alternative FlattenAlternatives(const std::vector<const Alternative*>& chosen,
-                                double probability) {
+                                double probability, const std::string& skip) {
   Alternative flat;
   flat.probability = probability;
   for (const Alternative* alt : chosen) {
     for (const auto& [rel, tuples] : alt->tuples) {
+      if (rel == skip) continue;
       auto& dst = flat.tuples[rel];
       dst.insert(dst.end(), tuples.begin(), tuples.end());
     }
   }
   return flat;
-}
-
-Result<Component> MergeComponents(const std::vector<const Component*>& parts,
-                                  size_t max_alternatives) {
-  MAYBMS_ASSIGN_OR_RETURN(uint64_t total, ProductSize(parts, max_alternatives));
-  Component merged;
-  merged.alternatives.reserve(static_cast<size_t>(total));
-  std::vector<const Alternative*> chosen;
-  for (uint64_t i = 0; i < total; ++i) {
-    const double probability = ChooseAlternatives(parts, i, &chosen);
-    merged.alternatives.push_back(FlattenAlternatives(chosen, probability));
-  }
-  return merged;
 }
 
 }  // namespace maybms::worlds

@@ -59,18 +59,16 @@ inline ComponentHandle ShareComponent(Component component) {
 
 /// The digits of `index` in the mixed radix `radices`, digit 0 least
 /// significant. This is the one enumeration order of every product in
-/// the engines: component sub-products (MergeComponents, the decomposed
-/// world source, per-world listings) and repair/choice partition blocks.
+/// the engines: component sub-products (the decomposed world source and
+/// its commits, per-world listings) and repair/choice partition blocks.
 std::vector<size_t> DecodeProductIndex(uint64_t index,
                                        const std::vector<size_t>& radices);
 
-/// The size of the product of `parts`, or the merge-cap error when it
-/// exceeds `max_alternatives` (0 = unlimited).
-Result<uint64_t> ProductSize(const std::vector<const Component*>& parts,
-                             size_t max_alternatives);
+/// The product of `radices`, saturating at the largest uint64_t.
+uint64_t RadixProduct(const std::vector<size_t>& radices);
 
-/// The error ProductSize and MergeComponents return above the cap.
-Status MergeCapError(size_t max_alternatives);
+/// The number of worlds in the product of `parts` (saturating).
+uint64_t ProductSize(const std::vector<const Component*>& parts);
 
 /// Alternative `index` of the product of `parts`, one chosen alternative
 /// per part (decoded by DecodeProductIndex). Returns their probability
@@ -80,16 +78,11 @@ double ChooseAlternatives(const std::vector<const Component*>& parts,
                           std::vector<const Alternative*>* chosen);
 
 /// One alternative carrying every contribution of `chosen` (concatenated
-/// per relation in `chosen` order) with the given probability.
+/// per relation in `chosen` order) with the given probability, except
+/// those to the relation `skip` (lower-cased), which the caller replaces.
 Alternative FlattenAlternatives(const std::vector<const Alternative*>& chosen,
-                                double probability);
-
-/// Flattens the product of `parts` into a single component whose
-/// alternatives are all combinations, with merged contributions and
-/// product probabilities. The result size is the product of the part
-/// sizes; `max_alternatives` guards against explosion (0 = unlimited).
-Result<Component> MergeComponents(const std::vector<const Component*>& parts,
-                                  size_t max_alternatives);
+                                double probability,
+                                const std::string& skip);
 
 }  // namespace maybms::worlds
 

@@ -25,58 +25,16 @@ namespace maybms::worlds {
 namespace {
 
 bool ContainsSubquery(const sql::Expr& expr) {
-  switch (expr.kind) {
-    case sql::ExprKind::kExists:
-    case sql::ExprKind::kInSubquery:
-    case sql::ExprKind::kScalarSubquery:
-      return true;
-    case sql::ExprKind::kLiteral:
-    case sql::ExprKind::kColumnRef:
-      return false;
-    case sql::ExprKind::kUnary:
-      return ContainsSubquery(
-          *static_cast<const sql::UnaryExpr&>(expr).operand);
-    case sql::ExprKind::kBinary: {
-      const auto& b = static_cast<const sql::BinaryExpr&>(expr);
-      return ContainsSubquery(*b.left) || ContainsSubquery(*b.right);
-    }
-    case sql::ExprKind::kFunctionCall: {
-      const auto& f = static_cast<const sql::FunctionCallExpr&>(expr);
-      for (const auto& a : f.args) {
-        if (ContainsSubquery(*a)) return true;
-      }
-      return false;
-    }
-    case sql::ExprKind::kIsNull:
-      return ContainsSubquery(
-          *static_cast<const sql::IsNullExpr&>(expr).operand);
-    case sql::ExprKind::kInList: {
-      const auto& in = static_cast<const sql::InListExpr&>(expr);
-      if (ContainsSubquery(*in.operand)) return true;
-      for (const auto& i : in.items) {
-        if (ContainsSubquery(*i)) return true;
-      }
-      return false;
-    }
-    case sql::ExprKind::kBetween: {
-      const auto& b = static_cast<const sql::BetweenExpr&>(expr);
-      return ContainsSubquery(*b.operand) || ContainsSubquery(*b.low) ||
-             ContainsSubquery(*b.high);
-    }
-    case sql::ExprKind::kCase: {
-      const auto& c = static_cast<const sql::CaseExpr&>(expr);
-      for (const auto& w : c.whens) {
-        if (ContainsSubquery(*w.condition) || ContainsSubquery(*w.result)) {
-          return true;
-        }
-      }
-      return c.else_result && ContainsSubquery(*c.else_result);
-    }
-    case sql::ExprKind::kCast:
-      return ContainsSubquery(
-          *static_cast<const sql::CastExpr&>(expr).operand);
+  if (expr.kind == sql::ExprKind::kExists ||
+      expr.kind == sql::ExprKind::kInSubquery ||
+      expr.kind == sql::ExprKind::kScalarSubquery) {
+    return true;
   }
-  return false;
+  bool found = false;
+  engine::ForEachChildExpr(expr, [&found](const sql::Expr& child) {
+    found = found || ContainsSubquery(child);
+  });
+  return found;
 }
 
 /// Filters `rows` (over the projection's qualified source schema) by the
@@ -217,12 +175,8 @@ Result<std::optional<DecomposedAnswer>> Shortcut(
         engine::PreparedProjection::Prepare(*core, certain,
                                             source_plan.output_schema()));
     MAYBMS_ASSIGN_OR_RETURN(Table source, source_plan.Execute(certain));
-    std::vector<PartitionBlock> blocks;
-    if (stmt.repair.has_value()) {
-      MAYBMS_ASSIGN_OR_RETURN(blocks, RepairPartition(source, *stmt.repair));
-    } else {
-      MAYBMS_ASSIGN_OR_RETURN(blocks, ChoicePartition(source, *stmt.choice));
-    }
+    MAYBMS_ASSIGN_OR_RETURN(std::vector<PartitionBlock> blocks,
+                            Partition(source, stmt));
     answer.schema = projection.output_schema();
     for (const PartitionBlock& block : blocks) {
       // Each block becomes one component whose alternatives are its
@@ -379,14 +333,10 @@ Result<SelectEvaluation> ListWorlds(const DecomposedAnswer& dec,
                                     size_t max_worlds) {
   SelectEvaluation eval;
   std::vector<size_t> radices;
-  uint64_t total = 1;  // saturating; only indices below max_worlds matter
   for (const DecomposedAnswer::Factor& factor : dec.factors) {
-    const size_t n = factor.size();
-    radices.push_back(n);
-    total = n != 0 && total > std::numeric_limits<uint64_t>::max() / n
-                ? std::numeric_limits<uint64_t>::max()
-                : total * n;
+    radices.push_back(factor.size());
   }
+  const uint64_t total = RadixProduct(radices);
   for (uint64_t w = 0; w < total; ++w) {
     if (eval.per_world.size() >= max_worlds) {
       eval.truncated = true;
@@ -408,14 +358,16 @@ Result<SelectEvaluation> ListWorlds(const DecomposedAnswer& dec,
 }
 
 /// The decomposed engine's world source: the sub-product of `parts`,
-/// decoded lazily from the world index (part 0 least significant, the
-/// MergeComponents order) — the product is never materialized. With no
-/// parts it is one world: the certain core with probability 1.
+/// decoded lazily from the world index (part 0 least significant) — the
+/// product is never materialized. With no parts it is one world: the
+/// certain core with probability 1.
 class SubProductSource final : public WorldSource {
  public:
   SubProductSource(const Database& certain,
-                   std::vector<const Component*> parts, size_t size)
-      : certain_(certain), parts_(std::move(parts)), size_(size) {}
+                   std::vector<const Component*> parts)
+      : certain_(certain),
+        parts_(std::move(parts)),
+        size_(ProductSize(parts_)) {}
 
   size_t size() const override { return size_; }
   const Database& schema_db() const override { return certain_; }
@@ -425,6 +377,7 @@ class SubProductSource final : public WorldSource {
     *scratch = World(BuildLocalDatabase(certain_, chosen), probability);
     return *scratch;
   }
+  bool decoded() const override { return !parts_.empty(); }
 
  private:
   const Database& certain_;
@@ -434,8 +387,8 @@ class SubProductSource final : public WorldSource {
 
 }  // namespace
 
-DecomposedWorldSet::DecomposedWorldSet(size_t max_merge, size_t threads)
-    : max_merge_(max_merge), threads_(threads) {}
+DecomposedWorldSet::DecomposedWorldSet(uint64_t max_worlds, size_t threads)
+    : max_worlds_(max_worlds), threads_(threads) {}
 
 std::unique_ptr<WorldSet> DecomposedWorldSet::Clone() const {
   return std::make_unique<DecomposedWorldSet>(*this);
@@ -446,16 +399,7 @@ void DecomposedWorldSet::MoveFrom(WorldSet&& other) {
 }
 
 uint64_t DecomposedWorldSet::NumWorlds() const {
-  uint64_t total = 1;
-  for (const ComponentHandle& c : components_) {
-    uint64_t size = static_cast<uint64_t>(c->size());
-    if (size != 0 &&
-        total > std::numeric_limits<uint64_t>::max() / size) {
-      return std::numeric_limits<uint64_t>::max();  // saturate
-    }
-    total *= size;
-  }
-  return total;
+  return ProductSize(AllParts());
 }
 
 double DecomposedWorldSet::Log10NumWorlds() const {
@@ -476,34 +420,16 @@ bool DecomposedWorldSet::HasRelation(const std::string& name) const {
 
 Result<std::vector<World>> DecomposedWorldSet::MaterializeWorlds(
     size_t max_worlds, bool* truncated) const {
+  const SubProductSource source(certain_, AllParts());
+  if (truncated != nullptr) *truncated = source.size() > max_worlds;
   std::vector<World> worlds;
-  if (truncated != nullptr) *truncated = false;
-
-  std::vector<size_t> pick(components_.size(), 0);
-  while (true) {
-    if (worlds.size() >= max_worlds) {
-      if (truncated != nullptr) *truncated = true;
-      break;
-    }
-    // Each odometer step materializes one full world (a database copy):
-    // charge it against the world budget, which also polls.
+  for (size_t i = 0; i < source.size() && i < max_worlds; ++i) {
+    // Each world is a full database copy: charge it against the world
+    // budget, which also polls.
     MAYBMS_RETURN_NOT_OK(base::GovernChargeWorlds(1));
-    std::vector<const Alternative*> chosen;
-    double prob = 1.0;
-    chosen.reserve(components_.size());
-    for (size_t i = 0; i < components_.size(); ++i) {
-      const Alternative& alt = components_[i]->alternatives[pick[i]];
-      chosen.push_back(&alt);
-      prob *= alt.probability;
-    }
-    worlds.emplace_back(BuildLocalDatabase(certain_, chosen), prob);
-
-    size_t i = 0;
-    for (; i < components_.size(); ++i) {
-      if (++pick[i] < components_[i]->size()) break;
-      pick[i] = 0;
-    }
-    if (i == components_.size()) break;
+    World world;
+    source.Get(i, &world);
+    worlds.push_back(std::move(world));
   }
   return worlds;
 }
@@ -635,39 +561,41 @@ std::vector<const Component*> DecomposedWorldSet::Parts(
   return parts;
 }
 
+std::vector<const Component*> DecomposedWorldSet::AllParts() const {
+  std::vector<const Component*> parts;
+  parts.reserve(components_.size());
+  for (const ComponentHandle& c : components_) parts.push_back(c.get());
+  return parts;
+}
+
+Status DecomposedWorldSet::ReplaceComponents(
+    const std::vector<size_t>& relevant,
+    const std::vector<PipelineWorld>& worlds, const std::string& relation,
+    bool attach) {
+  const std::vector<const Component*> parts = Parts(relevant);
+  Component replacement;
+  replacement.alternatives.reserve(worlds.size());
+  std::vector<const Alternative*> chosen;
+  for (const PipelineWorld& world : worlds) {
+    MAYBMS_RETURN_NOT_OK(base::GovernPoll());
+    ChooseAlternatives(parts, world.source_index, &chosen);
+    Alternative alt = FlattenAlternatives(chosen, world.probability, relation);
+    if (attach) alt.tuples[relation] = world.answer->rows();
+    replacement.alternatives.push_back(std::move(alt));
+  }
+  // `relevant` is ascending: erase from the back so indices stay valid.
+  for (auto it = relevant.rbegin(); it != relevant.rend(); ++it) {
+    components_.erase(components_.begin() + static_cast<long>(*it));
+  }
+  components_.push_back(ShareComponent(std::move(replacement)));
+  return Status::OK();
+}
+
 Status DecomposedWorldSet::ApplyDml(const sql::Statement& stmt,
                                     const Catalog& catalog) {
   std::set<std::string> referenced;
-  std::string target;
-  switch (stmt.kind) {
-    case sql::StatementKind::kInsert: {
-      const auto& insert = static_cast<const sql::InsertStatement&>(stmt);
-      target = insert.table_name;
-      if (insert.query) CollectReferencedRelations(*insert.query, &referenced);
-      for (const auto& row : insert.rows) {
-        for (const auto& e : row) CollectReferencedRelations(*e, &referenced);
-      }
-      break;
-    }
-    case sql::StatementKind::kUpdate: {
-      const auto& update = static_cast<const sql::UpdateStatement&>(stmt);
-      target = update.table_name;
-      if (update.where) CollectReferencedRelations(*update.where, &referenced);
-      for (const auto& [col, e] : update.assignments) {
-        CollectReferencedRelations(*e, &referenced);
-      }
-      break;
-    }
-    case sql::StatementKind::kDelete: {
-      const auto& del = static_cast<const sql::DeleteStatement&>(stmt);
-      target = del.table_name;
-      if (del.where) CollectReferencedRelations(*del.where, &referenced);
-      break;
-    }
-    default:
-      return Status::InvalidArgument("not a DML statement");
-  }
-  referenced.insert(AsciiToLower(target));
+  MAYBMS_ASSIGN_OR_RETURN(const std::string target,
+                          DmlTarget(stmt, &referenced));
 
   // The statement is planned once against the certain schemas (local
   // worlds share them) and executed per world.
@@ -681,54 +609,20 @@ Status DecomposedWorldSet::ApplyDml(const sql::Statement& stmt,
     return plan.Execute(&certain_);
   }
 
-  // General path: the update's effect may differ per world. Merge the
-  // relevant components; apply the update in each local world; the target
-  // relation becomes per-alternative content.
-  MAYBMS_ASSIGN_OR_RETURN(Component merged,
-                          MergeComponents(Parts(relevant), max_merge_));
-  std::string target_lower = AsciiToLower(target);
-  base::ThreadPool& pool = base::ThreadPool::Shared();
-  const size_t n = merged.size();
-  std::vector<Table> new_contents(n);
-  // A PreparedDml caches per-execution state, so each slot gets its own;
-  // slot 0 adopts the plan prepared above (preparation errors already
-  // surfaced there, exactly as in the sequential path).
-  std::vector<std::optional<engine::PreparedDml>> plans(pool.Slots(threads_));
-  plans[0].emplace(std::move(plan));
-  MAYBMS_RETURN_NOT_OK(pool.ParallelFor(
-      n, threads_, [&](size_t i, size_t slot, size_t) -> Status {
-        if (!plans[slot].has_value()) {
-          MAYBMS_ASSIGN_OR_RETURN(
-              plans[slot], engine::PreparedDml::Prepare(stmt, certain_,
-                                                        &catalog));
-        }
-        Database local =
-            BuildLocalDatabase(certain_, {&merged.alternatives[i]});
-        // All-or-nothing per world.
-        MAYBMS_RETURN_NOT_OK(plans[slot]->Execute(&local));
-        MAYBMS_ASSIGN_OR_RETURN(const Table* updated,
-                                local.GetRelation(target));
-        new_contents[i] = *updated;
-        return Status::OK();
-      }));
-
-  // Commit: the merged component carries the full per-world contents of
-  // the target relation; its certain part becomes empty.
-  for (size_t i = 0; i < merged.alternatives.size(); ++i) {
-    merged.alternatives[i].tuples[target_lower] = new_contents[i].rows();
-  }
-  // The target's contents moved into the merged component: swap an empty
-  // instance into the core instead of cloning a (possibly shared) table
-  // just to clear it.
+  // General path: the update's effect may differ per world. It runs in
+  // every world of the relevant sub-product, and the worlds replace those
+  // components with one component carrying each world's new contents of
+  // the target; its core instance becomes empty. Swap an empty instance
+  // in rather than clone a (possibly shared) table just to clear it.
+  MAYBMS_ASSIGN_OR_RETURN(
+      std::vector<PipelineWorld> worlds,
+      RunDmlInEveryWorld(SubProductSource(certain_, Parts(relevant)), stmt,
+                         catalog, threads_, max_worlds_));
   MAYBMS_ASSIGN_OR_RETURN(const Table* core_table,
                           certain_.GetRelation(target));
+  MAYBMS_RETURN_NOT_OK(
+      ReplaceComponents(relevant, worlds, AsciiToLower(target), true));
   certain_.PutRelation(target, Table(core_table->schema()));
-
-  std::sort(relevant.rbegin(), relevant.rend());
-  for (size_t i : relevant) {
-    components_.erase(components_.begin() + static_cast<long>(i));
-  }
-  components_.push_back(ShareComponent(std::move(merged)));
   return Status::OK();
 }
 
@@ -739,26 +633,13 @@ Result<DecomposedWorldSet::PipelineRun> DecomposedWorldSet::RunPipeline(
   CollectReferencedRelations(stmt, &referenced);
   PipelineRun run;
   run.relevant = RelevantComponents(components_, referenced);
-  std::vector<const Component*> parts = Parts(run.relevant);
-  MAYBMS_ASSIGN_OR_RETURN(uint64_t size, ProductSize(parts, max_merge_));
-  PipelineOptions options;
-  options.result_name = result_name;
-  options.keep_worlds = keep_worlds;
-  options.threads = threads_;
-  if (max_merge_ != 0) options.fan_out_cap = max_merge_;
-  // Over certain relations the fan-out enumerates exactly the merge of
-  // the new components; over uncertain ones it flattens within each
-  // source world.
-  options.fan_out_error = MergeCapError(max_merge_);
-  if (!parts.empty()) {
-    options.fan_out_error = Status::Unsupported(
-        "repair/choice over an uncertain source exceeds the merge cap of " +
-        std::to_string(max_merge_) + " alternatives");
-  }
   MAYBMS_ASSIGN_OR_RETURN(
       run.result,
-      RunWorldPipeline(SubProductSource(certain_, std::move(parts), size), stmt,
-                       options));
+      RunWorldPipeline(SubProductSource(certain_, Parts(run.relevant)), stmt,
+                       {.result_name = result_name,
+                        .keep_worlds = keep_worlds,
+                        .threads = threads_,
+                        .max_worlds = max_worlds_}));
   return run;
 }
 
@@ -842,31 +723,15 @@ Status DecomposedWorldSet::MaterializeSelect(const std::string& name,
     return Status::OK();
   }
   // Otherwise the survivors replace the relevant components with one
-  // component: each survivor's source alternatives flattened, at its
-  // renormalized probability, carrying its answer unless a quantifier
-  // collapsed that into the certain core.
-  const std::vector<const Component*> parts = Parts(run.relevant);
-  Component merged;
-  merged.alternatives.reserve(result.worlds.size());
-  std::vector<const Alternative*> chosen;
-  for (const PipelineWorld& survivor : result.worlds) {
-    MAYBMS_RETURN_NOT_OK(base::GovernPoll());
-    ChooseAlternatives(parts, survivor.source_index, &chosen);
-    Alternative alt = FlattenAlternatives(chosen, survivor.probability);
-    if (!collapsed) alt.tuples[lower] = survivor.answer->rows();
-    merged.alternatives.push_back(std::move(alt));
-  }
+  // component, at their renormalized probabilities, each carrying its
+  // answer unless a quantifier collapsed that into the certain core.
   Table certain_part =
       collapsed ? std::move(*result.combined)
                 : Table(result.worlds.empty()
                             ? Schema()
                             : result.worlds.front().answer->schema());
-  std::vector<size_t> replaced = run.relevant;
-  std::sort(replaced.rbegin(), replaced.rend());
-  for (size_t i : replaced) {
-    components_.erase(components_.begin() + static_cast<long>(i));
-  }
-  components_.push_back(ShareComponent(std::move(merged)));
+  MAYBMS_RETURN_NOT_OK(
+      ReplaceComponents(run.relevant, result.worlds, lower, !collapsed));
   certain_.PutRelation(name, std::move(certain_part));
   return Status::OK();
 }

@@ -17,7 +17,8 @@
 //    is the product over components. Operations that would correlate
 //    components (joins of uncertain relations, aggregates over them,
 //    assert, group worlds by, DML touching them) enumerate the RELEVANT
-//    components' sub-product only — never the full product.
+//    components' sub-product only — never the full product — decoded
+//    world by world, never merged up front.
 //  * Query plans are schema-only and never capture alternative contents;
 //    per-world state (subquery materializations, hash indexes) lives in
 //    per-execution caches (engine/planner.h).
@@ -68,16 +69,22 @@ namespace maybms::worlds {
 /// never materialized. A `create table ... as` through the pipeline
 /// replaces the relevant components with one component of the surviving
 /// worlds.
+///
+/// DML over certain relations runs once on the core. DML touching an
+/// uncertain relation runs in every world of the relevant sub-product
+/// (RunDmlInEveryWorld) and replaces those components with one component
+/// holding each world's new target contents.
 class DecomposedWorldSet : public WorldSet {
  public:
-  /// `max_merge` caps the correlated sub-product a statement may
-  /// enumerate or merge, in alternatives; 0 = unlimited. `threads` caps the shared
-  /// thread pool's parallelism for per-alternative loops (0 =
-  /// MAYBMS_THREADS / hardware); results and errors are byte-identical at
-  /// every thread count (see base/thread_pool.h).
-  static constexpr size_t kDefaultMaxMerge = 1 << 20;
+  /// The default world cap; an alias of kMaxStatementWorlds.
+  static constexpr uint64_t kDefaultMaxMerge = kMaxStatementWorlds;
 
-  explicit DecomposedWorldSet(size_t max_merge = kDefaultMaxMerge,
+  /// `max_worlds` caps the sub-product (or fan-out) one statement may
+  /// enumerate (worlds/world_pipeline.h). `threads` caps the shared thread
+  /// pool's parallelism for per-world loops (0 = MAYBMS_THREADS /
+  /// hardware); results and errors are byte-identical at every thread
+  /// count (see base/thread_pool.h).
+  explicit DecomposedWorldSet(uint64_t max_worlds = kMaxStatementWorlds,
                               size_t threads = 0);
 
   std::unique_ptr<WorldSet> Clone() const override;
@@ -124,15 +131,23 @@ class DecomposedWorldSet : public WorldSet {
                                   const std::string& result_name,
                                   size_t keep_worlds) const;
 
-  /// The components at `indices`, in that order.
+  /// The components at `indices`, in that order; all of them.
   std::vector<const Component*> Parts(const std::vector<size_t>& indices) const;
+  std::vector<const Component*> AllParts() const;
+
+  /// Replaces the components at `relevant` (ascending) with one
+  /// component: per world, its sub-product alternatives flattened at the
+  /// world's probability, carrying its answer as `relation` if `attach`.
+  Status ReplaceComponents(const std::vector<size_t>& relevant,
+                           const std::vector<PipelineWorld>& worlds,
+                           const std::string& relation, bool attach);
 
   Database certain_;
   // Shared immutable instances: Clone() copies handles, and every
-  // mutation site (merge, repair/choice append, per-alternative DML,
-  // drop) stores a new instance instead of changing a shared one.
+  // mutation site (component replacement, repair/choice append, drop)
+  // stores a new instance instead of changing a shared one.
   std::vector<ComponentHandle> components_;
-  size_t max_merge_;
+  uint64_t max_worlds_;
   size_t threads_;  // per-call parallelism cap; 0 = default
 };
 

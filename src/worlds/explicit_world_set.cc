@@ -4,13 +4,10 @@
 #include <cmath>
 #include <limits>
 #include <map>
-#include <optional>
 #include <random>
 #include <utility>
 
 #include "base/query_context.h"
-#include "base/thread_pool.h"
-#include "engine/dml.h"
 #include "worlds/world_pipeline.h"
 
 namespace maybms::worlds {
@@ -26,6 +23,7 @@ class StoredWorlds final : public WorldSource {
   const World& Get(size_t i, World* /*scratch*/) const override {
     return worlds_[i];
   }
+  bool decoded() const override { return false; }
 
  private:
   const std::vector<World>& worlds_;
@@ -33,7 +31,7 @@ class StoredWorlds final : public WorldSource {
 
 }  // namespace
 
-ExplicitWorldSet::ExplicitWorldSet(size_t max_worlds, size_t threads)
+ExplicitWorldSet::ExplicitWorldSet(uint64_t max_worlds, size_t threads)
     : worlds_(std::make_shared<const std::vector<World>>(
           std::vector<World>{World(Database(), 1.0)})),
       max_worlds_(max_worlds),
@@ -135,80 +133,22 @@ Status ExplicitWorldSet::DropRelation(const std::string& name) {
 Status ExplicitWorldSet::ApplyDml(const sql::Statement& stmt,
                                   const Catalog& catalog) {
   // Possible-worlds update semantics (paper §2): the update must commit
-  // in every world or in none. Snapshot/rollback commit protocol: each
-  // world's post-statement database is computed against a copy-on-write
-  // snapshot (O(#relations) handle bumps; only the statement's target
-  // relation is rewritten, every untouched relation stays shared with the
-  // live world) and recorded in a commit log. The log is swapped into
-  // `worlds_` only after every world succeeded; any per-world failure
-  // (e.g. a constraint violation) simply drops the log, leaving the set
-  // untouched — the PR 1 atomicity guarantee without copying unchanged
-  // relations.
-  //
-  // Snapshots are computed in parallel; each world is touched by exactly
-  // one thread and the live set is read-only until the final swap. When
-  // several worlds fail, the error of the smallest world index is
-  // reported (ThreadPool rule 2) — the same error the sequential loop
-  // hit first, so rollback behavior is deterministic at any thread count.
-  if (worlds().empty()) return Status::OK();
-  base::ThreadPool& pool = base::ThreadPool::Shared();
-  // The statement is planned once per thread slot (column resolution,
-  // INSERT ... SELECT preparation, subquery analysis) against one world's
-  // schemas — identical in every world — and only executed per world.
-  // Slot 0 prepares eagerly so preparation errors surface before any
-  // world executes, exactly as in the sequential code.
-  std::vector<std::optional<engine::PreparedDml>> plans(pool.Slots(threads_));
+  // in every world or in none. The pass computes every world's new
+  // target instance against the live worlds, which it only reads; the
+  // new worlds (sharing every other table, and the target wherever the
+  // statement left it unchanged) are swapped in only after every world
+  // succeeded, so a failure in any world leaves the set untouched.
+  MAYBMS_ASSIGN_OR_RETURN(const std::string target, DmlTarget(stmt));
   MAYBMS_ASSIGN_OR_RETURN(
-      plans[0], engine::PreparedDml::Prepare(stmt, worlds()[0].db, &catalog));
-  std::vector<Database> commit_log(worlds().size());
-  MAYBMS_RETURN_NOT_OK(pool.ParallelFor(
-      worlds().size(), threads_,
-      [&](size_t i, size_t slot, size_t /*chunk*/) -> Status {
-        if (!plans[slot].has_value()) {
-          MAYBMS_ASSIGN_OR_RETURN(
-              plans[slot],
-              engine::PreparedDml::Prepare(stmt, worlds()[i].db, &catalog));
-        }
-        Database snapshot = worlds()[i].db;  // shares every table handle
-        MAYBMS_RETURN_NOT_OK(plans[slot]->Execute(&snapshot));
-        commit_log[i] = std::move(snapshot);
-        return Status::OK();
-      }));
-  std::vector<World> next;
-  next.reserve(commit_log.size());
-  for (size_t i = 0; i < commit_log.size(); ++i) {
-    next.emplace_back(std::move(commit_log[i]), worlds()[i].probability);
+      std::vector<PipelineWorld> updated,
+      RunDmlInEveryWorld(StoredWorlds(worlds()), stmt, catalog, threads_,
+                         max_worlds_));
+  std::vector<World> next = worlds();
+  for (size_t i = 0; i < next.size(); ++i) {
+    next[i].db.PutRelation(target, std::move(updated[i].answer));
   }
   worlds_ = std::make_shared<const std::vector<World>>(std::move(next));
   return Status::OK();
-}
-
-void ExplicitWorldSet::SetWorlds(std::vector<World> worlds) {
-  // Pure O(1)-per-world arithmetic over an already-materialized vector
-  // (whose construction was the governed, charged part), and the whole
-  // normalize-and-swap must be atomic — aborting between the two loops
-  // would install half-normalized probabilities.
-  double total = 0;
-  // maybms-lint: allow(ungoverned-world-loop)
-  for (const World& w : worlds) total += w.probability;
-  if (total > 0) {
-    // maybms-lint: allow(ungoverned-world-loop)
-    for (World& w : worlds) w.probability /= total;
-  }
-  worlds_ = std::make_shared<const std::vector<World>>(std::move(worlds));
-}
-
-PipelineOptions ExplicitWorldSet::Options(const std::string& result_name,
-                                          size_t keep_worlds) const {
-  PipelineOptions options;
-  options.result_name = result_name;
-  options.keep_worlds = keep_worlds;
-  options.threads = threads_;
-  options.fan_out_cap = max_worlds_;
-  options.fan_out_error = Status::Unsupported(
-      "explicit world-set would exceed the configured cap of " +
-      std::to_string(max_worlds_) + " worlds; use the decomposed engine");
-  return options;
 }
 
 Result<SelectEvaluation> ExplicitWorldSet::EvaluateSelect(
@@ -218,7 +158,9 @@ Result<SelectEvaluation> ExplicitWorldSet::EvaluateSelect(
   MAYBMS_ASSIGN_OR_RETURN(
       PipelineResult result,
       RunWorldPipeline(StoredWorlds(worlds()), stmt,
-                       Options("__result", keep)));
+                       {.keep_worlds = keep,
+                        .threads = threads_,
+                        .max_worlds = max_worlds_}));
   return ToSelectEvaluation(std::move(result));
 }
 
@@ -234,7 +176,10 @@ Status ExplicitWorldSet::MaterializeSelect(const std::string& name,
   MAYBMS_ASSIGN_OR_RETURN(
       PipelineResult result,
       RunWorldPipeline(StoredWorlds(worlds()), stmt,
-                       Options(name, std::numeric_limits<size_t>::max())));
+                       {.result_name = name,
+                        .keep_worlds = std::numeric_limits<size_t>::max(),
+                        .threads = threads_,
+                        .max_worlds = max_worlds_}));
   std::vector<World> next;
   next.reserve(result.worlds.size());
   for (const PipelineWorld& survivor : result.worlds) {
@@ -300,8 +245,8 @@ Status ExplicitWorldSet::FromSnapshot(
     }
     worlds.push_back(std::move(world));
   }
-  // Adopt probabilities verbatim — NOT SetWorlds, whose renormalization
-  // could perturb the doubles and break byte-identical restored results.
+  // Adopt probabilities verbatim — no renormalization, which could
+  // perturb the doubles and break byte-identical restored results.
   worlds_ = std::make_shared<const std::vector<World>>(std::move(worlds));
   return Status::OK();
 }

@@ -18,21 +18,19 @@ namespace maybms::worlds {
 /// decomposition-based engine.
 ///
 /// World creation (`repair by key`, `choice of`) multiplies the number of
-/// materialized databases, so the total world count is capped; exceeding
-/// the cap is an error directing users to the decomposed engine.
+/// materialized databases, so it stops at the statement world cap
+/// (`max_worlds`, kMaxStatementWorlds by default).
 ///
-/// Selects run through the shared world pipeline (worlds/world_pipeline.h)
-/// with the stored worlds, read in place, as its world source; the engine
-/// itself only commits a `create table ... as` result. Per-world work (the
-/// pipeline, DML snapshots) runs on the shared chunked thread pool
-/// (base/thread_pool.h). `threads` caps the parallelism (0 =
-/// MAYBMS_THREADS / hardware); results and errors are byte-identical at
-/// every thread count.
+/// Selects and DML run through the shared world pipeline
+/// (worlds/world_pipeline.h) with the stored worlds, read in place, as
+/// its world source; the engine itself only commits: a `create table ...
+/// as` result, or each world's new DML target instance. Per-world work
+/// runs on the shared chunked thread pool (base/thread_pool.h). `threads`
+/// caps the parallelism (0 = MAYBMS_THREADS / hardware); results and
+/// errors are byte-identical at every thread count.
 class ExplicitWorldSet : public WorldSet {
  public:
-  static constexpr size_t kDefaultMaxWorlds = 1 << 20;
-
-  explicit ExplicitWorldSet(size_t max_worlds = kDefaultMaxWorlds,
+  explicit ExplicitWorldSet(uint64_t max_worlds = kMaxStatementWorlds,
                             size_t threads = 0);
 
   std::unique_ptr<WorldSet> Clone() const override;
@@ -64,20 +62,12 @@ class ExplicitWorldSet : public WorldSet {
   /// Direct access for tests and the formatter.
   const std::vector<World>& worlds() const { return *worlds_; }
 
-  /// Replaces the worlds wholesale (test setup helper). Probabilities are
-  /// normalized to sum to one.
-  void SetWorlds(std::vector<World> worlds);
-
  private:
-  /// Pipeline options for this engine: its world cap and cap error.
-  PipelineOptions Options(const std::string& result_name,
-                          size_t keep_worlds) const;
-
   // Shared and immutable, so Clone() is one handle bump; every mutation
   // builds a new vector (whose worlds share unchanged tables) and swaps
   // it in.
   std::shared_ptr<const std::vector<World>> worlds_;
-  size_t max_worlds_;
+  uint64_t max_worlds_;
   size_t threads_;  // per-call parallelism cap; 0 = default
 };
 

@@ -1,6 +1,7 @@
 #include "worlds/partition.h"
 
 #include <map>
+#include <optional>
 
 namespace maybms::worlds {
 
@@ -26,7 +27,21 @@ Result<double> RowWeight(const Table& source, size_t row,
   return w;
 }
 
+/// The index of the weight column `name`, or nullopt without one.
+Result<std::optional<size_t>> WeightColumn(const Schema& schema,
+                                           const std::string& name) {
+  if (name.empty()) return std::optional<size_t>();
+  MAYBMS_ASSIGN_OR_RETURN(size_t idx, schema.FindColumn(name));
+  return std::optional<size_t>(idx);
+}
+
 }  // namespace
+
+Result<std::vector<PartitionBlock>> Partition(
+    const Table& source, const sql::SelectStatement& stmt) {
+  if (stmt.repair.has_value()) return RepairPartition(source, *stmt.repair);
+  return ChoicePartition(source, *stmt.choice);
+}
 
 Result<std::vector<size_t>> ResolveColumns(
     const Schema& schema, const std::vector<std::string>& names) {
@@ -43,12 +58,8 @@ Result<std::vector<PartitionBlock>> RepairPartition(
     const Table& source, const sql::RepairClause& clause) {
   MAYBMS_ASSIGN_OR_RETURN(std::vector<size_t> key_cols,
                           ResolveColumns(source.schema(), clause.key_columns));
-  std::optional<size_t> weight_col;
-  if (!clause.weight_column.empty()) {
-    MAYBMS_ASSIGN_OR_RETURN(size_t idx,
-                            source.schema().FindColumn(clause.weight_column));
-    weight_col = idx;
-  }
+  MAYBMS_ASSIGN_OR_RETURN(std::optional<size_t> weight_col,
+                          WeightColumn(source.schema(), clause.weight_column));
 
   // Group rows by key value (deterministic order via Tuple's total order).
   std::map<Tuple, std::vector<size_t>> groups;
@@ -80,12 +91,8 @@ Result<std::vector<PartitionBlock>> ChoicePartition(
     const Table& source, const sql::ChoiceClause& clause) {
   MAYBMS_ASSIGN_OR_RETURN(std::vector<size_t> cols,
                           ResolveColumns(source.schema(), clause.columns));
-  std::optional<size_t> weight_col;
-  if (!clause.weight_column.empty()) {
-    MAYBMS_ASSIGN_OR_RETURN(size_t idx,
-                            source.schema().FindColumn(clause.weight_column));
-    weight_col = idx;
-  }
+  MAYBMS_ASSIGN_OR_RETURN(std::optional<size_t> weight_col,
+                          WeightColumn(source.schema(), clause.weight_column));
 
   std::map<Tuple, std::vector<size_t>> partitions;
   for (size_t i = 0; i < source.num_rows(); ++i) {

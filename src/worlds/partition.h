@@ -39,6 +39,11 @@ Result<std::vector<PartitionBlock>> RepairPartition(
 Result<std::vector<PartitionBlock>> ChoicePartition(
     const Table& source, const sql::ChoiceClause& clause);
 
+/// The partition of `source` under `stmt`'s repair or choice clause
+/// (the statement must carry one).
+Result<std::vector<PartitionBlock>> Partition(
+    const Table& source, const sql::SelectStatement& stmt);
+
 /// Resolves `names` to column indices of `schema` (unqualified lookup).
 Result<std::vector<size_t>> ResolveColumns(
     const Schema& schema, const std::vector<std::string>& names);

@@ -8,6 +8,7 @@
 #include "base/query_context.h"
 #include "base/string_util.h"
 #include "base/thread_pool.h"
+#include "engine/dml.h"
 #include "engine/expr_eval.h"
 #include "engine/planner.h"
 #include "engine/prepared.h"
@@ -18,6 +19,22 @@
 namespace maybms::worlds {
 
 namespace {
+
+/// The one world-cap check (see kMaxStatementWorlds): may a statement
+/// that has admitted `admitted` (<= cap) worlds enumerate `more`?
+Status CheckWorldCap(uint64_t admitted, uint64_t more, uint64_t cap) {
+  if (more <= cap - admitted) return Status::OK();
+  return Status::Unsupported("statement world cap of " + std::to_string(cap) +
+                             " worlds exceeded");
+}
+
+/// Admits a source before any of its worlds runs: the world cap, then the
+/// world-budget charge for worlds the statement decodes.
+Status AdmitSource(const WorldSource& source, uint64_t cap) {
+  MAYBMS_RETURN_NOT_OK(CheckWorldCap(0, source.size(), cap));
+  if (!source.decoded()) return Status::OK();
+  return base::GovernChargeWorlds(source.size());
+}
 
 /// A surviving world as the collector keeps it.
 struct Survivor {
@@ -94,6 +111,7 @@ Pipeline::Pipeline(const WorldSource& source, const sql::SelectStatement& stmt,
 
 Result<PipelineResult> Pipeline::Run() {
   MAYBMS_RETURN_NOT_OK(ValidateWorldOps(stmt_));
+  MAYBMS_RETURN_NOT_OK(AdmitSource(source_, options_.max_worlds));
   if (source_.size() > 0) {
     MAYBMS_RETURN_NOT_OK(stmt_.repair.has_value() || stmt_.choice.has_value()
                              ? RunFanOut()
@@ -146,28 +164,18 @@ Status Pipeline::RunFanOut() {
     World scratch;
     const World& world = source_.Get(i, &scratch);
     MAYBMS_ASSIGN_OR_RETURN(Table rows, source_plan.Execute(world.db));
-    std::vector<PartitionBlock> blocks;
-    if (stmt_.repair.has_value()) {
-      MAYBMS_ASSIGN_OR_RETURN(blocks, RepairPartition(rows, *stmt_.repair));
-    } else {
-      MAYBMS_ASSIGN_OR_RETURN(blocks, ChoicePartition(rows, *stmt_.choice));
-    }
-    // The combination count is checked against the room left under the
-    // cap before any combination runs (never overflowing).
-    const uint64_t room = options_.fan_out_cap - produced;
+    MAYBMS_ASSIGN_OR_RETURN(std::vector<PartitionBlock> blocks,
+                            Partition(rows, stmt_));
     std::vector<size_t> radices;
-    uint64_t combos = 1;
     for (const PartitionBlock& block : blocks) {
-      const size_t choices = block.choices.size();
-      if (choices != 0 && combos > room / choices) {
-        return options_.fan_out_error;
-      }
-      combos *= choices;
-      radices.push_back(choices);
+      radices.push_back(block.choices.size());
     }
-    if (combos > room) return options_.fan_out_error;
+    // The cap covers the derived worlds of every source world so far; it
+    // is checked before this world's combinations run.
+    const uint64_t combos = RadixProduct(radices);
+    MAYBMS_RETURN_NOT_OK(CheckWorldCap(produced, combos, options_.max_worlds));
     produced += combos;
-    // THE world-budget charge site: the derived worlds come into
+    // THE world-budget charge site for derived worlds: they come into
     // existence here, whichever sink consumes them.
     MAYBMS_RETURN_NOT_OK(base::GovernChargeWorlds(combos));
 
@@ -352,6 +360,52 @@ Result<PipelineResult> RunWorldPipeline(const WorldSource& source,
                                         const sql::SelectStatement& stmt,
                                         const PipelineOptions& options) {
   return Pipeline(source, stmt, options).Run();
+}
+
+Result<std::vector<PipelineWorld>> RunDmlInEveryWorld(
+    const WorldSource& source, const sql::Statement& stmt,
+    const Catalog& catalog, size_t threads, uint64_t max_worlds) {
+  std::set<std::string> referenced;
+  MAYBMS_ASSIGN_OR_RETURN(const std::string target,
+                          DmlTarget(stmt, &referenced));
+  MAYBMS_RETURN_NOT_OK(AdmitSource(source, max_worlds));
+  std::vector<PipelineWorld> worlds(source.size());
+  if (worlds.empty()) return worlds;
+  base::ThreadPool& pool = base::ThreadPool::Shared();
+  // A PreparedDml caches per-execution state, so each slot owns one.
+  std::vector<std::optional<engine::PreparedDml>> plans(pool.Slots(threads));
+  MAYBMS_ASSIGN_OR_RETURN(
+      plans[0],
+      engine::PreparedDml::Prepare(stmt, source.schema_db(), &catalog));
+  MAYBMS_RETURN_NOT_OK(pool.ParallelFor(
+      worlds.size(), threads,
+      [&](size_t i, size_t slot, size_t /*chunk*/) -> Status {
+        if (!plans[slot].has_value()) {
+          MAYBMS_ASSIGN_OR_RETURN(
+              plans[slot],
+              engine::PreparedDml::Prepare(stmt, source.schema_db(), &catalog));
+        }
+        // The statement sees the relations it references (those the
+        // world has), shared with the world: copying a wide world's whole
+        // catalog per world would dominate the pass. Execute swaps in a
+        // new target instance only if it changed the relation, and only
+        // after the whole statement succeeded in this world.
+        World scratch;
+        const World& world = source.Get(i, &scratch);
+        Database db;
+        for (const std::string& relation : referenced) {
+          Result<Database::TableHandle> handle =
+              world.db.GetRelationHandle(relation);
+          if (handle.ok()) db.PutRelation(relation, std::move(*handle));
+        }
+        MAYBMS_RETURN_NOT_OK(plans[slot]->Execute(&db));
+        worlds[i].source_index = i;
+        worlds[i].probability = world.probability;
+        MAYBMS_ASSIGN_OR_RETURN(worlds[i].answer,
+                                db.GetRelationHandle(target));
+        return Status::OK();
+      }));
+  return worlds;
 }
 
 Result<SelectEvaluation> ToSelectEvaluation(PipelineResult result) {

@@ -10,14 +10,18 @@
 //    engine hands over its stored worlds; the decomposed engine decodes
 //    worlds of the relevant component sub-product on demand.
 //  * Fan-out (`repair by key` / `choice of`) turns each source world into
-//    one derived world per combination of its partition blocks. It is the
-//    world-budget charge site, and the engine supplies its cap and error.
+//    one derived world per combination of its partition blocks.
 //  * The tail runs in every (derived) world: SQL core → assert filter →
 //    group key → sink. The world's answer is visible as a relation named
 //    `result_name` only when the assert or GROUP WORLDS BY query names it.
 //  * Sinks: a QuantifierCombiner (possible/certain/conf), a
 //    GroupedQuantifierCombiner (group worlds by), and a collector of the
 //    surviving worlds (plain selects and materializations).
+//
+// Writes take the same source: RunDmlInEveryWorld runs a DML statement in
+// every source world and hands back each world's new target instance.
+// Reads and writes share one world cap (kMaxStatementWorlds) and charge
+// decoded source worlds to the world budget before any world runs.
 //
 // Normalization has one rule: sinks are fed unnormalized world
 // probabilities and divide by the surviving mass at the end — the mass
@@ -32,7 +36,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -44,6 +47,11 @@
 #include "worlds/world_set.h"
 
 namespace maybms::worlds {
+
+/// The most worlds one statement may enumerate on either engine, as a
+/// source or as a repair/choice fan-out total. Above it the statement
+/// fails with kUnsupported "statement world cap of N worlds exceeded".
+inline constexpr uint64_t kMaxStatementWorlds = uint64_t{1} << 20;
 
 /// The worlds a pipeline runs over, in a fixed order.
 class WorldSource {
@@ -59,6 +67,10 @@ class WorldSource {
   /// World `i` (< size()): a stored world in place, or one built into
   /// `scratch`. Thread-safe; the same `i` always yields the same world.
   virtual const World& Get(size_t i, World* scratch) const = 0;
+
+  /// True for decoded worlds, which the world budget counts; stored
+  /// worlds were counted when they were derived.
+  virtual bool decoded() const = 0;
 };
 
 struct PipelineOptions {
@@ -70,13 +82,10 @@ struct PipelineOptions {
   /// evaluated and counted but not kept.
   size_t keep_worlds = 0;
   size_t threads = 0;  // 0 = MAYBMS_THREADS / hardware
-  /// Repair/choice fan-out cap on the total derived worlds, and the error
-  /// returned above it.
-  uint64_t fan_out_cap = std::numeric_limits<uint64_t>::max();
-  Status fan_out_error;
+  uint64_t max_worlds = kMaxStatementWorlds;  // the world cap
 };
 
-/// One surviving world as a materialization commits it.
+/// One surviving world as a materialization or write commits it.
 struct PipelineWorld {
   size_t source_index = 0;  // the source world it came from
   double probability = 0;   // renormalized
@@ -96,6 +105,17 @@ struct PipelineResult {
 Result<PipelineResult> RunWorldPipeline(const WorldSource& source,
                                         const sql::SelectStatement& stmt,
                                         const PipelineOptions& options);
+
+/// Runs the INSERT/UPDATE/DELETE `stmt` in every world of `source` and
+/// returns every world, in source order, with its new instance of the
+/// target relation as its answer (the world's own instance if the
+/// statement left it unchanged). The statement is planned once per slot,
+/// slot 0 before any world runs. If worlds fail, the error is the first
+/// failing world's in source order, at every thread count. Read-only:
+/// the engine commits.
+Result<std::vector<PipelineWorld>> RunDmlInEveryWorld(
+    const WorldSource& source, const sql::Statement& stmt,
+    const Catalog& catalog, size_t threads, uint64_t max_worlds);
 
 /// The EvaluateSelect view of a pipeline result.
 Result<SelectEvaluation> ToSelectEvaluation(PipelineResult result);

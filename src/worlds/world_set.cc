@@ -2,6 +2,7 @@
 
 #include "base/string_util.h"
 #include "engine/executor.h"
+#include "engine/expr_eval.h"
 
 namespace maybms::worlds {
 
@@ -47,86 +48,27 @@ std::unique_ptr<sql::SelectStatement> StripWorldOps(
   return core;
 }
 
-namespace {
-
-void CollectFromExpr(const sql::Expr& expr, std::set<std::string>* out);
-
-void CollectFromItems(const std::vector<sql::SelectItem>& items,
-                      std::set<std::string>* out) {
-  for (const sql::SelectItem& item : items) {
-    if (item.expr) CollectFromExpr(*item.expr, out);
-  }
-}
-
-void CollectFromExpr(const sql::Expr& expr, std::set<std::string>* out) {
+void CollectReferencedRelations(const sql::Expr& expr,
+                                std::set<std::string>* out) {
   switch (expr.kind) {
-    case sql::ExprKind::kLiteral:
-    case sql::ExprKind::kColumnRef:
-      return;
-    case sql::ExprKind::kUnary:
-      CollectFromExpr(*static_cast<const sql::UnaryExpr&>(expr).operand, out);
-      return;
-    case sql::ExprKind::kBinary: {
-      const auto& b = static_cast<const sql::BinaryExpr&>(expr);
-      CollectFromExpr(*b.left, out);
-      CollectFromExpr(*b.right, out);
-      return;
-    }
-    case sql::ExprKind::kFunctionCall: {
-      const auto& f = static_cast<const sql::FunctionCallExpr&>(expr);
-      for (const auto& a : f.args) CollectFromExpr(*a, out);
-      return;
-    }
-    case sql::ExprKind::kIsNull:
-      CollectFromExpr(*static_cast<const sql::IsNullExpr&>(expr).operand, out);
-      return;
-    case sql::ExprKind::kInList: {
-      const auto& in = static_cast<const sql::InListExpr&>(expr);
-      CollectFromExpr(*in.operand, out);
-      for (const auto& i : in.items) CollectFromExpr(*i, out);
-      return;
-    }
-    case sql::ExprKind::kInSubquery: {
-      const auto& in = static_cast<const sql::InSubqueryExpr&>(expr);
-      CollectFromExpr(*in.operand, out);
-      CollectReferencedRelations(*in.subquery, out);
-      return;
-    }
+    case sql::ExprKind::kInSubquery:
+      CollectReferencedRelations(
+          *static_cast<const sql::InSubqueryExpr&>(expr).subquery, out);
+      break;
     case sql::ExprKind::kExists:
       CollectReferencedRelations(
           *static_cast<const sql::ExistsExpr&>(expr).subquery, out);
-      return;
+      break;
     case sql::ExprKind::kScalarSubquery:
       CollectReferencedRelations(
           *static_cast<const sql::ScalarSubqueryExpr&>(expr).subquery, out);
-      return;
-    case sql::ExprKind::kBetween: {
-      const auto& b = static_cast<const sql::BetweenExpr&>(expr);
-      CollectFromExpr(*b.operand, out);
-      CollectFromExpr(*b.low, out);
-      CollectFromExpr(*b.high, out);
-      return;
-    }
-    case sql::ExprKind::kCase: {
-      const auto& c = static_cast<const sql::CaseExpr&>(expr);
-      for (const auto& w : c.whens) {
-        CollectFromExpr(*w.condition, out);
-        CollectFromExpr(*w.result, out);
-      }
-      if (c.else_result) CollectFromExpr(*c.else_result, out);
-      return;
-    }
-    case sql::ExprKind::kCast:
-      CollectFromExpr(*static_cast<const sql::CastExpr&>(expr).operand, out);
-      return;
+      break;
+    default:
+      break;
   }
-}
-
-}  // namespace
-
-void CollectReferencedRelations(const sql::Expr& expr,
-                                std::set<std::string>* out) {
-  CollectFromExpr(expr, out);
+  engine::ForEachChildExpr(expr, [out](const sql::Expr& child) {
+    CollectReferencedRelations(child, out);
+  });
 }
 
 void CollectReferencedRelations(const sql::SelectStatement& stmt,
@@ -136,16 +78,57 @@ void CollectReferencedRelations(const sql::SelectStatement& stmt,
   }
   for (const sql::JoinClause& join : stmt.joins) {
     out->insert(AsciiToLower(join.table.table_name));
-    if (join.on) CollectFromExpr(*join.on, out);
+    if (join.on) CollectReferencedRelations(*join.on, out);
   }
-  CollectFromItems(stmt.items, out);
-  if (stmt.where) CollectFromExpr(*stmt.where, out);
-  for (const auto& g : stmt.group_by) CollectFromExpr(*g, out);
-  if (stmt.having) CollectFromExpr(*stmt.having, out);
-  for (const auto& o : stmt.order_by) CollectFromExpr(*o.expr, out);
-  if (stmt.assert_condition) CollectFromExpr(*stmt.assert_condition, out);
+  for (const sql::SelectItem& item : stmt.items) {
+    if (item.expr) CollectReferencedRelations(*item.expr, out);
+  }
+  if (stmt.where) CollectReferencedRelations(*stmt.where, out);
+  for (const auto& g : stmt.group_by) CollectReferencedRelations(*g, out);
+  if (stmt.having) CollectReferencedRelations(*stmt.having, out);
+  for (const auto& o : stmt.order_by) CollectReferencedRelations(*o.expr, out);
+  if (stmt.assert_condition) {
+    CollectReferencedRelations(*stmt.assert_condition, out);
+  }
   if (stmt.group_worlds_by) CollectReferencedRelations(*stmt.group_worlds_by, out);
   if (stmt.union_next) CollectReferencedRelations(*stmt.union_next, out);
+}
+
+Result<std::string> DmlTarget(const sql::Statement& stmt,
+                              std::set<std::string>* referenced) {
+  std::set<std::string> ignored;
+  std::set<std::string>* out = referenced != nullptr ? referenced : &ignored;
+  std::string target;
+  switch (stmt.kind) {
+    case sql::StatementKind::kInsert: {
+      const auto& insert = static_cast<const sql::InsertStatement&>(stmt);
+      target = insert.table_name;
+      if (insert.query) CollectReferencedRelations(*insert.query, out);
+      for (const auto& row : insert.rows) {
+        for (const auto& e : row) CollectReferencedRelations(*e, out);
+      }
+      break;
+    }
+    case sql::StatementKind::kUpdate: {
+      const auto& update = static_cast<const sql::UpdateStatement&>(stmt);
+      target = update.table_name;
+      if (update.where) CollectReferencedRelations(*update.where, out);
+      for (const auto& [col, e] : update.assignments) {
+        CollectReferencedRelations(*e, out);
+      }
+      break;
+    }
+    case sql::StatementKind::kDelete: {
+      const auto& del = static_cast<const sql::DeleteStatement&>(stmt);
+      target = del.table_name;
+      if (del.where) CollectReferencedRelations(*del.where, out);
+      break;
+    }
+    default:
+      return Status::InvalidArgument("not a DML statement");
+  }
+  out->insert(AsciiToLower(target));
+  return target;
 }
 
 Table CanonicalizeGroupKey(const Table& table) { return table.SortedDistinct(); }

@@ -194,6 +194,12 @@ void CollectReferencedRelations(const sql::SelectStatement& stmt,
 void CollectReferencedRelations(const sql::Expr& expr,
                                 std::set<std::string>* out);
 
+/// The target relation of an INSERT/UPDATE/DELETE (kInvalidArgument for
+/// any other statement). With `referenced`, also collects every relation
+/// the statement references, lower-cased, the target included.
+Result<std::string> DmlTarget(const sql::Statement& stmt,
+                              std::set<std::string>* referenced = nullptr);
+
 /// Returns a copy of `stmt` with all world-set operations removed, leaving
 /// the per-world SQL core (select list, from, where, grouping, ordering,
 /// union).

@@ -173,6 +173,56 @@ TEST_P(GovernanceTest, WorldBudgetErrorIsIdenticalAtEveryThreadCount) {
   }
 }
 
+// The decomposed engine's enumeration of a component sub-product counts
+// against the world budget: 12 two-way keys are 4,096 worlds, over a
+// budget of 100, whether a select or a write enumerates them. The
+// per-alternative fast path enumerates nothing and still runs.
+TEST(GovernanceBudgetTest, DecomposedSubProductEnumerationIsCharged) {
+  for (size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    SessionOptions options;
+    options.engine = EngineMode::kDecomposed;
+    options.threads = threads;
+    options.max_worlds = 100;
+    Session session(options);
+    std::string values;
+    for (int k = 0; k < 12; ++k) {
+      if (k > 0) values += ", ";
+      values += "(" + std::to_string(k) + ", 1), (" + std::to_string(k) +
+                ", 2)";
+    }
+    ExecScript(session, "create table R (K integer, V integer);"
+                        "insert into R values " + values + ";"
+                        "create table I as select * from R repair by key K;");
+    ASSERT_EQ(session.world_set().NumWorlds(), 4096u);
+    auto before = session.world_set().ToSnapshot();
+    ASSERT_TRUE(before.ok());
+    for (const char* statement :
+         {"select possible sum(V) from I;",
+          "update I set V = V + 1 where K = 0;"}) {
+      SCOPED_TRACE(statement);
+      auto r = session.Execute(statement);
+      ASSERT_FALSE(r.ok());
+      EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+      EXPECT_NE(r.status().message().find(
+                    "statement world budget of 100 worlds exceeded"),
+                std::string::npos)
+          << r.status().ToString();
+      auto after = session.world_set().ToSnapshot();
+      ASSERT_TRUE(after.ok());
+      EXPECT_EQ(after->tables, before->tables);
+      ASSERT_EQ(after->components.size(), before->components.size());
+      for (size_t i = 0; i < before->components.size(); ++i) {
+        EXPECT_EQ(after->components[i].instance,
+                  before->components[i].instance);
+      }
+    }
+    auto fast = session.Execute("select conf, K, V from I where K < 3;");
+    ASSERT_TRUE(fast.ok()) << fast.status().ToString();
+    EXPECT_EQ(fast->table().num_rows(), 6u);
+  }
+}
+
 TEST_P(GovernanceTest, GenerousLimitsChangeNothing) {
   // Armed-but-unfired governance is invisible: identical answers with
   // and without limits.

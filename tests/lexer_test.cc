@@ -41,12 +41,27 @@ TEST(LexerTest, IntegerAndRealLiterals) {
   auto tokens = Lex("42 3.14 0.5 1e3 2.5e-2");
   ASSERT_EQ(tokens.size(), 6u);
   EXPECT_EQ(tokens[0].type, TokenType::kIntegerLiteral);
-  EXPECT_EQ(tokens[0].int_value, 42);
+  EXPECT_EQ(tokens[0].int_value, 42u);
   EXPECT_EQ(tokens[1].type, TokenType::kRealLiteral);
   EXPECT_DOUBLE_EQ(tokens[1].real_value, 3.14);
   EXPECT_DOUBLE_EQ(tokens[2].real_value, 0.5);
   EXPECT_DOUBLE_EQ(tokens[3].real_value, 1000.0);
   EXPECT_DOUBLE_EQ(tokens[4].real_value, 0.025);
+}
+
+TEST(LexerTest, IntegerLiteralsMustFitIn64Bits) {
+  // Up to 2^63: the magnitude of INT64_MIN, which the parser accepts only
+  // after a minus sign.
+  auto tokens = Lex("9223372036854775807 9223372036854775808");
+  ASSERT_EQ(tokens.size(), 3u);
+  EXPECT_EQ(tokens[0].int_value, 9223372036854775807u);
+  EXPECT_EQ(tokens[1].int_value, 9223372036854775808u);
+  for (const char* text : {"9223372036854775809", "99999999999999999999"}) {
+    Lexer lexer(text);
+    auto out = lexer.Tokenize();
+    ASSERT_FALSE(out.ok()) << text;
+    EXPECT_EQ(out.status().code(), StatusCode::kParseError);
+  }
 }
 
 TEST(LexerTest, NumberFollowedByIdentifierWithE) {
@@ -99,8 +114,8 @@ TEST(LexerTest, LineAndBlockComments) {
   auto tokens = Lex("select -- a comment\n1 /* block\ncomment */ 2");
   ASSERT_EQ(tokens.size(), 4u);
   EXPECT_EQ(tokens[0].text, "select");
-  EXPECT_EQ(tokens[1].int_value, 1);
-  EXPECT_EQ(tokens[2].int_value, 2);
+  EXPECT_EQ(tokens[1].int_value, 1u);
+  EXPECT_EQ(tokens[2].int_value, 2u);
 }
 
 TEST(LexerTest, OffsetsTrackSourcePosition) {

@@ -1,11 +1,19 @@
 // Tests for the repair/choice partitioning helpers and the WSD component
 // algebra.
 
+#include <cstdint>
+#include <limits>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "sql/ast.h"
+#include "sql/parser.h"
 #include "tests/test_util.h"
 #include "worlds/component.h"
+#include "worlds/decomposed_world_set.h"
 #include "worlds/partition.h"
 
 namespace maybms::worlds {
@@ -144,6 +152,13 @@ TEST(ChoicePartitionTest, MultiColumnChoice) {
 
 // ---- components ----
 
+std::unique_ptr<sql::SelectStatement> ParseSelect(const std::string& text) {
+  auto stmt = sql::Parser::ParseStatement(text);
+  EXPECT_TRUE(stmt.ok()) << stmt.status().ToString();
+  return std::unique_ptr<sql::SelectStatement>(
+      static_cast<sql::SelectStatement*>(stmt->release()));
+}
+
 Alternative MakeAlt(double p, const std::string& rel,
                     std::vector<Tuple> tuples) {
   Alternative alt;
@@ -174,6 +189,9 @@ TEST(ComponentTest, NormalizeRescalesToOne) {
   EXPECT_EQ(zero.Normalize().code(), StatusCode::kEmptyWorldSet);
 }
 
+// A sub-product is never merged up front: its worlds are decoded one at a
+// time (ChooseAlternatives) and flattened into one alternative only when
+// a commit replaces the components (FlattenAlternatives).
 TEST(ComponentTest, MergeComputesProduct) {
   Component a;
   a.alternatives.push_back(MakeAlt(0.25, "r", {Row({I(1)})}));
@@ -182,31 +200,61 @@ TEST(ComponentTest, MergeComputesProduct) {
   b.alternatives.push_back(MakeAlt(0.5, "s", {Row({I(10)})}));
   b.alternatives.push_back(MakeAlt(0.5, "s", {Row({I(20)})}));
 
-  auto merged = MergeComponents({&a, &b}, 0);
-  ASSERT_TRUE(merged.ok());
-  ASSERT_EQ(merged->size(), 4u);
+  ASSERT_EQ(ProductSize({&a, &b}), 4u);
   double total = 0;
-  for (const Alternative& alt : merged->alternatives) {
-    total += alt.probability;
-    EXPECT_EQ(alt.tuples.at("r").size(), 1u);
-    EXPECT_EQ(alt.tuples.at("s").size(), 1u);
+  std::vector<const Alternative*> chosen;
+  for (uint64_t i = 0; i < 4; ++i) {
+    const double p = ChooseAlternatives({&a, &b}, i, &chosen);
+    // Part 0 is the least significant digit of the world index.
+    EXPECT_EQ(chosen[0], &a.alternatives[i % 2]);
+    EXPECT_EQ(chosen[1], &b.alternatives[i / 2]);
+    const Alternative flat = FlattenAlternatives(chosen, p, "");
+    EXPECT_DOUBLE_EQ(flat.probability, p);
+    total += flat.probability;
+    EXPECT_EQ(flat.tuples.at("r").size(), 1u);
+    EXPECT_EQ(flat.tuples.at("s").size(), 1u);
   }
   EXPECT_NEAR(total, 1.0, 1e-12);
 }
 
 TEST(ComponentTest, MergeOfNothingIsTrivialChoice) {
-  auto merged = MergeComponents({}, 0);
-  ASSERT_TRUE(merged.ok());
-  ASSERT_EQ(merged->size(), 1u);
-  EXPECT_NEAR(merged->alternatives[0].probability, 1.0, 1e-12);
+  ASSERT_EQ(ProductSize({}), 1u);
+  std::vector<const Alternative*> chosen;
+  const double p = ChooseAlternatives({}, 0, &chosen);
+  EXPECT_TRUE(chosen.empty());
+  const Alternative flat = FlattenAlternatives(chosen, p, "");
+  EXPECT_NEAR(flat.probability, 1.0, 1e-12);
+  EXPECT_TRUE(flat.tuples.empty());
 }
 
 TEST(ComponentTest, MergeCapIsEnforced) {
   Component a;
   for (int i = 0; i < 10; ++i) a.alternatives.push_back(MakeAlt(0.1, "r", {}));
-  auto merged = MergeComponents({&a, &a, &a}, 100);
-  ASSERT_FALSE(merged.ok());
-  EXPECT_EQ(merged.status().code(), StatusCode::kUnsupported);
+  EXPECT_EQ(ProductSize({&a, &a, &a}), 1000u);
+  // Sizes beyond 2^64 saturate rather than wrap, so a cap comparison
+  // can never mistake a huge product for a small one.
+  EXPECT_EQ(ProductSize(std::vector<const Component*>(20, &a)),
+            std::numeric_limits<uint64_t>::max());
+
+  // The engine refuses a sub-product above its world cap.
+  DecomposedWorldSet ws(/*max_worlds=*/100, /*threads=*/1);
+  Table r(Schema({Column("K", DataType::kInteger),
+                  Column("V", DataType::kInteger)}));
+  for (int k = 0; k < 3; ++k) {
+    for (int v = 0; v < 10; ++v) r.AppendUnchecked(Row({I(k), I(v)}));
+  }
+  MAYBMS_ASSERT_OK(ws.CreateBaseTable("r", r));
+  MAYBMS_ASSERT_OK(ws.MaterializeSelect(
+      "i", *ParseSelect("select * from r repair by key K")));
+  ASSERT_EQ(ws.NumWorlds(), 1000u);
+  auto sum = ws.EvaluateSelect(*ParseSelect("select possible sum(V) from i"),
+                               16);
+  ASSERT_FALSE(sum.ok());
+  EXPECT_EQ(sum.status().code(), StatusCode::kUnsupported);
+  EXPECT_NE(sum.status().message().find(
+                "statement world cap of 100 worlds exceeded"),
+            std::string::npos)
+      << sum.status().ToString();
 }
 
 TEST(ComponentTest, MergeConcatenatesSharedRelationContributions) {
@@ -214,9 +262,11 @@ TEST(ComponentTest, MergeConcatenatesSharedRelationContributions) {
   a.alternatives.push_back(MakeAlt(1.0, "r", {Row({I(1)})}));
   Component b;
   b.alternatives.push_back(MakeAlt(1.0, "r", {Row({I(2)})}));
-  auto merged = MergeComponents({&a, &b}, 0);
-  ASSERT_TRUE(merged.ok());
-  EXPECT_EQ(merged->alternatives[0].tuples.at("r").size(), 2u);
+  std::vector<const Alternative*> chosen;
+  const double p = ChooseAlternatives({&a, &b}, 0, &chosen);
+  EXPECT_EQ(FlattenAlternatives(chosen, p, "").tuples.at("r").size(), 2u);
+  // A commit that replaces relation r skips its old contributions.
+  EXPECT_EQ(FlattenAlternatives(chosen, p, "r").tuples.count("r"), 0u);
 }
 
 }  // namespace

@@ -233,10 +233,22 @@ void PipelineGenerator::EmitLateDml(GeneratedPipeline* p) {
     p->setup.push_back(sql.str());
   }
   if (Chance(0.25)) {
-    const TableInfo& t = Pick(/*prefer_uncertain=*/false);
+    // Half the time on an uncertain relation: the delete then runs in
+    // every world of its components.
+    const TableInfo& t = Pick(/*prefer_uncertain=*/Chance(0.5));
     std::ostringstream sql;
     sql << "delete from " << t.name << " where " << RandomPredicate("");
     sql << ";";
+    p->setup.push_back(sql.str());
+  }
+  if (Chance(0.2)) {
+    // Divides by zero in exactly the worlds holding a row with V = c:
+    // often some worlds but not all, and then the update must fail in
+    // every world, identically on both engines.
+    const TableInfo& t = Pick(/*prefer_uncertain=*/true);
+    std::ostringstream sql;
+    sql << "update " << t.name << " set V = V + 1 where W / (V - "
+        << Int(1, 6) << ") > 0;";
     p->setup.push_back(sql.str());
   }
   if (Chance(0.35)) {

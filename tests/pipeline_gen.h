@@ -13,7 +13,8 @@ namespace maybms::testing {
 /// materializations — with integer, REAL, and invalid TEXT weight
 /// columns, and repair chains of depth >= 3 — CREATE VIEW definitions,
 /// late DML — including UPDATE .. SET with expression right-hand sides
-/// and subquery WHERE clauses) followed by read-only probe queries that exercise selections,
+/// and subquery WHERE clauses, deletes on uncertain relations, and an
+/// update that divides by zero in some worlds only) followed by read-only probe queries that exercise selections,
 /// projections, joins (comma-lists and explicit [LEFT] JOIN ... ON),
 /// aggregates, correlated EXISTS/IN/scalar subqueries, set operations,
 /// ORDER BY [DESC] with LIMIT (compared as ordered sequences — the

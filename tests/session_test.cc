@@ -4,6 +4,8 @@
 #include "isql/session.h"
 
 #include <cstdlib>
+#include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -32,6 +34,45 @@ TEST_P(SessionTest, DdlAndDmlMessages) {
   EXPECT_EQ(r.kind(), QueryResult::Kind::kMessage);
   r = Exec(session, "drop table T;");
   EXPECT_EQ(r.kind(), QueryResult::Kind::kMessage);
+}
+
+TEST_P(SessionTest, IntegerLiteralsAreRangeChecked) {
+  Session session(Options());
+  ExecScript(session, "create table T (X integer);");
+  auto insert = session.Execute("insert into T values (99999999999999999999);");
+  ASSERT_FALSE(insert.ok());
+  EXPECT_EQ(insert.status().code(), StatusCode::kParseError);
+  auto big = session.Execute("select 9223372036854775808;");
+  ASSERT_FALSE(big.ok());
+  EXPECT_EQ(big.status().code(), StatusCode::kParseError);
+  auto cast =
+      session.Execute("select cast('99999999999999999999' as integer);");
+  ASSERT_FALSE(cast.ok());
+  EXPECT_EQ(cast.status().code(), StatusCode::kTypeError);
+  // INT64_MIN is written as the negation of its out-of-range magnitude.
+  Exec(session, "insert into T values (-9223372036854775808);");
+  QueryResult rows = Exec(session, "select possible X from T;");
+  ASSERT_EQ(rows.table().num_rows(), 1u);
+  EXPECT_EQ(rows.table().row(0).value(0).AsInteger(),
+            std::numeric_limits<int64_t>::min());
+}
+
+// DML runs in every world against the relations it names; a subquery
+// over a missing relation fails only in a world where a row reaches it.
+TEST_P(SessionTest, DmlReachesAMissingRelationOnlyThroughARow) {
+  Session session(Options());
+  ExecScript(session, R"sql(
+    create table R (K integer, V integer);
+    insert into R values (1, 1), (1, 2);
+    create table I as select * from R repair by key K;
+  )sql");
+  Exec(session,
+       "update I set V = 0 where K < 0 and exists(select * from Missing);");
+  auto r = session.Execute(
+      "update I set V = 0 where exists(select * from Missing);");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
+  ExpectRows(Exec(session, "select possible V from I;").table(), {"(1)", "(2)"});
 }
 
 TEST_P(SessionTest, ParseErrorsSurface) {
@@ -199,19 +240,31 @@ TEST_P(SessionTest, WorldSetReferenceSurvivesStatements) {
 
 MAYBMS_INSTANTIATE_ENGINES(SessionTest);
 
-// Engine-cap behaviour is engine-specific.
+// The statement world cap (worlds/world_pipeline.h) is fixed at 2^20.
+// 21 two-way keys make 2^21 worlds: one over it.
+std::string TwoWayKeys(int keys) {
+  std::string script =
+      "create table R (K integer, V integer);\ninsert into R values ";
+  for (int k = 0; k < keys; ++k) {
+    if (k > 0) script += ", ";
+    script += "(" + std::to_string(k) + ", 1), (" + std::to_string(k) + ", 2)";
+  }
+  return script + ";\n";
+}
+
 TEST(SessionCapsTest, ExplicitEngineRefusesHugeWorldSets) {
   SessionOptions options;
   options.engine = EngineMode::kExplicit;
-  options.max_explicit_worlds = 8;
   Session session(options);
-  ExecScript(session, R"sql(
-    create table R (K integer, V integer);
-    insert into R values (1,1),(1,2),(2,1),(2,2),(3,1),(3,2),(4,1),(4,2);
-  )sql");
+  ExecScript(session, TwoWayKeys(21));
   auto r = session.Execute("create table I as select * from R repair by key K;");
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kUnsupported);
+  EXPECT_NE(r.status().message().find(
+                "statement world cap of 1048576 worlds exceeded"),
+            std::string::npos)
+      << r.status().ToString();
+  EXPECT_FALSE(session.world_set().HasRelation("I"));
 }
 
 TEST(SessionCapsTest, DecomposedEngineHandlesTheSameInputEasily) {
@@ -230,17 +283,62 @@ TEST(SessionCapsTest, DecomposedEngineHandlesTheSameInputEasily) {
 TEST(SessionCapsTest, DecomposedMergeCapGuardsCorrelation) {
   SessionOptions options;
   options.engine = EngineMode::kDecomposed;
-  options.max_merge = 8;
   Session session(options);
-  ExecScript(session, R"sql(
-    create table R (K integer, V integer);
-    insert into R values (1,1),(1,2),(2,1),(2,2),(3,1),(3,2),(4,1),(4,2);
-    create table I as select * from R repair by key K;
-  )sql");
-  // sum(V) correlates all 4 components: 16 > max_merge.
+  ExecScript(session, TwoWayKeys(21));
+  ExecScript(session, "create table I as select * from R repair by key K;");
+  EXPECT_EQ(session.world_set().NumWorlds(), uint64_t{1} << 21);
+  // sum(V) correlates all 21 components: 2^21 worlds, over the cap.
   auto r = session.Execute("select possible sum(V) from I;");
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kUnsupported);
+  EXPECT_NE(r.status().message().find(
+                "statement world cap of 1048576 worlds exceeded"),
+            std::string::npos)
+      << r.status().ToString();
+}
+
+// DML on a repaired relation runs in every world of the relation's
+// components. Over 40 three-way keys (3^40 worlds) it stops at the world
+// cap before any world runs, and leaves the world-set as it was.
+TEST(SessionCapsTest, DmlOverTooManyWorldsFailsWithTheCapAndNoEffect) {
+  SessionOptions options;
+  options.engine = EngineMode::kDecomposed;
+  Session session(options);
+  std::string script =
+      "create table R (K integer, V integer);\ninsert into R values ";
+  for (int k = 0; k < 40; ++k) {
+    for (int v = 0; v < 3; ++v) {
+      if (k + v > 0) script += ", ";
+      script += "(" + std::to_string(k) + ", " + std::to_string(v) + ")";
+    }
+  }
+  ExecScript(session, script + ";\n");
+  ExecScript(session, "create table I as select * from R repair by key K;");
+  auto before = session.world_set().ToSnapshot();
+  ASSERT_TRUE(before.ok());
+  for (const char* dml :
+       {"update I set V = 99 where K = 3;", "delete from I where K = 5;"}) {
+    SCOPED_TRACE(dml);
+    auto r = session.Execute(dml);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kUnsupported);
+    EXPECT_NE(r.status().message().find(
+                  "statement world cap of 1048576 worlds exceeded"),
+              std::string::npos)
+        << r.status().ToString();
+    auto after = session.world_set().ToSnapshot();
+    ASSERT_TRUE(after.ok());
+    EXPECT_EQ(after->certain.size(), before->certain.size());
+    ASSERT_EQ(after->tables.size(), before->tables.size());
+    for (size_t i = 0; i < before->tables.size(); ++i) {
+      EXPECT_EQ(after->tables[i], before->tables[i]) << "table " << i;
+    }
+    ASSERT_EQ(after->components.size(), before->components.size());
+    for (size_t i = 0; i < before->components.size(); ++i) {
+      EXPECT_EQ(after->components[i].instance, before->components[i].instance)
+          << "component " << i;
+    }
+  }
 }
 
 // MAYBMS_POOL_PAGES must be validated like MAYBMS_THREADS

@@ -1,5 +1,8 @@
 #include "base/string_util.h"
 
+#include <cstdint>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -162,6 +165,22 @@ TEST(FormatDoubleTest, NegativeZeroAndTinyValues) {
   EXPECT_EQ(FormatDouble(-0.0), "-0");
   EXPECT_EQ(FormatDouble(1e-300), "1e-300");
   EXPECT_EQ(FormatDouble(0.1 + 0.2), "0.3");  // %.12g hides the ulp noise
+}
+
+TEST(ParseDecimalTest, DigitsOnlyAndRangeChecked) {
+  constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  EXPECT_EQ(ParseDecimal("0", kMax), 0u);
+  EXPECT_EQ(ParseDecimal("0042", kMax), 42u);
+  EXPECT_EQ(ParseDecimal("18446744073709551615", kMax), kMax);
+  EXPECT_EQ(ParseDecimal("65535", 65535), 65535u);
+  for (const char* bad : {"", "-1", "+1", " 1", "1 ", "1k", "0x10", "abc",
+                          "18446744073709551616", "99999999999999999999"}) {
+    EXPECT_FALSE(ParseDecimal(bad, kMax).has_value()) << "\"" << bad << "\"";
+  }
+  EXPECT_FALSE(ParseDecimal("65536", 65535).has_value());
+  EXPECT_FALSE(ParseDecimal("70000", 65535).has_value());
+  EXPECT_FALSE(ParseDecimal("5", 0).has_value());
+  EXPECT_EQ(ParseDecimal("0", 0), 0u);
 }
 
 }  // namespace

@@ -204,5 +204,22 @@ TEST(ThreadPoolTest, DefaultThreadsHonorsEnvironment) {
   EXPECT_GE(ThreadPool::DefaultThreads(), 1u);
 }
 
+// Only DefaultThreads() is called here: a pool or loop sized from a
+// wrapped value would ask for ~2^64 threads.
+TEST(ThreadPoolTest, DefaultThreadsAcceptsOnlyPositiveDigits) {
+  ASSERT_EQ(unsetenv("MAYBMS_THREADS"), 0);
+  const size_t hardware = ThreadPool::DefaultThreads();
+  for (const char* bad :
+       {"-1", "18446744073709551616", "18446744073709551615", "0", "+2",
+        " 2", "2 ", "0x10", "", "1025"}) {
+    ASSERT_EQ(setenv("MAYBMS_THREADS", bad, 1), 0);
+    EXPECT_EQ(ThreadPool::DefaultThreads(), hardware)
+        << "MAYBMS_THREADS=\"" << bad << "\" must fall back";
+  }
+  ASSERT_EQ(setenv("MAYBMS_THREADS", "1024", 1), 0);
+  EXPECT_EQ(ThreadPool::DefaultThreads(), ThreadPool::kMaxThreads);
+  ASSERT_EQ(unsetenv("MAYBMS_THREADS"), 0);
+}
+
 }  // namespace
 }  // namespace maybms::base

@@ -1,5 +1,9 @@
 #include "types/value.h"
 
+#include <cstdint>
+#include <limits>
+#include <string>
+
 #include <gtest/gtest.h>
 
 namespace maybms {
@@ -112,6 +116,23 @@ TEST(ValueTest, CastNumericAndText) {
   EXPECT_EQ(v->AsText(), "42");
 
   EXPECT_FALSE(Value::Text("abc").CastTo(DataType::kInteger).ok());
+  // Leading whitespace and a sign stay accepted; the value must fit.
+  v = Value::Text(" -12").CastTo(DataType::kInteger);
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(v->AsInteger(), -12);
+  v = Value::Text("+7").CastTo(DataType::kInteger);
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(v->AsInteger(), 7);
+  v = Value::Text("-9223372036854775808").CastTo(DataType::kInteger);
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(v->AsInteger(), std::numeric_limits<int64_t>::min());
+  for (const char* bad : {"99999999999999999999", "9223372036854775808",
+                          "-9223372036854775809", "12 ", "-", ""}) {
+    auto cast = Value::Text(bad).CastTo(DataType::kInteger);
+    ASSERT_FALSE(cast.ok()) << bad;
+    EXPECT_EQ(cast.status().code(), StatusCode::kTypeError);
+    EXPECT_NE(cast.status().message().find("cannot cast"), std::string::npos);
+  }
   auto null_cast = Value::Null().CastTo(DataType::kInteger);
   ASSERT_TRUE(null_cast.ok());
   EXPECT_TRUE(null_cast->is_null()) << "NULL casts to NULL";

@@ -114,22 +114,14 @@ TEST(ExplicitWorldSetTest, StartsWithOneEmptyWorld) {
   EXPECT_TRUE(ws.RelationNames().empty());
 }
 
-TEST(ExplicitWorldSetTest, SetWorldsNormalizes) {
-  ExplicitWorldSet ws;
-  std::vector<World> worlds;
-  worlds.emplace_back(Database(), 2.0);
-  worlds.emplace_back(Database(), 6.0);
-  ws.SetWorlds(std::move(worlds));
-  EXPECT_EQ(ws.NumWorlds(), 2u);
-  EXPECT_NEAR(ws.worlds()[0].probability, 0.25, 1e-12);
-  EXPECT_NEAR(ws.worlds()[1].probability, 0.75, 1e-12);
-}
-
 TEST(ExplicitWorldSetTest, MaterializeWorldsHonorsCap) {
   ExplicitWorldSet ws;
-  std::vector<World> worlds;
-  for (int i = 0; i < 5; ++i) worlds.emplace_back(Database(), 1.0);
-  ws.SetWorlds(std::move(worlds));
+  MAYBMS_ASSERT_OK(ws.CreateBaseTable("T", OneColumn({1, 2, 3, 4, 5})));
+  auto choice = sql::Parser::ParseStatement("select * from T choice of X");
+  ASSERT_TRUE(choice.ok()) << choice.status().ToString();
+  MAYBMS_ASSERT_OK(ws.MaterializeSelect(
+      "C", static_cast<const sql::SelectStatement&>(**choice)));
+  ASSERT_EQ(ws.NumWorlds(), 5u);
   bool truncated = false;
   auto out = ws.MaterializeWorlds(3, &truncated);
   ASSERT_TRUE(out.ok());

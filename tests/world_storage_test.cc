@@ -22,8 +22,10 @@
 #include <vector>
 
 #include "isql/session.h"
+#include "sql/parser.h"
 #include "storage/catalog.h"
 #include "tests/test_util.h"
+#include "worlds/explicit_world_set.h"
 
 // ---------------------------------------------------------------------------
 // Allocation tracking (whole test binary): every operator new carries a
@@ -330,30 +332,39 @@ TEST_F(ExplicitRollbackTest, MidPipelineErrorLeavesWorldSetUntouched) {
 }
 
 TEST_F(ExplicitRollbackTest, WorldCapErrorLeavesWorldSetUntouched) {
-  isql::SessionOptions options;
-  options.engine = isql::EngineMode::kExplicit;
-  options.max_explicit_worlds = 8;
-  isql::Session session(options);
-  ASSERT_TRUE(session
-                  .ExecuteScript(
-                      "create table R (K integer, V integer);\n"
-                      "insert into R values (0, 1), (0, 2), (1, 3), (1, 4), "
-                      "(2, 5), (2, 6);\n")
+  // An engine built with a world cap of 8 (sessions use the fixed 2^20).
+  worlds::ExplicitWorldSet ws(/*max_worlds=*/8, /*threads=*/1);
+  Table r(Schema({Column("K", DataType::kInteger),
+                  Column("V", DataType::kInteger)}));
+  for (int64_t k = 0; k < 3; ++k) {
+    r.AppendUnchecked(maybms::testing::Row({I(k), I(2 * k + 1)}));
+    r.AppendUnchecked(maybms::testing::Row({I(k), I(2 * k + 2)}));
+  }
+  ASSERT_TRUE(ws.CreateBaseTable("R", r).ok());
+  auto select = [](const std::string& text) {
+    auto stmt = sql::Parser::ParseStatement(text);
+    EXPECT_TRUE(stmt.ok()) << stmt.status().ToString();
+    return std::move(*stmt);
+  };
+  const auto first =
+      select("select K, V from R where K = 0 repair by key K");
+  ASSERT_TRUE(ws.MaterializeSelect(
+                    "I", static_cast<const sql::SelectStatement&>(*first))
                   .ok());
-  // 2^3 = 8 worlds would fit, but deriving them from an existing 2-world
-  // set (via a first repair of one key group) exceeds the cap of 8.
-  ASSERT_TRUE(
-      session
-          .Execute(
-              "create table I as select K, V from R where K = 0 repair by "
-              "key K;")
-          .ok());
-  ASSERT_EQ(session.world_set().NumWorlds(), 2u);
-  auto result = session.Execute(
-      "create table J as select K, V from R repair by key K;");
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(session.world_set().NumWorlds(), 2u);
-  EXPECT_FALSE(session.world_set().HasRelation("J"));
+  ASSERT_EQ(ws.NumWorlds(), 2u);
+  // 2^3 = 8 worlds would fit, but deriving them from each of the 2
+  // existing worlds exceeds the cap of 8 cumulatively: the first source
+  // world's 8 fit, the second's do not.
+  const auto second = select("select K, V from R repair by key K");
+  Status status = ws.MaterializeSelect(
+      "J", static_cast<const sql::SelectStatement&>(*second));
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kUnsupported);
+  EXPECT_NE(status.message().find("statement world cap of 8 worlds exceeded"),
+            std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(ws.NumWorlds(), 2u);
+  EXPECT_FALSE(ws.HasRelation("J"));
 }
 
 TEST_F(ExplicitRollbackTest, DmlConstraintViolationInOneWorldRollsBackAll) {

@@ -2,7 +2,8 @@
 """maybms_lint: repo-specific invariant lint for the MayBMS reproduction.
 
 Turns the invariants documented in header comments into machine-checked
-rules over `src/` (see docs/architecture.md, "Invariant enforcement"):
+rules over `src/` and `tools/` (see docs/architecture.md, "Invariant
+enforcement"):
 
   plan-schema-only   Prepared/planner plan structs (src/engine/planner.*,
                      prepared.*, dml.*) must hold schema-level state only:
@@ -11,7 +12,9 @@ rules over `src/` (see docs/architecture.md, "Invariant enforcement"):
                      captured world data is exactly the bug class PR 3
                      removed.
 
-  forbidden-api      No calls to deleted/forbidden APIs anywhere in src/:
+  forbidden-api      No calls to deleted/forbidden APIs anywhere in src/
+                     or tools/: atoi/atol/atoll (no range or error
+                     check — use ParseDecimal, base/string_util.h),
                      GetMutableRelation (deleted in PR 5), const_cast on
                      Table/Database (bypasses the COW write protocol), raw
                      std::thread/std::jthread outside base/ (use
@@ -103,7 +106,11 @@ WORLD_LOOP_PRE_CONTEXT = 300  # chars of stripped code before the `for`
 FORBIDDEN_API_PATTERNS = [
     # (regex, exempt_path_prefix, message): a match is ignored when the
     # file's rule path starts with the exempt prefix (None = banned
-    # everywhere in src/).
+    # everywhere in src/ and tools/).
+    (re.compile(r"\bato(i|l|ll)\s*\("), None,
+     "atoi/atol/atoll wrap or truncate silently on bad input — parse "
+     "integers from outside the process with ParseDecimal "
+     "(base/string_util.h), which is digits-only and range-checked"),
     (re.compile(r"\bGetMutableRelation\b"), None,
      "deleted API GetMutableRelation — use Database::MutableRelation "
      "(clone-on-unshared-write) or PutRelation"),
@@ -565,7 +572,8 @@ def analyze_file(disk_path, path_for_rules, status_names):
 
 def collect_default_files(root):
     files = []
-    for pattern in ("src/**/*.h", "src/**/*.cc"):
+    for pattern in ("src/**/*.h", "src/**/*.cc", "tools/**/*.h",
+                    "tools/**/*.cc"):
         files.extend(sorted(root.glob(pattern)))
     return files
 
@@ -643,7 +651,8 @@ def main(argv):
     parser.add_argument("--selftest", action="store_true",
                         help="run the fixture self-test instead of linting")
     parser.add_argument("files", nargs="*", type=pathlib.Path,
-                        help="files to lint (default: src/**/*.{h,cc})")
+                        help="files to lint (default: src/ and tools/ "
+                             "**/*.{h,cc})")
     args = parser.parse_args(argv)
     root = args.root.resolve()
 

@@ -24,6 +24,7 @@
 #include <iostream>
 #include <string>
 
+#include "base/string_util.h"
 #include "server/net.h"
 #include "server/protocol.h"
 
@@ -79,6 +80,8 @@ int RunStatement(const ClientConfig& config, const maybms::server::Fd* conn,
   return 0;
 }
 
+using maybms::ParseDecimalInto;
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -96,21 +99,15 @@ int main(int argc, char** argv) {
       if (v == nullptr) return Usage(argv[0]);
       config.host = v;
     } else if (arg == "--port") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      config.port = static_cast<uint16_t>(std::atoi(v));
+      if (!ParseDecimalInto(next(), &config.port)) return Usage(argv[0]);
     } else if (arg == "--timeout-ms") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      config.timeout_ms = std::atoi(v);
+      if (!ParseDecimalInto(next(), &config.timeout_ms)) return Usage(argv[0]);
     } else if (arg == "--deadline-ms") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      config.deadline_ms = static_cast<uint32_t>(std::atoll(v));
+      if (!ParseDecimalInto(next(), &config.deadline_ms)) return Usage(argv[0]);
     } else if (arg == "--retries") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      config.retry.max_retries = std::atoi(v);
+      if (!ParseDecimalInto(next(), &config.retry.max_retries)) {
+        return Usage(argv[0]);
+      }
     } else if (arg == "-e") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);

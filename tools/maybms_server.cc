@@ -21,6 +21,7 @@
 
 #include <unistd.h>
 
+#include "base/string_util.h"
 #include "server/server.h"
 
 namespace {
@@ -47,6 +48,8 @@ int Usage(const char* argv0) {
   return 2;
 }
 
+using maybms::ParseDecimalInto;
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -61,9 +64,7 @@ int main(int argc, char** argv) {
       if (v == nullptr) return Usage(argv[0]);
       options.host = v;
     } else if (arg == "--port") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      options.port = static_cast<uint16_t>(std::atoi(v));
+      if (!ParseDecimalInto(next(), &options.port)) return Usage(argv[0]);
     } else if (arg == "--engine") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
@@ -75,13 +76,13 @@ int main(int argc, char** argv) {
         return Usage(argv[0]);
       }
     } else if (arg == "--max-connections") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      options.max_connections = static_cast<size_t>(std::atoll(v));
+      if (!ParseDecimalInto(next(), &options.max_connections)) {
+        return Usage(argv[0]);
+      }
     } else if (arg == "--idle-timeout-ms") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      options.idle_timeout_ms = std::atoi(v);
+      if (!ParseDecimalInto(next(), &options.idle_timeout_ms)) {
+        return Usage(argv[0]);
+      }
     } else if (arg == "--storage") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
@@ -97,22 +98,21 @@ int main(int argc, char** argv) {
       if (v == nullptr) return Usage(argv[0]);
       options.session.storage_dir = v;
     } else if (arg == "--threads") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      options.session.threads = static_cast<size_t>(std::atoll(v));
+      if (!ParseDecimalInto(next(), &options.session.threads)) {
+        return Usage(argv[0]);
+      }
     } else if (arg == "--statement-timeout-ms") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      options.session.statement_timeout_ms =
-          static_cast<uint64_t>(std::atoll(v));
+      if (!ParseDecimalInto(next(), &options.session.statement_timeout_ms)) {
+        return Usage(argv[0]);
+      }
     } else if (arg == "--max-worlds") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      options.session.max_worlds = static_cast<uint64_t>(std::atoll(v));
+      if (!ParseDecimalInto(next(), &options.session.max_worlds)) {
+        return Usage(argv[0]);
+      }
     } else if (arg == "--mem-budget-mb") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      options.session.mem_budget_mb = static_cast<uint64_t>(std::atoll(v));
+      if (!ParseDecimalInto(next(), &options.session.mem_budget_mb)) {
+        return Usage(argv[0]);
+      }
     } else if (arg == "--cancel-on-drain") {
       options.cancel_statements_on_drain = true;
     } else {
