@@ -857,6 +857,12 @@ Result<PreparedProjection> PreparedProjection::Prepare(
 
 Result<Table> PreparedProjection::Execute(const Database& db,
                                           const std::vector<Tuple>& rows) {
+  MAYBMS_ASSIGN_OR_RETURN(std::vector<Tuple> out_rows, ProjectRows(db, rows));
+  return Table(out_schema_, std::move(out_rows));
+}
+
+Result<std::vector<Tuple>> PreparedProjection::ProjectRows(
+    const Database& db, const std::vector<Tuple>& rows) {
   SubqueryCache subquery_cache(&plans_);
   std::vector<Tuple> out_rows;
   out_rows.reserve(rows.size());
@@ -873,7 +879,7 @@ Result<Table> PreparedProjection::Execute(const Database& db,
     }
     out_rows.push_back(std::move(out));
   }
-  return Table(out_schema_, std::move(out_rows));
+  return out_rows;
 }
 
 }  // namespace maybms::engine

@@ -194,6 +194,9 @@ class PreparedProjection {
   PreparedProjection& operator=(PreparedProjection&&) = default;
 
   Result<Table> Execute(const Database& db, const std::vector<Tuple>& rows);
+  /// Execute's rows alone, without a copy of the output schema.
+  Result<std::vector<Tuple>> ProjectRows(const Database& db,
+                                         const std::vector<Tuple>& rows);
 
   const Schema& output_schema() const { return out_schema_; }
 

@@ -37,30 +37,23 @@ bool ContainsSubquery(const sql::Expr& expr) {
   return found;
 }
 
-/// Filters `rows` (over the projection's qualified source schema) by the
-/// statement's WHERE clause and projects them through the prepared select
-/// list. The fast path guarantees there are no subqueries, so `db` is only
-/// a formality for the evaluation context; `where_plans` shares what
-/// little subquery analysis there is across the per-alternative calls.
-Result<std::vector<Tuple>> FilterProjectRows(
-    const sql::SelectStatement& core, const Database& db, const Schema& schema,
-    const std::vector<Tuple>& rows, engine::PreparedProjection& projection,
-    engine::SubqueryPlanCache* where_plans) {
-  std::vector<Tuple> kept;
-  kept.reserve(rows.size());
-  engine::SubqueryCache subquery_cache(where_plans);
+/// The rows of `rows` that satisfy `where`, evaluated in `ctx` with its
+/// row set per row: `rows` itself when there is no WHERE clause, else the
+/// survivors, copied into `*kept`. The one filter loop of the fast path:
+/// the certain core's rows and every alternative's contribution go
+/// through it.
+Result<const std::vector<Tuple>*> FilterRows(const sql::Expr* where,
+                                             engine::EvalContext ctx,
+                                             const std::vector<Tuple>& rows,
+                                             std::vector<Tuple>* kept) {
+  if (where == nullptr) return &rows;
+  kept->clear();
   for (const Tuple& row : rows) {
-    if (core.where) {
-      engine::EvalContext ctx{&db,     &schema, &row,
-                              nullptr, nullptr, &subquery_cache};
-      MAYBMS_ASSIGN_OR_RETURN(Trivalent keep,
-                              engine::EvalPredicate(*core.where, ctx));
-      if (keep != Trivalent::kTrue) continue;
-    }
-    kept.push_back(row);
+    ctx.row = &row;
+    MAYBMS_ASSIGN_OR_RETURN(Trivalent keep, engine::EvalPredicate(*where, ctx));
+    if (keep == Trivalent::kTrue) kept->push_back(row);
   }
-  MAYBMS_ASSIGN_OR_RETURN(Table projected, projection.Execute(db, kept));
-  return std::move(*projected.mutable_rows());
+  return kept;
 }
 
 /// The database of one local world: the certain core plus the
@@ -125,7 +118,8 @@ bool QualifiesForFastPath(const sql::SelectStatement& stmt,
 /// The decomposed form of a statement's answer: certain rows plus one
 /// factor per involved component, listing what each of its alternatives
 /// adds. A world's answer is the certain rows plus one chosen
-/// alternative's rows per factor.
+/// alternative's rows per factor; a component without a factor adds
+/// nothing in any world.
 struct DecomposedAnswer {
   struct Choice {
     double probability = 1.0;
@@ -145,13 +139,19 @@ struct DecomposedAnswer {
 ///  * certain-only: no component is relevant — one evaluation over the
 ///    certain core;
 ///  * the fast path: selection/projection of one uncertain relation,
-///    pushed into each alternative — no merge, structure preserved;
+///    pushed into each alternative — no merge, structure preserved. One
+///    pass over the relevant components on the thread pool filters every
+///    alternative's rows and projects only the alternatives that kept
+///    some. Under a quantifier only the components that kept a row get a
+///    factor (the closed forms ignore the others); a quantifier-free
+///    statement lists worlds or attaches rows, so every relevant
+///    component gets one;
 ///  * the clean repair/choice product over certain relations: one new
 ///    component per partition block, the O(n·g) form of g^n worlds.
 /// Returns nullopt when the statement must run through the pipeline.
 Result<std::optional<DecomposedAnswer>> Shortcut(
     const Database& certain, const std::vector<ComponentHandle>& components,
-    const sql::SelectStatement& stmt) {
+    const sql::SelectStatement& stmt, size_t threads) {
   MAYBMS_RETURN_NOT_OK(ValidateWorldOps(stmt));
   std::optional<DecomposedAnswer> none;
   if (stmt.assert_condition || stmt.group_worlds_by) return none;
@@ -206,38 +206,85 @@ Result<std::optional<DecomposedAnswer>> Shortcut(
   } else {
     const std::string rel = AsciiToLower(stmt.from[0].table_name);
     MAYBMS_ASSIGN_OR_RETURN(const Table* base, certain.GetRelation(rel));
-    Schema qualified =
+    const Schema qualified =
         base->schema().WithQualifier(stmt.from[0].effective_alias());
-    // One prepared projection + shared WHERE subquery plans serve the
-    // certain rows and every alternative's contribution.
+    base::ThreadPool& pool = base::ThreadPool::Shared();
+    const size_t slots = pool.Slots(threads);
+    // One projection per slot (base/thread_pool.h rule 3): it caches
+    // subquery plans while it executes. Slot 0's is prepared eagerly, so
+    // preparation errors surface before any row is filtered. The fast
+    // path admits no subqueries, so the filter's subquery caches are a
+    // formality of the evaluation context.
+    std::vector<std::optional<engine::PreparedProjection>> projections(slots);
     MAYBMS_ASSIGN_OR_RETURN(
-        engine::PreparedProjection projection,
+        projections[0],
         engine::PreparedProjection::Prepare(*core, certain, qualified));
-    engine::SubqueryPlanCache where_plans;
-    answer.schema = projection.output_schema();
-    MAYBMS_ASSIGN_OR_RETURN(
-        answer.certain_rows,
-        FilterProjectRows(*core, certain, qualified, base->rows(), projection,
-                          &where_plans));
-    answer.component_indices = relevant;
-    answer.factors.reserve(relevant.size());
-    for (size_t idx : relevant) {
-      DecomposedAnswer::Factor factor;
-      factor.reserve(components[idx]->size());
-      for (const Alternative& alt : components[idx]->alternatives) {
-        MAYBMS_RETURN_NOT_OK(base::GovernPoll());
-        const std::vector<Tuple>* rows = alt.TuplesFor(rel);
-        std::vector<Tuple> projected;
-        if (rows != nullptr) {
-          MAYBMS_ASSIGN_OR_RETURN(
-              projected, FilterProjectRows(*core, certain, qualified, *rows,
-                                           projection, &where_plans));
-          MAYBMS_RETURN_NOT_OK(base::GovernChargeBytes(base::EstimateTableBytes(
-              projected.size(), answer.schema.num_columns())));
-        }
-        factor.push_back({alt.probability, std::move(projected)});
+    answer.schema = projections[0]->output_schema();
+    const sql::Expr* where = core->where.get();
+    {
+      engine::SubqueryCache cache;
+      std::vector<Tuple> kept;
+      MAYBMS_ASSIGN_OR_RETURN(
+          const std::vector<Tuple>* rows,
+          FilterRows(where,
+                     {&certain, &qualified, nullptr, nullptr, nullptr, &cache},
+                     base->rows(), &kept));
+      if (!rows->empty()) {
+        MAYBMS_ASSIGN_OR_RETURN(answer.certain_rows,
+                                projections[0]->ProjectRows(certain, *rows));
       }
-      answer.factors.push_back(std::move(factor));
+    }
+    // One factor per component that gets one, in component order: the
+    // factors of each chunk, concatenated in chunk order afterwards.
+    struct Sliced {
+      size_t index;  // into components
+      DecomposedAnswer::Factor factor;
+    };
+    // Listings and attached rows need every component's factor; the
+    // closed forms need only those that answer.
+    const bool dense = stmt.quantifier == sql::WorldQuantifier::kNone;
+    const size_t columns = answer.schema.num_columns();
+    const size_t n = relevant.size();
+    std::vector<std::vector<Sliced>> chunks(base::ThreadPool::NumChunks(n));
+    MAYBMS_RETURN_NOT_OK(pool.ParallelFor(
+        n, threads, [&](size_t k, size_t slot, size_t chunk) -> Status {
+          if (!projections[slot].has_value()) {
+            MAYBMS_ASSIGN_OR_RETURN(
+                projections[slot],
+                engine::PreparedProjection::Prepare(*core, certain, qualified));
+          }
+          const Component& component = *components[relevant[k]];
+          engine::SubqueryCache cache;
+          const engine::EvalContext ctx{&certain, &qualified, nullptr,
+                                        nullptr,  nullptr,    &cache};
+          DecomposedAnswer::Factor factor;  // sized at the first survivor
+          std::vector<Tuple> kept;
+          for (size_t j = 0; j < component.size(); ++j) {
+            MAYBMS_RETURN_NOT_OK(base::GovernPoll());
+            const std::vector<Tuple>* rows =
+                component.alternatives[j].TuplesFor(rel);
+            if (rows == nullptr) continue;
+            MAYBMS_ASSIGN_OR_RETURN(rows, FilterRows(where, ctx, *rows, &kept));
+            if (rows->empty()) continue;
+            factor.resize(component.size());
+            MAYBMS_ASSIGN_OR_RETURN(
+                factor[j].rows, projections[slot]->ProjectRows(certain, *rows));
+            MAYBMS_RETURN_NOT_OK(base::GovernChargeBytes(
+                base::EstimateTableBytes(factor[j].rows.size(), columns)));
+          }
+          if (factor.empty() && !dense) return Status::OK();
+          factor.resize(component.size());
+          for (size_t j = 0; j < component.size(); ++j) {
+            factor[j].probability = component.alternatives[j].probability;
+          }
+          chunks[chunk].push_back({relevant[k], std::move(factor)});
+          return Status::OK();
+        }));
+    for (std::vector<Sliced>& chunk : chunks) {
+      for (Sliced& sliced : chunk) {
+        answer.component_indices.push_back(sliced.index);
+        answer.factors.push_back(std::move(sliced.factor));
+      }
     }
   }
   return std::optional<DecomposedAnswer>(std::move(answer));
@@ -646,7 +693,7 @@ Result<DecomposedWorldSet::PipelineRun> DecomposedWorldSet::RunPipeline(
 Result<SelectEvaluation> DecomposedWorldSet::EvaluateSelect(
     const sql::SelectStatement& stmt, size_t max_worlds) const {
   MAYBMS_ASSIGN_OR_RETURN(std::optional<DecomposedAnswer> dec,
-                          Shortcut(certain_, components_, stmt));
+                          Shortcut(certain_, components_, stmt, threads_));
   if (dec.has_value()) {
     if (stmt.quantifier == sql::WorldQuantifier::kNone) {
       return ListWorlds(*dec, max_worlds);
@@ -669,7 +716,7 @@ Status DecomposedWorldSet::MaterializeSelect(const std::string& name,
   }
   const std::string lower = AsciiToLower(name);
   MAYBMS_ASSIGN_OR_RETURN(std::optional<DecomposedAnswer> dec,
-                          Shortcut(certain_, components_, stmt));
+                          Shortcut(certain_, components_, stmt, threads_));
   if (dec.has_value() && stmt.quantifier != sql::WorldQuantifier::kNone) {
     MAYBMS_ASSIGN_OR_RETURN(Table combined,
                             CombineClosedForm(*dec, stmt.quantifier));

@@ -57,7 +57,8 @@ namespace maybms::worlds {
 ///  * certain-only: no uncertain relation is referenced — one evaluation
 ///    over the certain core;
 ///  * the fast path: selections/projections over one uncertain relation
-///    are pushed into each alternative (no merge, structure preserved);
+///    are pushed into each alternative, in one pass over the relation's
+///    components on the thread pool (no merge, structure preserved);
 ///  * the clean repair/choice product over certain relations: one new
 ///    component per partition block.
 /// Their possible/certain/conf use per-component math (conf uses the

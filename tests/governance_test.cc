@@ -223,6 +223,88 @@ TEST(GovernanceBudgetTest, DecomposedSubProductEnumerationIsCharged) {
   }
 }
 
+/// R(K, V, W): `keys` keys x `rows` weighted rows, repaired into I (one
+/// component per key).
+std::string WeightedRepairScript(int keys, int rows) {
+  std::string script =
+      "create table R (K integer, V integer, W integer); insert into R values ";
+  for (int k = 0; k < keys; ++k) {
+    for (int j = 0; j < rows; ++j) {
+      if (k > 0 || j > 0) script += ", ";
+      script += "(" + std::to_string(k) + ", " + std::to_string(k * 10 + j) +
+                ", " + std::to_string(1 + (k + j) % 4) + ")";
+    }
+  }
+  return script +
+         "; create table I as select K, V from R repair by key K weight W;";
+}
+
+// The decomposed fast path charges the rows of every alternative that
+// answers a slice: a memory budget of exactly the charged bytes passes,
+// one byte less fails, at every thread count.
+TEST(GovernanceBudgetTest, FastPathSliceChargesItsAnswerBytes) {
+  const char* kSlice = "select conf, K, V from I where K between 990 and 1009;";
+  for (size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    SessionOptions options;
+    options.engine = EngineMode::kDecomposed;
+    options.threads = threads;
+    Session session(options);
+    ExecScript(session, WeightedRepairScript(2000, 3));
+    uint64_t charged = 0;
+    {
+      base::QueryContext ctx{base::GovernanceLimits{}};
+      base::QueryContextScope scope(&ctx);
+      ASSERT_TRUE(session.Execute(kSlice).ok());
+      charged = ctx.bytes_charged();
+    }
+    // 60 answering alternatives of one row and two columns.
+    EXPECT_EQ(charged, 60u * base::EstimateTableBytes(1, 2));
+    for (uint64_t budget : {charged, charged - 1}) {
+      base::GovernanceLimits limits;
+      limits.mem_budget_bytes = budget;
+      base::QueryContext ctx{limits};
+      base::QueryContextScope scope(&ctx);
+      auto r = session.Execute(kSlice);
+      if (budget == charged) {
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        EXPECT_EQ(r->table().num_rows(), 60u);
+      } else {
+        ASSERT_FALSE(r.ok());
+        EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+        EXPECT_NE(r.status().message().find("statement memory budget"),
+                  std::string::npos)
+            << r.status().ToString();
+      }
+    }
+  }
+}
+
+// The fast path polls while it reads the relation: a 40,000-key slice
+// read whose deadline has already passed fails with the deadline error.
+TEST(GovernanceBudgetTest, FastPathSliceHonoursAnExpiredDeadline) {
+  for (size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    SessionOptions options;
+    options.engine = EngineMode::kDecomposed;
+    options.threads = threads;
+    Session session(options);
+    ExecScript(session, WeightedRepairScript(40000, 2));
+    base::GovernanceLimits limits;
+    limits.deadline_ms = 1;
+    base::QueryContext ctx{limits};
+    ::usleep(5000);  // the deadline is now in the past
+    base::QueryContextScope scope(&ctx);
+    auto r = session.Execute(
+        "select possible K, V from I where K between 100 and 119;");
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
+    EXPECT_NE(r.status().message().find("statement deadline of 1 ms exceeded"),
+              std::string::npos)
+        << r.status().ToString();
+  }
+}
+
 TEST_P(GovernanceTest, GenerousLimitsChangeNothing) {
   // Armed-but-unfired governance is invisible: identical answers with
   // and without limits.

@@ -2,13 +2,15 @@
 // count, both engines return byte-identical results, the same
 // deterministic error (the smallest-world-index error, as if execution
 // were sequential), and failed DML rolls back to the identical state.
-// Also the directed combiner-merge and zero-mass Finish contracts the
-// parallel paths rely on (worlds/combiner.h).
+// The decomposed fast path's one pass over a relation's components obeys
+// the same rules. Also the directed combiner-merge and zero-mass Finish
+// contracts the parallel paths rely on (worlds/combiner.h).
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <limits>
+#include <map>
 #include <memory>
 #include <random>
 #include <string>
@@ -20,6 +22,7 @@
 #include "sql/parser.h"
 #include "tests/test_util.h"
 #include "worlds/combiner.h"
+#include "worlds/decomposed_world_set.h"
 #include "worlds/sampling.h"
 
 namespace maybms {
@@ -264,6 +267,187 @@ INSTANTIATE_TEST_SUITE_P(Engines, ParallelExecutionTest,
                                       ? "Explicit"
                                       : "Decomposed";
                          });
+
+// ---------------------------------------------------------------------------
+// The decomposed fast path (selection/projection of one uncertain
+// relation) reads every component of the relation in one pass on the
+// thread pool: answers, component structure and the reported error must
+// not depend on the thread count.
+// ---------------------------------------------------------------------------
+
+using RowOverrides =
+    std::map<std::pair<int, int>, std::pair<std::string, std::string>>;
+
+/// R(K, V, T, F, W): 2,000 keys x 3 weighted rows, repaired into I (one
+/// component per key, ~32 pool chunks). T is V as text and F is '1',
+/// except where `overrides` maps (key, row) to other (T, F) texts.
+std::string SliceRepairScript(const RowOverrides& overrides = {}) {
+  std::string script =
+      "create table R (K integer, V integer, T text, F text, W integer);"
+      "insert into R values ";
+  for (int k = 0; k < 2000; ++k) {
+    for (int j = 0; j < 3; ++j) {
+      const int v = (k * 7 + j * 3) % 50;
+      std::string t = std::to_string(v);
+      std::string f = "1";
+      auto it = overrides.find({k, j});
+      if (it != overrides.end()) std::tie(t, f) = it->second;
+      if (k > 0 || j > 0) script += ", ";
+      script += "(" + std::to_string(k) + ", " + std::to_string(v) + ", '" +
+                t + "', '" + f + "', " + std::to_string(1 + (k + j) % 4) + ")";
+    }
+  }
+  return script +
+         ";create table I as select K, V, T, F from R repair by key K "
+         "weight W;";
+}
+
+SessionOptions DecomposedOpt(size_t threads) {
+  SessionOptions options = Opt(EngineMode::kDecomposed, threads);
+  options.max_display_worlds = 8;  // listings of 3^n worlds stay small
+  return options;
+}
+
+size_t NumComponents(const Session& session) {
+  return static_cast<const worlds::DecomposedWorldSet&>(session.world_set())
+      .num_components();
+}
+
+/// ExpectResultsIdentical, plus world for world for listings: the same
+/// worlds in the same order, with bit-identical probabilities.
+void ExpectIdentical(const QueryResult& a, const QueryResult& b,
+                     const std::string& ctx) {
+  ExpectResultsIdentical(a, b, ctx);
+  if (a.kind() != QueryResult::Kind::kWorlds) return;
+  ASSERT_EQ(a.worlds().size(), b.worlds().size()) << ctx;
+  for (size_t w = 0; w < a.worlds().size(); ++w) {
+    EXPECT_EQ(a.worlds()[w].first, b.worlds()[w].first) << ctx;
+    ExpectTablesIdentical(a.worlds()[w].second, b.worlds()[w].second,
+                          ctx + " world " + std::to_string(w));
+  }
+}
+
+TEST(FastPathTest, FastPathIsThreadCountInvariant) {
+  const char* kProbes[] = {
+      "select possible K, V from I where K between 990 and 1009;",
+      "select certain K from I where K between 990 and 1009;",
+      "select conf, K, V from I where K between 990 and 1009;",
+      "select conf, V from I where V < 5;",  // answers in every chunk
+      "select certain V from I where V >= 3;",
+      "select K, V from I where K between 990 and 1009;",
+      "select K, V from I where V < 2;",  // world rows in component order
+      "select * from J;",
+      "select possible K, V from L;",
+      "select K, V from L where K = 995;",
+  };
+  std::vector<std::unique_ptr<Session>> sessions;
+  for (size_t threads : kThreadCounts) {
+    auto s = std::make_unique<Session>(DecomposedOpt(threads));
+    ExecScript(*s, SliceRepairScript());
+    ExecScript(*s,
+               "create table J as select conf, K, V from I where V < 5;"
+               "create table L as select K, V from I where K between 990 "
+               "and 1009;");
+    if (::testing::Test::HasFatalFailure()) return;
+    sessions.push_back(std::move(s));
+  }
+  const size_t components = NumComponents(*sessions[0]);
+  EXPECT_EQ(components, 2000u);
+  for (const char* probe : kProbes) {
+    auto baseline = sessions[0]->Execute(probe);
+    ASSERT_TRUE(baseline.ok())
+        << probe << "\n" << baseline.status().ToString();
+    for (size_t t = 1; t < sessions.size(); ++t) {
+      const std::string ctx = std::string(probe) + " at threads=" +
+                              std::to_string(kThreadCounts[t]);
+      EXPECT_EQ(NumComponents(*sessions[t]), components) << ctx;
+      auto result = sessions[t]->Execute(probe);
+      ASSERT_TRUE(result.ok()) << ctx << "\n" << result.status().ToString();
+      ExpectIdentical(*baseline, *result, ctx);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(FastPathTest, FastPathReportsTheFirstFailingAlternative) {
+  struct Case {
+    RowOverrides overrides;
+    const char* query;
+    const char* error;
+  };
+  const Case kCases[] = {
+      // Filter errors in two components, ~800 components apart.
+      {{{{700, 1}, {"x700", "1"}}, {{1500, 0}, {"x1500", "1"}}},
+       "select possible K from I where cast(T as integer) > 0;",
+       "cannot cast 'x700' to INTEGER"},
+      {{{{700, 1}, {"x700", "1"}}, {{1500, 0}, {"x1500", "1"}}},
+       "select K from I where cast(T as integer) > 0;",
+       "cannot cast 'x700' to INTEGER"},
+      // Alternative 0 of key 300 passes the filter and fails in the
+      // projection; alternative 2 and a later component fail the filter.
+      {{{{300, 0}, {"p300", "1"}},
+        {{300, 2}, {"1", "f300"}},
+        {{900, 1}, {"1", "f900"}}},
+       "select conf, cast(T as integer) from I where cast(F as integer) > 0;",
+       "cannot cast 'p300' to INTEGER"},
+      // The filter drops key 500's unparsable T before the projection
+      // would see it, so a later component's filter error is the first.
+      {{{{500, 1}, {"q500", "0"}}, {{900, 1}, {"1", "f900"}}},
+       "select possible cast(T as integer) from I where cast(F as integer) "
+       "> 0;",
+       "cannot cast 'f900' to INTEGER"},
+  };
+  for (const Case& c : kCases) {
+    for (size_t threads : kThreadCounts) {
+      const std::string ctx =
+          std::string(c.query) + " at threads=" + std::to_string(threads);
+      Session session(DecomposedOpt(threads));
+      ExecScript(session, SliceRepairScript(c.overrides));
+      if (::testing::Test::HasFatalFailure()) return;
+      auto result = session.Execute(c.query);
+      ASSERT_FALSE(result.ok()) << ctx;
+      EXPECT_EQ(result.status().message(), c.error) << ctx;
+    }
+  }
+}
+
+TEST(FastPathTest, QuantifierFreeSliceStillListsEveryComponent) {
+  // Three components of 2, 3 and 2 alternatives; the slice reads only
+  // the first, yet the listing is the product of all three, in product
+  // order (component 0 least significant).
+  const double kProbabilities[] = {0.03125, 0.09375, 0.03125, 0.09375,
+                                   0.0625,  0.1875,  0.03125, 0.09375,
+                                   0.03125, 0.09375, 0.0625,  0.1875};
+  for (size_t threads : {1u, 4u}) {
+    Session session(Opt(EngineMode::kDecomposed, threads));
+    ExecScript(session, R"sql(
+      create table R (K integer, V integer, W integer);
+      insert into R values (1, 10, 1), (1, 11, 3), (2, 20, 1), (2, 21, 1),
+                           (2, 22, 2), (3, 30, 1), (3, 31, 1);
+      create table I as select K, V from R repair by key K weight W;
+    )sql");
+    if (::testing::Test::HasFatalFailure()) return;
+    auto listing = session.Execute("select K, V from I where K = 1;");
+    ASSERT_TRUE(listing.ok()) << listing.status().ToString();
+    ASSERT_EQ(listing->kind(), QueryResult::Kind::kWorlds);
+    ASSERT_EQ(listing->worlds().size(), 12u);
+    for (size_t w = 0; w < 12; ++w) {
+      EXPECT_EQ(listing->worlds()[w].first, kProbabilities[w]) << w;
+      const Table& answer = listing->worlds()[w].second;
+      ASSERT_EQ(answer.num_rows(), 1u) << w;
+      EXPECT_EQ(answer.row(0).value(1).AsInteger(), w % 2 == 0 ? 10 : 11);
+    }
+    // Attached to every component; only the first contributes rows, so
+    // a read of J lists its two worlds.
+    ExecScript(session, "create table J as select K, V from I where K = 1;");
+    EXPECT_EQ(NumComponents(session), 3u);
+    auto attached = session.Execute("select * from J;");
+    ASSERT_TRUE(attached.ok()) << attached.status().ToString();
+    ASSERT_EQ(attached->worlds().size(), 2u);
+    EXPECT_EQ(attached->worlds()[0].first, 0.25);
+    EXPECT_EQ(attached->worlds()[1].first, 0.75);
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Combiner merge: per-chunk combiners merged in chunk order must be
