@@ -128,10 +128,15 @@ Status QueryContext::ChargeBytes(uint64_t n) {
   if (n == 0) return Check();
   const uint64_t total = bytes_.fetch_add(n, std::memory_order_relaxed) + n;
   if (limits_.mem_budget_bytes > 0 && total > limits_.mem_budget_bytes) {
+    // Budgets set in MiB (the session's knob) read in MiB; others in
+    // bytes, which a MiB figure would round down to 0.
+    constexpr uint64_t kMiB = 1024 * 1024;
+    const uint64_t budget = limits_.mem_budget_bytes;
     return Fail(Status::ResourceExhausted(
         "statement memory budget of " +
-        std::to_string(limits_.mem_budget_bytes / (1024 * 1024)) +
-        " MiB exceeded"));
+        (budget % kMiB == 0 ? std::to_string(budget / kMiB) + " MiB"
+                            : std::to_string(budget) + " bytes") +
+        " exceeded"));
   }
   return Check();
 }

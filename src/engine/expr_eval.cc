@@ -214,7 +214,10 @@ Result<Value> EvalAggregate(const sql::FunctionCallExpr& call,
       return Status::TypeError(call.name + " over non-numeric values");
     }
     if (v.type() == DataType::kInteger) {
-      isum += v.AsInteger();
+      // Wraps on overflow (two's complement), as a defined operation: the
+      // sum is then independent of the order the rows come in.
+      isum = static_cast<int64_t>(static_cast<uint64_t>(isum) +
+                                  static_cast<uint64_t>(v.AsInteger()));
     } else {
       all_int = false;
     }

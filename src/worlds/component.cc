@@ -46,13 +46,28 @@ Status Component::Normalize() {
   return Status::OK();
 }
 
+namespace {
+
+/// Calls `visit(k, digit)` for the digits k = 0 .. n-1 of `index` in the
+/// mixed radix `radix(k)`, digit 0 least significant: the one place the
+/// product order is encoded.
+template <typename Radix, typename Visit>
+void ForEachDigit(uint64_t index, size_t n, Radix radix, Visit visit) {
+  for (size_t k = 0; k < n; ++k) {
+    const size_t r = radix(k);
+    visit(k, static_cast<size_t>(index % r));
+    index /= r;
+  }
+}
+
+}  // namespace
+
 std::vector<size_t> DecodeProductIndex(uint64_t index,
                                        const std::vector<size_t>& radices) {
   std::vector<size_t> digits(radices.size());
-  for (size_t k = 0; k < radices.size(); ++k) {
-    digits[k] = static_cast<size_t>(index % radices[k]);
-    index /= radices[k];
-  }
+  ForEachDigit(
+      index, radices.size(), [&](size_t k) { return radices[k]; },
+      [&](size_t k, size_t digit) { digits[k] = digit; });
   return digits;
 }
 
@@ -76,17 +91,15 @@ uint64_t ProductSize(const std::vector<const Component*>& parts) {
 double ChooseAlternatives(const std::vector<const Component*>& parts,
                           uint64_t index,
                           std::vector<const Alternative*>* chosen) {
-  std::vector<size_t> radices;
-  radices.reserve(parts.size());
-  for (const Component* part : parts) radices.push_back(part->size());
-  const std::vector<size_t> digits = DecodeProductIndex(index, radices);
   double probability = 1.0;
   chosen->clear();
-  for (size_t k = 0; k < parts.size(); ++k) {
-    const Alternative& alt = parts[k]->alternatives[digits[k]];
-    probability *= alt.probability;
-    chosen->push_back(&alt);
-  }
+  ForEachDigit(
+      index, parts.size(), [&](size_t k) { return parts[k]->size(); },
+      [&](size_t k, size_t digit) {
+        const Alternative& alt = parts[k]->alternatives[digit];
+        probability *= alt.probability;
+        chosen->push_back(&alt);
+      });
   return probability;
 }
 

@@ -71,8 +71,9 @@ uint64_t RadixProduct(const std::vector<size_t>& radices);
 uint64_t ProductSize(const std::vector<const Component*>& parts);
 
 /// Alternative `index` of the product of `parts`, one chosen alternative
-/// per part (decoded by DecodeProductIndex). Returns their probability
-/// product, multiplied in part order.
+/// per part (in DecodeProductIndex's order), into `chosen`, which keeps
+/// its capacity: a caller that reuses it decodes without allocating.
+/// Returns their probability product, multiplied in part order.
 double ChooseAlternatives(const std::vector<const Component*>& parts,
                           uint64_t index,
                           std::vector<const Alternative*>* chosen);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <map>
 #include <optional>
@@ -56,6 +57,62 @@ Result<const std::vector<Tuple>*> FilterRows(const sql::Expr* where,
   return kept;
 }
 
+/// Receives the rows of one part of a relation that satisfy WHERE: part
+/// 0 is the certain core (alternative 0), part k > 0 alternative `j` of
+/// the k-th relevant component. `slot` indexes per-thread state
+/// (base/thread_pool.h rule 3).
+using PartVisitor = std::function<Status(
+    size_t part, size_t j, const std::vector<Tuple>& rows, size_t slot)>;
+
+/// The one pass of the shortcuts over a row-local scan of one uncertain
+/// relation `rel` (`base` its certain core, `qualified` its schema under
+/// the statement's alias): the certain core's rows that satisfy `where`
+/// go to `visit` first, on the calling thread; then each relevant
+/// component is one task on the thread pool, which filters its
+/// alternatives in order, polling per alternative, and hands each one's
+/// kept rows (empty if it contributes none) to `visit`. Errors are
+/// ParallelFor's: the first by component. The row-local scan admits no
+/// subqueries, so the subquery caches are a formality of the evaluation
+/// context.
+Status ScanAlternatives(const Database& certain, const Table& base,
+                        const std::string& rel, const Schema& qualified,
+                        const sql::Expr* where,
+                        const std::vector<ComponentHandle>& components,
+                        const std::vector<size_t>& relevant, size_t threads,
+                        const PartVisitor& visit) {
+  {
+    engine::SubqueryCache cache;
+    std::vector<Tuple> kept;
+    MAYBMS_ASSIGN_OR_RETURN(
+        const std::vector<Tuple>* rows,
+        FilterRows(where,
+                   {&certain, &qualified, nullptr, nullptr, nullptr, &cache},
+                   base.rows(), &kept));
+    MAYBMS_RETURN_NOT_OK(visit(0, 0, *rows, 0));
+  }
+  return base::ThreadPool::Shared().ParallelFor(
+      relevant.size(), threads, [&](size_t k, size_t slot, size_t) -> Status {
+        const Component& component = *components[relevant[k]];
+        engine::SubqueryCache cache;
+        const engine::EvalContext ctx{&certain, &qualified, nullptr,
+                                      nullptr,  nullptr,    &cache};
+        const std::vector<Tuple> none;
+        std::vector<Tuple> kept;
+        for (size_t j = 0; j < component.size(); ++j) {
+          MAYBMS_RETURN_NOT_OK(base::GovernPoll());
+          const std::vector<Tuple>* rows =
+              component.alternatives[j].TuplesFor(rel);
+          if (rows != nullptr) {
+            MAYBMS_ASSIGN_OR_RETURN(rows,
+                                    FilterRows(where, ctx, *rows, &kept));
+          }
+          MAYBMS_RETURN_NOT_OK(
+              visit(k + 1, j, rows == nullptr ? none : *rows, slot));
+        }
+        return Status::OK();
+      });
+}
+
 /// The database of one local world: the certain core plus the
 /// contributions of the chosen alternatives. Copying the core is
 /// O(#relations) handle bumps; only the relations the choice contributes
@@ -90,22 +147,29 @@ std::vector<size_t> RelevantComponents(
   return indices;
 }
 
+/// True if the statement reads one relation row by row: one FROM item,
+/// no join (a self-join correlates tuples), set operation, DISTINCT,
+/// GROUP BY, HAVING, ORDER BY or LIMIT, and a WHERE clause without
+/// subqueries or aggregates. The shape both shortcuts over one uncertain
+/// relation need.
+bool IsRowLocalScan(const sql::SelectStatement& stmt,
+                    const std::set<std::string>& referenced) {
+  if (stmt.from.size() != 1 || referenced.size() != 1 ||
+      !stmt.joins.empty() || stmt.union_next || stmt.distinct ||
+      !stmt.group_by.empty() || stmt.having || !stmt.order_by.empty() ||
+      stmt.limit.has_value()) {
+    return false;
+  }
+  return !stmt.where || (!ContainsSubquery(*stmt.where) &&
+                         !engine::ContainsAggregate(*stmt.where));
+}
+
 /// True if the statement qualifies for the per-alternative push-down fast
 /// path (single uncertain relation scan, per-tuple predicate, plain
 /// projection).
 bool QualifiesForFastPath(const sql::SelectStatement& stmt,
                           const std::set<std::string>& referenced) {
-  if (stmt.from.size() != 1 || referenced.size() != 1) return false;
-  if (!stmt.joins.empty()) return false;  // self-joins correlate tuples
-  if (stmt.union_next || stmt.distinct) return false;
-  if (!stmt.group_by.empty() || stmt.having || !stmt.order_by.empty() ||
-      stmt.limit.has_value()) {
-    return false;
-  }
-  if (stmt.where && (ContainsSubquery(*stmt.where) ||
-                     engine::ContainsAggregate(*stmt.where))) {
-    return false;
-  }
+  if (!IsRowLocalScan(stmt, referenced)) return false;
   for (const sql::SelectItem& item : stmt.items) {
     if (item.star) continue;
     if (ContainsSubquery(*item.expr) || engine::ContainsAggregate(*item.expr)) {
@@ -113,6 +177,32 @@ bool QualifiesForFastPath(const sql::SelectStatement& stmt,
     }
   }
   return true;
+}
+
+/// True if the statement qualifies for the closed-form aggregate:
+/// `possible`/`certain` of exactly one `count(*)`, `count(col)` or
+/// `sum(col)` in a row-local scan, without assert, GROUP WORLDS BY,
+/// repair or choice. The shortcut also needs a sum's column to be
+/// declared INTEGER, which it checks against the relation's schema.
+bool QualifiesForClosedFormAggregate(const sql::SelectStatement& stmt,
+                                     const std::set<std::string>& referenced) {
+  if ((stmt.quantifier != sql::WorldQuantifier::kPossible &&
+       stmt.quantifier != sql::WorldQuantifier::kCertain) ||
+      stmt.assert_condition || stmt.group_worlds_by ||
+      stmt.repair.has_value() || stmt.choice.has_value() ||
+      !IsRowLocalScan(stmt, referenced) || stmt.items.size() != 1 ||
+      stmt.items[0].star) {
+    return false;
+  }
+  const sql::Expr& item = *stmt.items[0].expr;
+  if (item.kind != sql::ExprKind::kFunctionCall) return false;
+  const auto& call = static_cast<const sql::FunctionCallExpr&>(item);
+  if (call.distinct || (call.name != "count" && call.name != "sum")) {
+    return false;
+  }
+  if (call.star) return call.name == "count";
+  return call.args.size() == 1 &&
+         call.args[0]->kind == sql::ExprKind::kColumnRef;
 }
 
 /// The decomposed form of a statement's answer: certain rows plus one
@@ -140,7 +230,8 @@ struct DecomposedAnswer {
 ///    certain core;
 ///  * the fast path: selection/projection of one uncertain relation,
 ///    pushed into each alternative — no merge, structure preserved. One
-///    pass over the relevant components on the thread pool filters every
+///    pass over the relevant components on the thread pool
+///    (ScanAlternatives) filters every
 ///    alternative's rows and projects only the alternatives that kept
 ///    some. Under a quantifier only the components that kept a row get a
 ///    factor (the closed forms ignore the others); a quantifier-free
@@ -148,17 +239,16 @@ struct DecomposedAnswer {
 ///    component gets one;
 ///  * the clean repair/choice product over certain relations: one new
 ///    component per partition block, the O(n·g) form of g^n worlds.
-/// Returns nullopt when the statement must run through the pipeline.
+/// `referenced` are the relations the statement references, `relevant`
+/// the components contributing to them. Returns nullopt when the
+/// statement must run through the pipeline.
 Result<std::optional<DecomposedAnswer>> Shortcut(
     const Database& certain, const std::vector<ComponentHandle>& components,
-    const sql::SelectStatement& stmt, size_t threads) {
+    const sql::SelectStatement& stmt, const std::set<std::string>& referenced,
+    const std::vector<size_t>& relevant, size_t threads) {
   MAYBMS_RETURN_NOT_OK(ValidateWorldOps(stmt));
   std::optional<DecomposedAnswer> none;
   if (stmt.assert_condition || stmt.group_worlds_by) return none;
-  std::set<std::string> referenced;
-  CollectReferencedRelations(stmt, &referenced);
-  const std::vector<size_t> relevant =
-      RelevantComponents(components, referenced);
   const bool creates_worlds =
       stmt.repair.has_value() || stmt.choice.has_value();
   if (!relevant.empty() &&
@@ -208,83 +298,57 @@ Result<std::optional<DecomposedAnswer>> Shortcut(
     MAYBMS_ASSIGN_OR_RETURN(const Table* base, certain.GetRelation(rel));
     const Schema qualified =
         base->schema().WithQualifier(stmt.from[0].effective_alias());
-    base::ThreadPool& pool = base::ThreadPool::Shared();
-    const size_t slots = pool.Slots(threads);
     // One projection per slot (base/thread_pool.h rule 3): it caches
     // subquery plans while it executes. Slot 0's is prepared eagerly, so
-    // preparation errors surface before any row is filtered. The fast
-    // path admits no subqueries, so the filter's subquery caches are a
-    // formality of the evaluation context.
-    std::vector<std::optional<engine::PreparedProjection>> projections(slots);
+    // preparation errors surface before any row is filtered.
+    std::vector<std::optional<engine::PreparedProjection>> projections(
+        base::ThreadPool::Shared().Slots(threads));
     MAYBMS_ASSIGN_OR_RETURN(
         projections[0],
         engine::PreparedProjection::Prepare(*core, certain, qualified));
     answer.schema = projections[0]->output_schema();
-    const sql::Expr* where = core->where.get();
-    {
-      engine::SubqueryCache cache;
-      std::vector<Tuple> kept;
-      MAYBMS_ASSIGN_OR_RETURN(
-          const std::vector<Tuple>* rows,
-          FilterRows(where,
-                     {&certain, &qualified, nullptr, nullptr, nullptr, &cache},
-                     base->rows(), &kept));
-      if (!rows->empty()) {
-        MAYBMS_ASSIGN_OR_RETURN(answer.certain_rows,
-                                projections[0]->ProjectRows(certain, *rows));
-      }
-    }
-    // One factor per component that gets one, in component order: the
-    // factors of each chunk, concatenated in chunk order afterwards.
-    struct Sliced {
-      size_t index;  // into components
-      DecomposedAnswer::Factor factor;
-    };
-    // Listings and attached rows need every component's factor; the
-    // closed forms need only those that answer.
-    const bool dense = stmt.quantifier == sql::WorldQuantifier::kNone;
     const size_t columns = answer.schema.num_columns();
-    const size_t n = relevant.size();
-    std::vector<std::vector<Sliced>> chunks(base::ThreadPool::NumChunks(n));
-    MAYBMS_RETURN_NOT_OK(pool.ParallelFor(
-        n, threads, [&](size_t k, size_t slot, size_t chunk) -> Status {
+    // Only the alternatives that keep a row are projected; a component's
+    // factor is sized at the first of them.
+    std::vector<DecomposedAnswer::Factor> factors(relevant.size());
+    MAYBMS_RETURN_NOT_OK(ScanAlternatives(
+        certain, *base, rel, qualified, core->where.get(), components,
+        relevant, threads,
+        [&](size_t part, size_t j, const std::vector<Tuple>& rows,
+            size_t slot) -> Status {
+          if (rows.empty()) return Status::OK();
           if (!projections[slot].has_value()) {
             MAYBMS_ASSIGN_OR_RETURN(
                 projections[slot],
                 engine::PreparedProjection::Prepare(*core, certain, qualified));
           }
-          const Component& component = *components[relevant[k]];
-          engine::SubqueryCache cache;
-          const engine::EvalContext ctx{&certain, &qualified, nullptr,
-                                        nullptr,  nullptr,    &cache};
-          DecomposedAnswer::Factor factor;  // sized at the first survivor
-          std::vector<Tuple> kept;
-          for (size_t j = 0; j < component.size(); ++j) {
-            MAYBMS_RETURN_NOT_OK(base::GovernPoll());
-            const std::vector<Tuple>* rows =
-                component.alternatives[j].TuplesFor(rel);
-            if (rows == nullptr) continue;
-            MAYBMS_ASSIGN_OR_RETURN(rows, FilterRows(where, ctx, *rows, &kept));
-            if (rows->empty()) continue;
-            factor.resize(component.size());
-            MAYBMS_ASSIGN_OR_RETURN(
-                factor[j].rows, projections[slot]->ProjectRows(certain, *rows));
-            MAYBMS_RETURN_NOT_OK(base::GovernChargeBytes(
-                base::EstimateTableBytes(factor[j].rows.size(), columns)));
+          MAYBMS_ASSIGN_OR_RETURN(
+              std::vector<Tuple> projected,
+              projections[slot]->ProjectRows(certain, rows));
+          if (part == 0) {
+            answer.certain_rows = std::move(projected);
+            return Status::OK();
           }
-          if (factor.empty() && !dense) return Status::OK();
-          factor.resize(component.size());
-          for (size_t j = 0; j < component.size(); ++j) {
-            factor[j].probability = component.alternatives[j].probability;
-          }
-          chunks[chunk].push_back({relevant[k], std::move(factor)});
+          MAYBMS_RETURN_NOT_OK(base::GovernChargeBytes(
+              base::EstimateTableBytes(projected.size(), columns)));
+          DecomposedAnswer::Factor& factor = factors[part - 1];
+          factor.resize(components[relevant[part - 1]]->size());
+          factor[j].rows = std::move(projected);
           return Status::OK();
         }));
-    for (std::vector<Sliced>& chunk : chunks) {
-      for (Sliced& sliced : chunk) {
-        answer.component_indices.push_back(sliced.index);
-        answer.factors.push_back(std::move(sliced.factor));
+    // Listings and attached rows need every component's factor; the
+    // closed forms need only those that answer.
+    const bool dense = stmt.quantifier == sql::WorldQuantifier::kNone;
+    for (size_t k = 0; k < relevant.size(); ++k) {
+      DecomposedAnswer::Factor& factor = factors[k];
+      if (factor.empty() && !dense) continue;
+      const Component& component = *components[relevant[k]];
+      factor.resize(component.size());
+      for (size_t j = 0; j < component.size(); ++j) {
+        factor[j].probability = component.alternatives[j].probability;
       }
+      answer.component_indices.push_back(relevant[k]);
+      answer.factors.push_back(std::move(factor));
     }
   }
   return std::optional<DecomposedAnswer>(std::move(answer));
@@ -373,6 +437,254 @@ Result<Table> CombineClosedForm(const DecomposedAnswer& dec,
   return result;
 }
 
+/// The values count/sum takes over the alternatives of one part of a
+/// world (the certain core, or one component): `values` for those with a
+/// non-NULL input (always, for a count), and `null` if some alternative
+/// has none (a sum's NULL).
+struct PartValues {
+  bool null = false;
+  std::vector<int64_t> values;  // Support::Add needs them sorted, distinct
+};
+
+/// Adds the value of `rows`, one alternative of a part, to the part's
+/// values: a count's number of rows (count(*)) or of non-NULL `column`
+/// values, or a sum of the column's non-NULL values (NULL if there are
+/// none). False where the closed form does not apply: a non-INTEGER sum
+/// input or int64 overflow.
+bool FoldRows(bool sum, std::optional<size_t> column,
+              const std::vector<Tuple>& rows, PartValues* part) {
+  int64_t total = 0;
+  bool non_null = !sum;  // a count is never NULL
+  for (const Tuple& row : rows) {
+    int64_t term = 1;
+    if (column.has_value()) {
+      const Value& value = row.value(*column);
+      if (value.is_null()) continue;
+      if (sum) {
+        if (value.type() != DataType::kInteger) return false;
+        term = value.AsInteger();
+      }
+    }
+    non_null = true;
+    if (__builtin_add_overflow(total, term, &total)) return false;
+  }
+  if (non_null) {
+    part->values.push_back(total);
+  } else {
+    part->null = true;
+  }
+  return true;
+}
+
+/// The support of count/sum over the product of the parts added so far:
+/// the distinct values its worlds answer. Parts are independent, so
+/// adding one takes the sumset, with NULL (no non-NULL input yet) as the
+/// empty sum: the values so far shifted by each of the part's values, the
+/// part's values where the support is NULL, and the values so far where
+/// the part is NULL; NULL stays only if both have it. The values are kept
+/// as sorted spans of consecutive integers, so the dense supports of
+/// small counts and sums stay a few spans however many values they hold;
+/// each run above is a sorted list of spans, and merges into the new
+/// support in one linear pass.
+class Support {
+ public:
+  /// Integers beyond this magnitude may share a double, and the
+  /// combiner's tuple identity compares numbers as doubles.
+  static constexpr int64_t kMaxExact = int64_t{1} << 53;
+
+  /// Adds `part`, whose values are sorted and distinct. False, leaving
+  /// the support unusable, on int64 overflow, on a value beyond
+  /// kMaxExact, or once the support would hold more than `max` values: the
+  /// merge stops at the first run that passes it, so it never holds much
+  /// more than `max` values and one run. Polls once per run.
+  Result<bool> Add(const PartValues& part, uint64_t max) {
+    const bool null = null_ && part.null;
+    std::vector<Span> out;
+    std::vector<Span> merged;
+    std::vector<Span> run;
+    uint64_t count = 0;
+    auto merge = [&]() -> Result<bool> {
+      MAYBMS_RETURN_NOT_OK(base::GovernPoll());
+      if (run.empty()) return true;
+      if (run.front().lo < -kMaxExact || run.back().hi > kMaxExact) {
+        return false;
+      }
+      merged.clear();
+      count = 0;
+      auto a = out.begin();
+      auto b = run.begin();
+      while (a != out.end() || b != run.end()) {
+        const bool from_out =
+            b == run.end() || (a != out.end() && a->lo <= b->lo);
+        const Span& next = from_out ? *a++ : *b++;
+        if (!merged.empty() && next.lo <= merged.back().hi + 1) {
+          count += std::max(next.hi, merged.back().hi) - merged.back().hi;
+          merged.back().hi = std::max(next.hi, merged.back().hi);
+        } else {
+          count += next.hi - next.lo + 1;
+          merged.push_back(next);
+        }
+      }
+      out.swap(merged);
+      return count + (null ? 1 : 0) <= max;
+    };
+    for (int64_t shift : part.values) {
+      if (spans_.empty()) break;
+      // Every shifted value lies between the shifted ends.
+      int64_t lo = 0;
+      int64_t hi = 0;
+      if (__builtin_add_overflow(spans_.front().lo, shift, &lo) ||
+          __builtin_add_overflow(spans_.back().hi, shift, &hi)) {
+        return false;
+      }
+      run.clear();
+      for (const Span& span : spans_) {
+        run.push_back({span.lo + shift, span.hi + shift});
+      }
+      MAYBMS_ASSIGN_OR_RETURN(const bool fits, merge());
+      if (!fits) return false;
+    }
+    if (null_) {
+      run.clear();
+      for (int64_t v : part.values) run.push_back({v, v});
+      MAYBMS_ASSIGN_OR_RETURN(const bool fits, merge());
+      if (!fits) return false;
+    }
+    if (part.null) {
+      run = spans_;
+      MAYBMS_ASSIGN_OR_RETURN(const bool fits, merge());
+      if (!fits) return false;
+    }
+    spans_.swap(out);
+    count_ = count;
+    null_ = null;
+    return true;
+  }
+
+  uint64_t size() const { return count_ + (null_ ? 1 : 0); }
+
+  /// One row per value, NULL first and then ascending: the combiner's
+  /// tuple order for integers that doubles represent exactly.
+  std::vector<Tuple> Rows() const {
+    std::vector<Tuple> rows;
+    rows.reserve(size());
+    if (null_) rows.push_back(Tuple({Value::Null()}));
+    for (const Span& span : spans_) {
+      for (int64_t v = span.lo; v <= span.hi; ++v) {
+        rows.push_back(Tuple({Value::Integer(v)}));
+      }
+    }
+    return rows;
+  }
+
+ private:
+  struct Span {
+    int64_t lo;  // the first and the last value
+    int64_t hi;
+  };
+
+  bool null_ = true;        // before any part: the empty sum
+  uint64_t count_ = 0;      // the values other than NULL
+  std::vector<Span> spans_;  // their spans: sorted, apart by at least 2
+};
+
+/// possible/certain of count(*), count(col) or sum(col) over one
+/// uncertain relation, without enumerating worlds. Components are
+/// independent, so the set of per-world values is the sumset of the
+/// certain core's value and each component's per-alternative values.
+/// The shortcuts' one pass (ScanAlternatives) folds each alternative's
+/// kept rows into a value; the parts are then added to the Support in
+/// component order. `possible` answers every value of the support, in
+/// the combiner's tuple order, under the prepared statement's output
+/// schema; `certain` answers the single value when there is one, and
+/// nothing otherwise. No world is decoded, so nothing is charged to the
+/// world budget or the world cap; the support's bytes are charged to the
+/// memory budget as it grows.
+///
+/// Returns nullopt, and leaves the statement to the pipeline, when the
+/// statement does not qualify, or on anything the pipeline must report or
+/// decide: an evaluation error in any row (the pipeline reports the first
+/// failing world's), a non-INTEGER sum input, int64 overflow, a value
+/// beyond Support::kMaxExact, a component without alternatives, or a
+/// support larger than `max_support`. Governance verdicts propagate.
+Result<std::optional<Table>> ClosedFormAggregate(
+    const Database& certain, const std::vector<ComponentHandle>& components,
+    const sql::SelectStatement& stmt, const std::set<std::string>& referenced,
+    const std::vector<size_t>& relevant, size_t threads,
+    uint64_t max_support) {
+  std::optional<Table> none;
+  if (relevant.empty() || !QualifiesForClosedFormAggregate(stmt, referenced)) {
+    return none;
+  }
+  for (size_t c : relevant) {
+    if (components[c]->size() == 0) return none;
+  }
+  const std::string rel = AsciiToLower(stmt.from[0].table_name);
+  Result<const Table*> base = certain.GetRelation(rel);
+  if (!base.ok()) return none;
+  const Schema qualified =
+      (*base)->schema().WithQualifier(stmt.from[0].effective_alias());
+  std::unique_ptr<sql::SelectStatement> core = StripWorldOps(stmt);
+  Result<engine::PreparedSelect> plan =
+      engine::PreparedSelect::Prepare(*core, certain);
+  if (!plan.ok()) return none;
+  const auto& call = static_cast<const sql::FunctionCallExpr&>(
+      *core->items[0].expr);
+  const bool sum = call.name == "sum";
+  std::optional<size_t> column;
+  if (!call.star) {
+    const auto& ref = static_cast<const sql::ColumnRefExpr&>(*call.args[0]);
+    Result<size_t> index = qualified.FindColumn(ref.name, ref.qualifier);
+    if (!index.ok()) return none;
+    if (sum && qualified.column(*index).type != DataType::kInteger) {
+      return none;
+    }
+    column = *index;
+  }
+
+  // The values of the certain core's rows (part 0), then of each
+  // component's alternatives. A part that cannot fold fails with a
+  // placeholder error that never leaves this function.
+  std::vector<PartValues> parts(relevant.size() + 1);
+  const Status pass = ScanAlternatives(
+      certain, **base, rel, qualified, core->where.get(), components,
+      relevant, threads,
+      [&](size_t part, size_t, const std::vector<Tuple>& rows,
+          size_t) -> Status {
+        if (FoldRows(sum, column, rows, &parts[part])) return Status::OK();
+        return Status::Unsupported("outside the closed form");
+      });
+  if (!pass.ok()) {
+    // A governance verdict poisons the statement's context: report it.
+    // Anything else is the pipeline's to report or decide.
+    const base::QueryContext* context = base::CurrentQueryContext();
+    if (context != nullptr && context->cancelled()) return base::GovernPoll();
+    return none;
+  }
+
+  Support support;
+  uint64_t charged = 0;
+  for (PartValues& part : parts) {
+    std::sort(part.values.begin(), part.values.end());
+    part.values.erase(std::unique(part.values.begin(), part.values.end()),
+                      part.values.end());
+    MAYBMS_ASSIGN_OR_RETURN(const bool added,
+                            support.Add(part, max_support));
+    if (!added) return none;
+    // A part can shrink the support by one: NULL may go.
+    if (support.size() > charged) {
+      MAYBMS_RETURN_NOT_OK(base::GovernChargeBytes(
+          base::EstimateTableBytes(support.size() - charged, 1)));
+      charged = support.size();
+    }
+  }
+  std::vector<Tuple> rows = support.Rows();
+  if (stmt.quantifier == sql::WorldQuantifier::kCertain && rows.size() != 1) {
+    rows.clear();
+  }
+  return std::optional<Table>(Table(plan->output_schema(), std::move(rows)));
+}
+
 /// The per-world listing of a decomposed answer: the product of the
 /// involved factors only (all other components leave the answer
 /// unchanged), in product order, up to `max_worlds` worlds.
@@ -408,28 +720,75 @@ Result<SelectEvaluation> ListWorlds(const DecomposedAnswer& dec,
 /// decoded lazily from the world index (part 0 least significant) — the
 /// product is never materialized. With no parts it is one world: the
 /// certain core with probability 1.
+///
+/// A world is built into the caller's scratch, which is reused from one
+/// world to the next: the first Get copies the certain core into it
+/// (handle bumps), and every Get decodes its alternatives once into the
+/// scratch (ChooseAlternatives) and rewrites, in place, only the
+/// relations the parts contribute to — the core's rows stay, the chosen
+/// alternatives' rows are assigned over the previous world's, and the
+/// rest is truncated. MutableRelation clones a relation whose instance is
+/// still shared (with the core, or with an answer that kept the previous
+/// world's instance), so no earlier world changes.
 class SubProductSource final : public WorldSource {
  public:
   SubProductSource(const Database& certain,
                    std::vector<const Component*> parts)
       : certain_(certain),
         parts_(std::move(parts)),
-        size_(ProductSize(parts_)) {}
+        size_(ProductSize(parts_)) {
+    std::set<std::string> relations;
+    for (const Component* part : parts_) {
+      for (std::string& relation : part->Relations()) {
+        relations.insert(std::move(relation));
+      }
+    }
+    for (const std::string& relation : relations) {
+      Result<const Table*> core = certain_.GetRelation(relation);
+      if (!core.ok()) continue;  // relation dropped; stale contributions
+      relations_.push_back({relation, (*core)->num_rows()});
+    }
+  }
 
   size_t size() const override { return size_; }
   const Database& schema_db() const override { return certain_; }
-  const World& Get(size_t i, World* scratch) const override {
-    std::vector<const Alternative*> chosen;
-    const double probability = ChooseAlternatives(parts_, i, &chosen);
-    *scratch = World(BuildLocalDatabase(certain_, chosen), probability);
-    return *scratch;
+  const World& Get(size_t i, WorldScratch* scratch) const override {
+    World& world = scratch->world;
+    if (world.db.num_relations() == 0) world.db = certain_;
+    world.probability = ChooseAlternatives(parts_, i, &scratch->chosen);
+    for (const Relation& relation : relations_) {
+      Result<Table*> table = world.db.MutableRelation(relation.name);
+      if (!table.ok()) continue;
+      std::vector<Tuple>& rows = *(*table)->mutable_rows();
+      size_t n = relation.core_rows;
+      for (const Alternative* alt : scratch->chosen) {
+        const std::vector<Tuple>* tuples = alt->TuplesFor(relation.name);
+        if (tuples == nullptr) continue;
+        for (const Tuple& tuple : *tuples) {
+          if (n < rows.size()) {
+            rows[n] = tuple;
+          } else {
+            rows.push_back(tuple);
+          }
+          ++n;
+        }
+      }
+      rows.resize(n);
+    }
+    return world;
   }
   bool decoded() const override { return !parts_.empty(); }
 
  private:
+  struct Relation {
+    std::string name;  // lower-case
+    size_t core_rows;  // the certain core's rows, first in every world
+  };
+
   const Database& certain_;
   std::vector<const Component*> parts_;
   size_t size_;
+  std::vector<Relation> relations_;  // those the parts contribute to
 };
 
 }  // namespace
@@ -474,9 +833,9 @@ Result<std::vector<World>> DecomposedWorldSet::MaterializeWorlds(
     // Each world is a full database copy: charge it against the world
     // budget, which also polls.
     MAYBMS_RETURN_NOT_OK(base::GovernChargeWorlds(1));
-    World world;
-    source.Get(i, &world);
-    worlds.push_back(std::move(world));
+    WorldScratch scratch;
+    source.Get(i, &scratch);
+    worlds.push_back(std::move(scratch.world));
   }
   return worlds;
 }
@@ -673,27 +1032,25 @@ Status DecomposedWorldSet::ApplyDml(const sql::Statement& stmt,
   return Status::OK();
 }
 
-Result<DecomposedWorldSet::PipelineRun> DecomposedWorldSet::RunPipeline(
-    const sql::SelectStatement& stmt, const std::string& result_name,
-    size_t keep_worlds) const {
-  std::set<std::string> referenced;
-  CollectReferencedRelations(stmt, &referenced);
-  PipelineRun run;
-  run.relevant = RelevantComponents(components_, referenced);
-  MAYBMS_ASSIGN_OR_RETURN(
-      run.result,
-      RunWorldPipeline(SubProductSource(certain_, Parts(run.relevant)), stmt,
-                       {.result_name = result_name,
-                        .keep_worlds = keep_worlds,
-                        .threads = threads_,
-                        .max_worlds = max_worlds_}));
-  return run;
+Result<PipelineResult> DecomposedWorldSet::RunPipeline(
+    const sql::SelectStatement& stmt, const std::vector<size_t>& relevant,
+    const std::string& result_name, size_t keep_worlds) const {
+  return RunWorldPipeline(SubProductSource(certain_, Parts(relevant)), stmt,
+                          {.result_name = result_name,
+                           .keep_worlds = keep_worlds,
+                           .threads = threads_,
+                           .max_worlds = max_worlds_});
 }
 
 Result<SelectEvaluation> DecomposedWorldSet::EvaluateSelect(
     const sql::SelectStatement& stmt, size_t max_worlds) const {
-  MAYBMS_ASSIGN_OR_RETURN(std::optional<DecomposedAnswer> dec,
-                          Shortcut(certain_, components_, stmt, threads_));
+  std::set<std::string> referenced;
+  CollectReferencedRelations(stmt, &referenced);
+  const std::vector<size_t> relevant =
+      RelevantComponents(components_, referenced);
+  MAYBMS_ASSIGN_OR_RETURN(
+      std::optional<DecomposedAnswer> dec,
+      Shortcut(certain_, components_, stmt, referenced, relevant, threads_));
   if (dec.has_value()) {
     if (stmt.quantifier == sql::WorldQuantifier::kNone) {
       return ListWorlds(*dec, max_worlds);
@@ -703,10 +1060,20 @@ Result<SelectEvaluation> DecomposedWorldSet::EvaluateSelect(
                             CombineClosedForm(*dec, stmt.quantifier));
     return eval;
   }
+  MAYBMS_ASSIGN_OR_RETURN(
+      std::optional<Table> aggregate,
+      ClosedFormAggregate(certain_, components_, stmt, referenced, relevant,
+                          threads_, max_worlds_));
+  if (aggregate.has_value()) {
+    SelectEvaluation eval;
+    eval.combined = std::move(aggregate);
+    return eval;
+  }
   const size_t keep =
       stmt.quantifier == sql::WorldQuantifier::kNone ? max_worlds : 0;
-  MAYBMS_ASSIGN_OR_RETURN(PipelineRun run, RunPipeline(stmt, "__result", keep));
-  return ToSelectEvaluation(std::move(run.result));
+  MAYBMS_ASSIGN_OR_RETURN(PipelineResult result,
+                          RunPipeline(stmt, relevant, "__result", keep));
+  return ToSelectEvaluation(std::move(result));
 }
 
 Status DecomposedWorldSet::MaterializeSelect(const std::string& name,
@@ -715,8 +1082,13 @@ Status DecomposedWorldSet::MaterializeSelect(const std::string& name,
     return Status::AlreadyExists("relation already exists: " + name);
   }
   const std::string lower = AsciiToLower(name);
-  MAYBMS_ASSIGN_OR_RETURN(std::optional<DecomposedAnswer> dec,
-                          Shortcut(certain_, components_, stmt, threads_));
+  std::set<std::string> referenced;
+  CollectReferencedRelations(stmt, &referenced);
+  const std::vector<size_t> relevant =
+      RelevantComponents(components_, referenced);
+  MAYBMS_ASSIGN_OR_RETURN(
+      std::optional<DecomposedAnswer> dec,
+      Shortcut(certain_, components_, stmt, referenced, relevant, threads_));
   if (dec.has_value() && stmt.quantifier != sql::WorldQuantifier::kNone) {
     MAYBMS_ASSIGN_OR_RETURN(Table combined,
                             CombineClosedForm(*dec, stmt.quantifier));
@@ -750,14 +1122,21 @@ Status DecomposedWorldSet::MaterializeSelect(const std::string& name,
     }
     return Status::OK();
   }
+  MAYBMS_ASSIGN_OR_RETURN(
+      std::optional<Table> aggregate,
+      ClosedFormAggregate(certain_, components_, stmt, referenced, relevant,
+                          threads_, max_worlds_));
+  if (aggregate.has_value()) {
+    certain_.PutRelation(name, std::move(*aggregate));
+    return Status::OK();
+  }
 
   MAYBMS_ASSIGN_OR_RETURN(
-      PipelineRun run,
-      RunPipeline(stmt, name, std::numeric_limits<size_t>::max()));
-  PipelineResult& result = run.result;
+      PipelineResult result,
+      RunPipeline(stmt, relevant, name, std::numeric_limits<size_t>::max()));
   const bool collapsed = stmt.quantifier != sql::WorldQuantifier::kNone &&
                          !stmt.group_worlds_by;
-  const bool one_world = run.relevant.empty() && !stmt.repair.has_value() &&
+  const bool one_world = relevant.empty() && !stmt.repair.has_value() &&
                          !stmt.choice.has_value();
   // Without an assert a quantifier keeps every world, and a single world
   // is certain: either way the answer belongs to the certain core.
@@ -778,7 +1157,7 @@ Status DecomposedWorldSet::MaterializeSelect(const std::string& name,
                             ? Schema()
                             : result.worlds.front().answer->schema());
   MAYBMS_RETURN_NOT_OK(
-      ReplaceComponents(run.relevant, result.worlds, lower, !collapsed));
+      ReplaceComponents(relevant, result.worlds, lower, !collapsed));
   certain_.PutRelation(name, std::move(certain_part));
   return Status::OK();
 }

@@ -123,14 +123,12 @@ class DecomposedWorldSet : public WorldSet {
 
  private:
   /// A select run through the shared pipeline (worlds/world_pipeline.h)
-  /// over the sub-product of the components the statement references.
-  struct PipelineRun {
-    std::vector<size_t> relevant;  // those components (into components_)
-    PipelineResult result;
-  };
-  Result<PipelineRun> RunPipeline(const sql::SelectStatement& stmt,
-                                  const std::string& result_name,
-                                  size_t keep_worlds) const;
+  /// over the sub-product of the components at `relevant`, those the
+  /// statement references.
+  Result<PipelineResult> RunPipeline(const sql::SelectStatement& stmt,
+                                     const std::vector<size_t>& relevant,
+                                     const std::string& result_name,
+                                     size_t keep_worlds) const;
 
   /// The components at `indices`, in that order; all of them.
   std::vector<const Component*> Parts(const std::vector<size_t>& indices) const;

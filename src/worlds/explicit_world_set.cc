@@ -20,7 +20,7 @@ class StoredWorlds final : public WorldSource {
   explicit StoredWorlds(const std::vector<World>& worlds) : worlds_(worlds) {}
   size_t size() const override { return worlds_.size(); }
   const Database& schema_db() const override { return worlds_.front().db; }
-  const World& Get(size_t i, World* /*scratch*/) const override {
+  const World& Get(size_t i, WorldScratch* /*scratch*/) const override {
     return worlds_[i];
   }
   bool decoded() const override { return false; }

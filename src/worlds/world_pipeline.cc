@@ -127,6 +127,9 @@ Status Pipeline::RunCore() {
   MAYBMS_ASSIGN_OR_RETURN(
       plans[0], engine::PreparedSelect::Prepare(*core_, source_.schema_db()));
   const size_t n = source_.size();
+  // One scratch world per slot, for this loop only (storage/catalog.h:
+  // a worker mutates only what it created inside the region).
+  std::vector<WorldScratch> scratch(slots_);
   BeginBatch(n);
   MAYBMS_RETURN_NOT_OK(pool_.ParallelFor(
       n, options_.threads,
@@ -136,8 +139,7 @@ Status Pipeline::RunCore() {
                                   engine::PreparedSelect::Prepare(
                                       *core_, source_.schema_db()));
         }
-        World scratch;
-        const World& world = source_.Get(i, &scratch);
+        const World& world = source_.Get(i, &scratch[slot]);
         MAYBMS_ASSIGN_OR_RETURN(Table answer, plans[slot]->Execute(world.db));
         return Tail(i, world.probability, world.db, std::move(answer), slot,
                     chunk);
@@ -156,12 +158,12 @@ Status Pipeline::RunFanOut() {
                           engine::PreparedProjection::Prepare(
                               *core_, schema_db, source_plan.output_schema()));
   uint64_t produced = 0;
+  WorldScratch scratch;
   // Source worlds advance strictly in sequence (world i's combinations
   // before world i+1's partition), so errors interleave identically at
   // every thread count.
   for (size_t i = 0; i < source_.size(); ++i) {
     MAYBMS_RETURN_NOT_OK(base::GovernPoll());
-    World scratch;
     const World& world = source_.Get(i, &scratch);
     MAYBMS_ASSIGN_OR_RETURN(Table rows, source_plan.Execute(world.db));
     MAYBMS_ASSIGN_OR_RETURN(std::vector<PartitionBlock> blocks,
@@ -377,6 +379,7 @@ Result<std::vector<PipelineWorld>> RunDmlInEveryWorld(
   MAYBMS_ASSIGN_OR_RETURN(
       plans[0],
       engine::PreparedDml::Prepare(stmt, source.schema_db(), &catalog));
+  std::vector<WorldScratch> scratch(plans.size());  // one per slot, this loop only
   MAYBMS_RETURN_NOT_OK(pool.ParallelFor(
       worlds.size(), threads,
       [&](size_t i, size_t slot, size_t /*chunk*/) -> Status {
@@ -390,8 +393,7 @@ Result<std::vector<PipelineWorld>> RunDmlInEveryWorld(
         // catalog per world would dominate the pass. Execute swaps in a
         // new target instance only if it changed the relation, and only
         // after the whole statement succeeded in this world.
-        World scratch;
-        const World& world = source.Get(i, &scratch);
+        const World& world = source.Get(i, &scratch[slot]);
         Database db;
         for (const std::string& relation : referenced) {
           Result<Database::TableHandle> handle =

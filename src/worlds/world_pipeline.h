@@ -53,6 +53,15 @@ namespace maybms::worlds {
 /// fails with kUnsupported "statement world cap of N worlds exceeded".
 inline constexpr uint64_t kMaxStatementWorlds = uint64_t{1} << 20;
 
+struct Alternative;
+
+/// What one thread keeps from one world of a source to the next: the
+/// world built last, and the alternatives decoded for it.
+struct WorldScratch {
+  World world;
+  std::vector<const Alternative*> chosen;
+};
+
 /// The worlds a pipeline runs over, in a fixed order.
 class WorldSource {
  public:
@@ -66,7 +75,11 @@ class WorldSource {
 
   /// World `i` (< size()): a stored world in place, or one built into
   /// `scratch`. Thread-safe; the same `i` always yields the same world.
-  virtual const World& Get(size_t i, World* scratch) const = 0;
+  /// A caller keeps one scratch per thread, default-constructed before
+  /// its first Get and passed back for the next world of this source;
+  /// the source may reuse what the previous world left in it. The world
+  /// returned stays valid until the next Get with the same scratch.
+  virtual const World& Get(size_t i, WorldScratch* scratch) const = 0;
 
   /// True for decoded worlds, which the world budget counts; stored
   /// worlds were counted when they were derived.

@@ -198,7 +198,7 @@ TEST(GovernanceBudgetTest, DecomposedSubProductEnumerationIsCharged) {
     auto before = session.world_set().ToSnapshot();
     ASSERT_TRUE(before.ok());
     for (const char* statement :
-         {"select possible sum(V) from I;",
+         {"select conf, sum(V) from I;",
           "update I set V = V + 1 where K = 0;"}) {
       SCOPED_TRACE(statement);
       auto r = session.Execute(statement);
@@ -302,6 +302,71 @@ TEST(GovernanceBudgetTest, FastPathSliceHonoursAnExpiredDeadline) {
     EXPECT_NE(r.status().message().find("statement deadline of 1 ms exceeded"),
               std::string::npos)
         << r.status().ToString();
+  }
+}
+
+// A memory budget that is not a whole number of MiB is reported in bytes
+// (a MiB figure would read 0); a whole-MiB budget keeps the MiB text.
+TEST(GovernanceBudgetTest, MemoryBudgetMessageNamesItsUnit) {
+  const char* kSlice = "select conf, K, V from I where K between 990 and 1009;";
+  SessionOptions options;
+  options.engine = EngineMode::kDecomposed;
+  Session session(options);
+  ExecScript(session, WeightedRepairScript(2000, 3));
+  {
+    // The slice charges 60 x 32 = 1,920 bytes.
+    base::GovernanceLimits limits;
+    limits.mem_budget_bytes = 1919;
+    base::QueryContext ctx{limits};
+    base::QueryContextScope scope(&ctx);
+    auto r = session.Execute(kSlice);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(r.status().message(),
+              "statement memory budget of 1919 bytes exceeded");
+  }
+  base::GovernanceLimits limits;
+  limits.mem_budget_bytes = uint64_t{2} << 20;
+  base::QueryContext ctx{limits};
+  const Status status = ctx.ChargeBytes((uint64_t{2} << 20) + 1);
+  EXPECT_EQ(status.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(status.message(), "statement memory budget of 2 MiB exceeded");
+}
+
+// possible/certain of count and sum over a repaired relation answer in
+// closed form: no world is decoded, so a world budget of 1 does not stop
+// them, and the memory budget is charged the support's rows. The 2,000
+// keys x 3 rows of I hold V = 10k + j, so the sums span 4,001 values.
+TEST(GovernanceBudgetTest, ClosedFormAggregatesAreNotChargedWorlds) {
+  for (size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    SessionOptions options;
+    options.engine = EngineMode::kDecomposed;
+    options.threads = threads;
+    Session session(options);
+    ExecScript(session, WeightedRepairScript(2000, 3));
+    base::GovernanceLimits limits;
+    limits.max_worlds = 1;
+    {
+      base::QueryContext ctx{limits};
+      base::QueryContextScope scope(&ctx);
+      auto r = session.Execute("select possible sum(V) from I;");
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      const Table& sums = r->table();
+      ASSERT_EQ(sums.num_rows(), 4001u);
+      const int64_t base = 10 * (1999 * 2000 / 2);
+      EXPECT_EQ(sums.row(0).value(0).AsInteger(), base);
+      EXPECT_EQ(sums.row(4000).value(0).AsInteger(), base + 4000);
+      EXPECT_EQ(ctx.worlds_charged(), 0u);
+      EXPECT_EQ(ctx.bytes_charged(), base::EstimateTableBytes(4001, 1));
+    }
+    base::QueryContext ctx{limits};
+    base::QueryContextScope scope(&ctx);
+    auto r = session.Execute("select certain count(*) from I;");
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_EQ(r->table().num_rows(), 1u);
+    EXPECT_EQ(r->table().row(0).value(0).AsInteger(), 2000);
+    EXPECT_EQ(ctx.worlds_charged(), 0u);
   }
 }
 

@@ -247,7 +247,7 @@ TEST(ComponentTest, MergeCapIsEnforced) {
   MAYBMS_ASSERT_OK(ws.MaterializeSelect(
       "i", *ParseSelect("select * from r repair by key K")));
   ASSERT_EQ(ws.NumWorlds(), 1000u);
-  auto sum = ws.EvaluateSelect(*ParseSelect("select possible sum(V) from i"),
+  auto sum = ws.EvaluateSelect(*ParseSelect("select conf, sum(V) from i"),
                                16);
   ASSERT_FALSE(sum.ok());
   EXPECT_EQ(sum.status().code(), StatusCode::kUnsupported);

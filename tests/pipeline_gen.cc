@@ -365,12 +365,40 @@ std::string PipelineGenerator::RandomProbe() {
       break;
     }
     case 3: {  // aggregate
+      // possible/certain of count(*), count(col) and sum(col) answer in
+      // closed form on the decomposed engine; sum(W) runs over a REAL
+      // column when W was retyped, and the last two WHERE shapes fail in
+      // some worlds only, which the closed form leaves to the pipeline.
       const TableInfo& t = Pick(true);
       if (quant == 3) quant = Int(0, 2);
-      const char* aggs[] = {"sum(V)", "count(*)", "min(V)", "max(W)"};
-      out << "select " << quant_prefix[quant] << aggs[Int(0, 3)] << " from "
-          << t.name;
-      if (Chance(0.5)) out << " where " << RandomPredicate("");
+      struct Aggregate {
+        const char* function;
+        const char* column;  // null: (*)
+      };
+      const Aggregate kAggs[] = {{"sum", "V"},   {"count", nullptr},
+                                 {"min", "V"},   {"max", "W"},
+                                 {"count", "V"}, {"sum", "W"}};
+      const Aggregate& agg = kAggs[Int(0, 5)];
+      const std::string q = Chance(0.25) ? "t." : "";
+      out << "select " << quant_prefix[quant] << agg.function << "("
+          << (agg.column != nullptr ? q + agg.column : "*") << ") from "
+          << t.name << (q.empty() ? "" : " t");
+      switch (Int(0, 4)) {
+        case 0:
+        case 1:
+          break;
+        case 2:
+          out << " where " << RandomPredicate(q);
+          break;
+        case 3:
+          out << " where " << q << "W / (" << q << "V - " << Int(1, 6)
+              << ") > 0";
+          break;
+        default:
+          out << " where " << q << "K > 1 or cast(" << q
+              << "G as integer) > 0";
+          break;
+      }
       break;
     }
     case 4: {  // bare conf with a subquery condition

@@ -16,7 +16,8 @@ namespace maybms::testing {
 /// and subquery WHERE clauses, deletes on uncertain relations, and an
 /// update that divides by zero in some worlds only) followed by read-only probe queries that exercise selections,
 /// projections, joins (comma-lists and explicit [LEFT] JOIN ... ON),
-/// aggregates, correlated EXISTS/IN/scalar subqueries, set operations,
+/// aggregates (count/sum/min/max, with WHERE clauses that fail in some
+/// worlds only), correlated EXISTS/IN/scalar subqueries, set operations,
 /// ORDER BY [DESC] with LIMIT (compared as ordered sequences — the
 /// deterministic full-row tie-break documented in docs/isql.md makes the
 /// sorted order a function of the answer bag alone), queries over views,
