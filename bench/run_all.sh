@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Runs every bench binary and merges their JSON outputs into one baseline
-# file (default BENCH_seed.json in the repo root). Optionally diffs the
+# file (default BENCH_local.json in the repo root, which git ignores, so a
+# bare run never rewrites a committed baseline). Optionally diffs the
 # fresh numbers against an earlier baseline and fails on regressions.
 #
 # Usage:
@@ -54,7 +55,7 @@ while [[ $# -gt 0 ]]; do
     *)           OUT="$1"; shift ;;
   esac
 done
-OUT="${OUT:-BENCH_seed.json}"
+OUT="${OUT:-BENCH_local.json}"
 
 if ! ls "${BUILD_DIR}"/bench_* >/dev/null 2>&1; then
   echo "no bench binaries in ${BUILD_DIR}/ — build first (scripts/check.sh)" >&2

@@ -1,8 +1,8 @@
 // Per-world executor entry points. Since the prepared-statement layer
-// (engine/prepared.h) landed, these are single-shot wrappers: prepare the
-// statement against the target database's schemas, execute once. Callers
-// that evaluate one statement against many worlds (the world-set layer,
-// Monte-Carlo sampling) hold a PreparedSelect/PreparedFromWhere directly
+// (engine/prepared.h) landed, ExecuteSelect is a single-shot wrapper:
+// prepare the statement against the target database's schemas, execute
+// once. Callers that evaluate one statement against many worlds (the
+// world-set layer, Monte-Carlo sampling) hold a PreparedSelect directly
 // and skip the per-call preparation.
 
 #include "engine/executor.h"
@@ -25,13 +25,6 @@ bool StatementHasAggregates(const sql::SelectStatement& stmt) {
   }
   if (stmt.having && ContainsAggregate(*stmt.having)) return true;
   return false;
-}
-
-Result<Table> ExecuteFromWhere(const sql::SelectStatement& stmt,
-                               const Database& db, const EvalContext* outer) {
-  MAYBMS_ASSIGN_OR_RETURN(PreparedFromWhere plan,
-                          PreparedFromWhere::Prepare(stmt, db, outer));
-  return plan.Execute(db, outer);
 }
 
 Result<Table> ExecuteSelect(const sql::SelectStatement& stmt,

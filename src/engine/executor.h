@@ -29,17 +29,6 @@ Result<Table> ExecuteSelect(const sql::SelectStatement& stmt,
                             const Database& db,
                             const EvalContext* outer = nullptr);
 
-/// Evaluates the FROM clause (comma items and JOIN ... ON clauses, with
-/// alias-qualified schemas) and applies the WHERE filter. Equi-conjuncts
-/// are executed as hash joins with residual predicates applied per bucket
-/// match; non-equi joins fall back to nested loops; subquery predicates
-/// are decorrelated where possible. Single-shot wrapper over
-/// PreparedFromWhere (engine/prepared.h); callers that execute one
-/// statement against many worlds should prepare once instead.
-Result<Table> ExecuteFromWhere(const sql::SelectStatement& stmt,
-                               const Database& db,
-                               const EvalContext* outer = nullptr);
-
 }  // namespace maybms::engine
 
 #endif  // MAYBMS_ENGINE_EXECUTOR_H_

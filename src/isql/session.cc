@@ -403,9 +403,10 @@ Result<QueryResult> Session::EvaluateSelectOn(const worlds::WorldSet& ws,
   return QueryResult::Worlds(std::move(eval.per_world), eval.truncated);
 }
 
-void Session::PublishSnapshot() {
+std::shared_ptr<const SessionSnapshot> Session::BuildSnapshot(
+    uint64_t version) const {
   auto snapshot = std::make_shared<SessionSnapshot>();
-  snapshot->version = commit_version_++;
+  snapshot->version = version;
   // The clone shares every instance with the live world-set (immutable
   // once shared), so this is handle bumps; the next mutating statement
   // clones-on-write and leaves the snapshot's instances untouched.
@@ -413,7 +414,12 @@ void Session::PublishSnapshot() {
       std::shared_ptr<const worlds::WorldSet>(state_.worlds->Clone().release());
   snapshot->catalog = state_.catalog;
   snapshot->views = state_.views;
-  std::shared_ptr<const SessionSnapshot> previous = std::move(snapshot);
+  return snapshot;
+}
+
+void Session::PublishSnapshot() {
+  std::shared_ptr<const SessionSnapshot> previous =
+      BuildSnapshot(commit_version_++);
   {
     std::lock_guard<std::mutex> lock(snapshot_mu_);
     std::swap(published_, previous);
@@ -429,13 +435,7 @@ std::shared_ptr<const SessionSnapshot> Session::PinSnapshot() const {
   }
   // No published snapshot (publish_snapshots off): build one on the fly.
   // Single-threaded use only, like every other const accessor.
-  auto snapshot = std::make_shared<SessionSnapshot>();
-  snapshot->version = commit_version_;
-  snapshot->worlds =
-      std::shared_ptr<const worlds::WorldSet>(state_.worlds->Clone().release());
-  snapshot->catalog = state_.catalog;
-  snapshot->views = state_.views;
-  return snapshot;
+  return BuildSnapshot(commit_version_);
 }
 
 Result<QueryResult> Session::EvaluateSnapshot(const SessionSnapshot& snapshot,

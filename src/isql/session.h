@@ -253,6 +253,10 @@ class Session {
                                               const sql::SelectStatement& stmt,
                                               size_t max_display_worlds);
 
+  /// A snapshot of the live state at `version`: a world-set clone, the
+  /// catalog and the views.
+  std::shared_ptr<const SessionSnapshot> BuildSnapshot(uint64_t version) const;
+
   /// Rebuilds and publishes the snapshot readers pin (publish_snapshots
   /// mode). Called after construction and after every successful mutating
   /// statement, from the (single) writer thread.

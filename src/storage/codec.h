@@ -58,8 +58,8 @@ Result<Tuple> DecodeTuple(const std::byte* data, size_t size);
 
 /// True if `a` and `b` encode to the same record bytes: same arity, and
 /// per value the same type and the same payload (doubles bit for bit).
-/// Stricter than Tuple equality, which treats Integer(1) and Real(1.0),
-/// or integers beyond 2^53 that round to the same double, as equal.
+/// Stricter than Tuple equality, which treats Integer(1) and Real(1.0)
+/// as equal.
 bool EncodesIdentically(const Tuple& a, const Tuple& b);
 
 /// Schema record: u16 column count, then per column

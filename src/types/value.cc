@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <string_view>
 
@@ -98,11 +99,38 @@ double Value::NumericValue() const {
   return AsReal();
 }
 
+namespace {
+
+// Numbers compare by exact value. Two INTEGERs compare as int64 and two
+// REALs as doubles (NaN is neither less than nor equal to anything); an
+// INTEGER against a REAL compares as long double, which holds every
+// int64 and every double exactly.
+static_assert(std::numeric_limits<long double>::digits >= 64,
+              "mixed INTEGER/REAL comparisons need a 64-bit significand");
+
+long double ExactNumber(const Value& v) {
+  if (v.type() == DataType::kInteger) return v.AsInteger();
+  return v.AsReal();
+}
+
+bool NumberLess(const Value& a, const Value& b) {
+  if (a.type() != b.type()) return ExactNumber(a) < ExactNumber(b);
+  if (a.type() == DataType::kInteger) return a.AsInteger() < b.AsInteger();
+  return a.AsReal() < b.AsReal();
+}
+
+bool NumberEquals(const Value& a, const Value& b) {
+  if (a.type() != b.type()) return ExactNumber(a) == ExactNumber(b);
+  if (a.type() == DataType::kInteger) return a.AsInteger() == b.AsInteger();
+  return a.AsReal() == b.AsReal();
+}
+
+}  // namespace
+
 Result<Trivalent> Value::SqlEquals(const Value& other) const {
   if (is_null() || other.is_null()) return Trivalent::kUnknown;
   if (IsNumeric() && other.IsNumeric()) {
-    return NumericValue() == other.NumericValue() ? Trivalent::kTrue
-                                                  : Trivalent::kFalse;
+    return NumberEquals(*this, other) ? Trivalent::kTrue : Trivalent::kFalse;
   }
   if (type() != other.type()) {
     return Status::TypeError(std::string("cannot compare ") +
@@ -119,8 +147,7 @@ Result<Trivalent> Value::SqlEquals(const Value& other) const {
 Result<Trivalent> Value::SqlLess(const Value& other) const {
   if (is_null() || other.is_null()) return Trivalent::kUnknown;
   if (IsNumeric() && other.IsNumeric()) {
-    return NumericValue() < other.NumericValue() ? Trivalent::kTrue
-                                                 : Trivalent::kFalse;
+    return NumberLess(*this, other) ? Trivalent::kTrue : Trivalent::kFalse;
   }
   if (type() != other.type()) {
     return Status::TypeError(std::string("cannot order ") +
@@ -135,13 +162,11 @@ Result<Trivalent> Value::SqlLess(const Value& other) const {
 }
 
 int Value::TotalOrderCompare(const Value& other) const {
-  // Numerics of different concrete types compare by numeric value first so
-  // that Integer(1) and Real(1.0) coincide in sets (SQL value semantics);
-  // ties broken by type tag for a strict weak order.
+  // Numerics of different concrete types compare by exact value, so that
+  // Integer(1) and Real(1.0) coincide in sets (SQL value semantics).
   if (IsNumeric() && other.IsNumeric()) {
-    double a = NumericValue(), b = other.NumericValue();
-    if (a < b) return -1;
-    if (a > b) return 1;
+    if (NumberLess(*this, other)) return -1;
+    if (NumberLess(other, *this)) return 1;
     return 0;
   }
   if (storage_.index() != other.storage_.index()) {
@@ -167,10 +192,16 @@ size_t Value::Hash() const {
   switch (type()) {
     case DataType::kNull:
       return 0x9e3779b97f4a7c15ULL;
-    case DataType::kInteger:
-      // Hash integers by their double value so Integer(1)/Real(1.0) agree,
-      // consistent with TotalOrderCompare.
-      return std::hash<double>()(static_cast<double>(AsInteger()));
+    case DataType::kInteger: {
+      // An integer that a double holds exactly hashes as that double, so
+      // Integer(1)/Real(1.0) agree, consistent with TotalOrderCompare; no
+      // REAL equals any other integer.
+      const double d = static_cast<double>(AsInteger());
+      if (static_cast<long double>(d) == AsInteger()) {
+        return std::hash<double>()(d);
+      }
+      return std::hash<int64_t>()(AsInteger());
+    }
     case DataType::kReal:
       return std::hash<double>()(AsReal());
     case DataType::kText:

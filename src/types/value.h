@@ -66,15 +66,17 @@ class Value {
   }
 
   /// SQL equality: NULL makes the result Unknown; numerics compare by
-  /// value across int/real; mismatched non-numeric types are an error.
+  /// exact value across int/real; mismatched non-numeric types are an
+  /// error.
   Result<Trivalent> SqlEquals(const Value& other) const;
 
   /// SQL ordering comparison (<). NULL operands yield Unknown.
   Result<Trivalent> SqlLess(const Value& other) const;
 
   /// Total order over all values for deterministic sorting and set
-  /// semantics: NULL first, then by type tag, then by value.
-  /// (Distinct from SQL comparison semantics.)
+  /// semantics: NULL first, then by type tag (INTEGER and REAL together,
+  /// by exact value), then by value. (Distinct from SQL comparison
+  /// semantics.)
   int TotalOrderCompare(const Value& other) const;
 
   bool operator==(const Value& other) const {

@@ -14,7 +14,6 @@
 #include "base/string_util.h"
 #include "base/thread_pool.h"
 #include "engine/dml.h"
-#include "engine/executor.h"
 #include "engine/expr_eval.h"
 #include "engine/planner.h"
 #include "engine/prepared.h"
@@ -40,8 +39,8 @@ bool ContainsSubquery(const sql::Expr& expr) {
 
 /// The rows of `rows` that satisfy `where`, evaluated in `ctx` with its
 /// row set per row: `rows` itself when there is no WHERE clause, else the
-/// survivors, copied into `*kept`. The one filter loop of the fast path:
-/// the certain core's rows and every alternative's contribution go
+/// survivors, copied into `*kept`. The one filter loop of the row-local
+/// route: the certain core's rows and every alternative's contribution go
 /// through it.
 Result<const std::vector<Tuple>*> FilterRows(const sql::Expr* where,
                                              engine::EvalContext ctx,
@@ -64,10 +63,10 @@ Result<const std::vector<Tuple>*> FilterRows(const sql::Expr* where,
 using PartVisitor = std::function<Status(
     size_t part, size_t j, const std::vector<Tuple>& rows, size_t slot)>;
 
-/// The one pass of the shortcuts over a row-local scan of one uncertain
-/// relation `rel` (`base` its certain core, `qualified` its schema under
-/// the statement's alias): the certain core's rows that satisfy `where`
-/// go to `visit` first, on the calling thread; then each relevant
+/// The one pass of the row-local route over one uncertain relation `rel`
+/// (`base` its certain core, `qualified` its schema under the statement's
+/// alias): the certain core's rows that satisfy `where` go to `visit`
+/// first, on the calling thread; then each relevant
 /// component is one task on the thread pool, which filters its
 /// alternatives in order, polling per alternative, and hands each one's
 /// kept rows (empty if it contributes none) to `visit`. Errors are
@@ -147,69 +146,59 @@ std::vector<size_t> RelevantComponents(
   return indices;
 }
 
-/// True if the statement reads one relation row by row: one FROM item,
-/// no join (a self-join correlates tuples), set operation, DISTINCT,
-/// GROUP BY, HAVING, ORDER BY or LIMIT, and a WHERE clause without
-/// subqueries or aggregates. The shape both shortcuts over one uncertain
-/// relation need.
-bool IsRowLocalScan(const sql::SelectStatement& stmt,
-                    const std::set<std::string>& referenced) {
+/// What the row-local route makes of a statement. The statement must read
+/// one relation row by row: one FROM item, no join (a self-join
+/// correlates tuples), set operation, DISTINCT, GROUP BY, HAVING, ORDER BY
+/// or LIMIT, and a WHERE clause without subqueries or aggregates. Its
+/// select list then makes it
+///  * a slice: items without subqueries or aggregates, under any
+///    quantifier; or
+///  * an aggregate: `possible`/`certain` of exactly one `count(*)`,
+///    `count(col)` or `sum(col)`. The route also needs a sum's column to
+///    be declared INTEGER, which it checks against the relation's schema.
+enum class RowLocal { kNone, kSlice, kAggregate };
+
+RowLocal ClassifyRowLocal(const sql::SelectStatement& stmt,
+                          const std::set<std::string>& referenced) {
   if (stmt.from.size() != 1 || referenced.size() != 1 ||
       !stmt.joins.empty() || stmt.union_next || stmt.distinct ||
       !stmt.group_by.empty() || stmt.having || !stmt.order_by.empty() ||
-      stmt.limit.has_value()) {
-    return false;
+      stmt.limit.has_value() ||
+      (stmt.where && (ContainsSubquery(*stmt.where) ||
+                      engine::ContainsAggregate(*stmt.where)))) {
+    return RowLocal::kNone;
   }
-  return !stmt.where || (!ContainsSubquery(*stmt.where) &&
-                         !engine::ContainsAggregate(*stmt.where));
-}
-
-/// True if the statement qualifies for the per-alternative push-down fast
-/// path (single uncertain relation scan, per-tuple predicate, plain
-/// projection).
-bool QualifiesForFastPath(const sql::SelectStatement& stmt,
-                          const std::set<std::string>& referenced) {
-  if (!IsRowLocalScan(stmt, referenced)) return false;
-  for (const sql::SelectItem& item : stmt.items) {
-    if (item.star) continue;
-    if (ContainsSubquery(*item.expr) || engine::ContainsAggregate(*item.expr)) {
-      return false;
-    }
+  const auto plain = [](const sql::SelectItem& item) {
+    return item.star || (!ContainsSubquery(*item.expr) &&
+                         !engine::ContainsAggregate(*item.expr));
+  };
+  if (std::all_of(stmt.items.begin(), stmt.items.end(), plain)) {
+    return RowLocal::kSlice;
   }
-  return true;
-}
-
-/// True if the statement qualifies for the closed-form aggregate:
-/// `possible`/`certain` of exactly one `count(*)`, `count(col)` or
-/// `sum(col)` in a row-local scan, without assert, GROUP WORLDS BY,
-/// repair or choice. The shortcut also needs a sum's column to be
-/// declared INTEGER, which it checks against the relation's schema.
-bool QualifiesForClosedFormAggregate(const sql::SelectStatement& stmt,
-                                     const std::set<std::string>& referenced) {
   if ((stmt.quantifier != sql::WorldQuantifier::kPossible &&
        stmt.quantifier != sql::WorldQuantifier::kCertain) ||
-      stmt.assert_condition || stmt.group_worlds_by ||
-      stmt.repair.has_value() || stmt.choice.has_value() ||
-      !IsRowLocalScan(stmt, referenced) || stmt.items.size() != 1 ||
-      stmt.items[0].star) {
-    return false;
+      stmt.items.size() != 1 ||
+      stmt.items[0].expr->kind != sql::ExprKind::kFunctionCall) {
+    return RowLocal::kNone;
   }
-  const sql::Expr& item = *stmt.items[0].expr;
-  if (item.kind != sql::ExprKind::kFunctionCall) return false;
-  const auto& call = static_cast<const sql::FunctionCallExpr&>(item);
-  if (call.distinct || (call.name != "count" && call.name != "sum")) {
-    return false;
+  const auto& call =
+      static_cast<const sql::FunctionCallExpr&>(*stmt.items[0].expr);
+  const bool count = call.name == "count";
+  const bool column = call.args.size() == 1 &&
+                      call.args[0]->kind == sql::ExprKind::kColumnRef;
+  if (call.distinct || (!count && call.name != "sum") ||
+      !(call.star ? count : column)) {
+    return RowLocal::kNone;
   }
-  if (call.star) return call.name == "count";
-  return call.args.size() == 1 &&
-         call.args[0]->kind == sql::ExprKind::kColumnRef;
+  return RowLocal::kAggregate;
 }
 
 /// The decomposed form of a statement's answer: certain rows plus one
 /// factor per involved component, listing what each of its alternatives
 /// adds. A world's answer is the certain rows plus one chosen
 /// alternative's rows per factor; a component without a factor adds
-/// nothing in any world.
+/// nothing in any world. A quantified statement's answer, once combined,
+/// is certain rows alone.
 struct DecomposedAnswer {
   struct Choice {
     double probability = 1.0;
@@ -219,140 +208,10 @@ struct DecomposedAnswer {
   Schema schema;
   std::vector<Tuple> certain_rows;
   std::vector<Factor> factors;
-  /// Fast path: factors[k] belongs to components_[component_indices[k]].
+  /// A slice: factors[k] belongs to components_[component_indices[k]].
   /// Empty for a repair/choice product, whose factors are new components.
   std::vector<size_t> component_indices;
 };
-
-/// The decomposed engine's shortcuts, tried before the shared pipeline by
-/// statements without assert and GROUP WORLDS BY:
-///  * certain-only: no component is relevant — one evaluation over the
-///    certain core;
-///  * the fast path: selection/projection of one uncertain relation,
-///    pushed into each alternative — no merge, structure preserved. One
-///    pass over the relevant components on the thread pool
-///    (ScanAlternatives) filters every
-///    alternative's rows and projects only the alternatives that kept
-///    some. Under a quantifier only the components that kept a row get a
-///    factor (the closed forms ignore the others); a quantifier-free
-///    statement lists worlds or attaches rows, so every relevant
-///    component gets one;
-///  * the clean repair/choice product over certain relations: one new
-///    component per partition block, the O(n·g) form of g^n worlds.
-/// `referenced` are the relations the statement references, `relevant`
-/// the components contributing to them. Returns nullopt when the
-/// statement must run through the pipeline.
-Result<std::optional<DecomposedAnswer>> Shortcut(
-    const Database& certain, const std::vector<ComponentHandle>& components,
-    const sql::SelectStatement& stmt, const std::set<std::string>& referenced,
-    const std::vector<size_t>& relevant, size_t threads) {
-  MAYBMS_RETURN_NOT_OK(ValidateWorldOps(stmt));
-  std::optional<DecomposedAnswer> none;
-  if (stmt.assert_condition || stmt.group_worlds_by) return none;
-  const bool creates_worlds =
-      stmt.repair.has_value() || stmt.choice.has_value();
-  if (!relevant.empty() &&
-      (creates_worlds || !QualifiesForFastPath(stmt, referenced))) {
-    return none;
-  }
-  std::unique_ptr<sql::SelectStatement> core = StripWorldOps(stmt);
-  DecomposedAnswer answer;
-  if (creates_worlds) {
-    MAYBMS_ASSIGN_OR_RETURN(engine::PreparedFromWhere source_plan,
-                            engine::PreparedFromWhere::Prepare(stmt, certain));
-    MAYBMS_ASSIGN_OR_RETURN(
-        engine::PreparedProjection projection,
-        engine::PreparedProjection::Prepare(*core, certain,
-                                            source_plan.output_schema()));
-    MAYBMS_ASSIGN_OR_RETURN(Table source, source_plan.Execute(certain));
-    MAYBMS_ASSIGN_OR_RETURN(std::vector<PartitionBlock> blocks,
-                            Partition(source, stmt));
-    answer.schema = projection.output_schema();
-    for (const PartitionBlock& block : blocks) {
-      // Each block becomes one component whose alternatives are its
-      // choices: charge them as the decomposition's unit of world fan-out
-      // (the representation IS the O(n·g) compression of the product).
-      MAYBMS_RETURN_NOT_OK(base::GovernChargeWorlds(block.choices.size()));
-      DecomposedAnswer::Factor factor;
-      factor.reserve(block.choices.size());
-      for (const WeightedChoice& choice : block.choices) {
-        std::vector<Tuple> chosen;
-        chosen.reserve(choice.row_indices.size());
-        for (size_t r : choice.row_indices) chosen.push_back(source.row(r));
-        MAYBMS_ASSIGN_OR_RETURN(Table projected,
-                                projection.Execute(certain, chosen));
-        MAYBMS_RETURN_NOT_OK(base::GovernChargeBytes(base::EstimateTableBytes(
-            projected.num_rows(), projected.schema().num_columns())));
-        factor.push_back({choice.probability,
-                          std::move(*projected.mutable_rows())});
-      }
-      answer.factors.push_back(std::move(factor));
-    }
-  } else if (relevant.empty()) {
-    MAYBMS_ASSIGN_OR_RETURN(Table result,
-                            engine::ExecuteSelect(*core, certain));
-    answer.schema = result.schema();
-    answer.certain_rows = std::move(*result.mutable_rows());
-  } else {
-    const std::string rel = AsciiToLower(stmt.from[0].table_name);
-    MAYBMS_ASSIGN_OR_RETURN(const Table* base, certain.GetRelation(rel));
-    const Schema qualified =
-        base->schema().WithQualifier(stmt.from[0].effective_alias());
-    // One projection per slot (base/thread_pool.h rule 3): it caches
-    // subquery plans while it executes. Slot 0's is prepared eagerly, so
-    // preparation errors surface before any row is filtered.
-    std::vector<std::optional<engine::PreparedProjection>> projections(
-        base::ThreadPool::Shared().Slots(threads));
-    MAYBMS_ASSIGN_OR_RETURN(
-        projections[0],
-        engine::PreparedProjection::Prepare(*core, certain, qualified));
-    answer.schema = projections[0]->output_schema();
-    const size_t columns = answer.schema.num_columns();
-    // Only the alternatives that keep a row are projected; a component's
-    // factor is sized at the first of them.
-    std::vector<DecomposedAnswer::Factor> factors(relevant.size());
-    MAYBMS_RETURN_NOT_OK(ScanAlternatives(
-        certain, *base, rel, qualified, core->where.get(), components,
-        relevant, threads,
-        [&](size_t part, size_t j, const std::vector<Tuple>& rows,
-            size_t slot) -> Status {
-          if (rows.empty()) return Status::OK();
-          if (!projections[slot].has_value()) {
-            MAYBMS_ASSIGN_OR_RETURN(
-                projections[slot],
-                engine::PreparedProjection::Prepare(*core, certain, qualified));
-          }
-          MAYBMS_ASSIGN_OR_RETURN(
-              std::vector<Tuple> projected,
-              projections[slot]->ProjectRows(certain, rows));
-          if (part == 0) {
-            answer.certain_rows = std::move(projected);
-            return Status::OK();
-          }
-          MAYBMS_RETURN_NOT_OK(base::GovernChargeBytes(
-              base::EstimateTableBytes(projected.size(), columns)));
-          DecomposedAnswer::Factor& factor = factors[part - 1];
-          factor.resize(components[relevant[part - 1]]->size());
-          factor[j].rows = std::move(projected);
-          return Status::OK();
-        }));
-    // Listings and attached rows need every component's factor; the
-    // closed forms need only those that answer.
-    const bool dense = stmt.quantifier == sql::WorldQuantifier::kNone;
-    for (size_t k = 0; k < relevant.size(); ++k) {
-      DecomposedAnswer::Factor& factor = factors[k];
-      if (factor.empty() && !dense) continue;
-      const Component& component = *components[relevant[k]];
-      factor.resize(component.size());
-      for (size_t j = 0; j < component.size(); ++j) {
-        factor[j].probability = component.alternatives[j].probability;
-      }
-      answer.component_indices.push_back(relevant[k]);
-      answer.factors.push_back(std::move(factor));
-    }
-  }
-  return std::optional<DecomposedAnswer>(std::move(answer));
-}
 
 /// possible/certain/conf of a decomposed answer by per-component math, no
 /// enumeration: conf uses the closed form 1 − ∏_c (1 − p_c(t)).
@@ -488,15 +347,11 @@ bool FoldRows(bool sum, std::optional<size_t> column,
 /// support in one linear pass.
 class Support {
  public:
-  /// Integers beyond this magnitude may share a double, and the
-  /// combiner's tuple identity compares numbers as doubles.
-  static constexpr int64_t kMaxExact = int64_t{1} << 53;
-
   /// Adds `part`, whose values are sorted and distinct. False, leaving
-  /// the support unusable, on int64 overflow, on a value beyond
-  /// kMaxExact, or once the support would hold more than `max` values: the
-  /// merge stops at the first run that passes it, so it never holds much
-  /// more than `max` values and one run. Polls once per run.
+  /// the support unusable, on int64 overflow or once the support would
+  /// hold more than `max` values: the merge stops at the first run that
+  /// passes it, so it never holds much more than `max` values and one run.
+  /// Polls once per run.
   Result<bool> Add(const PartValues& part, uint64_t max) {
     const bool null = null_ && part.null;
     std::vector<Span> out;
@@ -506,9 +361,6 @@ class Support {
     auto merge = [&]() -> Result<bool> {
       MAYBMS_RETURN_NOT_OK(base::GovernPoll());
       if (run.empty()) return true;
-      if (run.front().lo < -kMaxExact || run.back().hi > kMaxExact) {
-        return false;
-      }
       merged.clear();
       count = 0;
       auto a = out.begin();
@@ -564,7 +416,7 @@ class Support {
   uint64_t size() const { return count_ + (null_ ? 1 : 0); }
 
   /// One row per value, NULL first and then ascending: the combiner's
-  /// tuple order for integers that doubles represent exactly.
+  /// tuple order.
   std::vector<Tuple> Rows() const {
     std::vector<Tuple> rows;
     rows.reserve(size());
@@ -589,88 +441,33 @@ class Support {
 };
 
 /// possible/certain of count(*), count(col) or sum(col) over one
-/// uncertain relation, without enumerating worlds. Components are
-/// independent, so the set of per-world values is the sumset of the
-/// certain core's value and each component's per-alternative values.
-/// The shortcuts' one pass (ScanAlternatives) folds each alternative's
-/// kept rows into a value; the parts are then added to the Support in
-/// component order. `possible` answers every value of the support, in
-/// the combiner's tuple order, under the prepared statement's output
-/// schema; `certain` answers the single value when there is one, and
-/// nothing otherwise. No world is decoded, so nothing is charged to the
-/// world budget or the world cap; the support's bytes are charged to the
-/// memory budget as it grows.
+/// uncertain relation, without enumerating worlds: sets `*rows` to the
+/// answer of `parts`, the values of the certain core (first) and of each
+/// relevant component's alternatives. Components are independent, so the
+/// set of per-world values is the sumset of the parts' values, added to
+/// the Support in component order. `possible` answers every value of the
+/// support, in the combiner's tuple order; `certain` answers the single
+/// value when there is one, and nothing otherwise. No world is decoded,
+/// so nothing is charged to the world budget or the world cap; the
+/// support's bytes are charged to the memory budget as it grows.
 ///
-/// Returns nullopt, and leaves the statement to the pipeline, when the
-/// statement does not qualify, or on anything the pipeline must report or
-/// decide: an evaluation error in any row (the pipeline reports the first
-/// failing world's), a non-INTEGER sum input, int64 overflow, a value
-/// beyond Support::kMaxExact, a component without alternatives, or a
-/// support larger than `max_support`. Governance verdicts propagate.
-Result<std::optional<Table>> ClosedFormAggregate(
-    const Database& certain, const std::vector<ComponentHandle>& components,
-    const sql::SelectStatement& stmt, const std::set<std::string>& referenced,
-    const std::vector<size_t>& relevant, size_t threads,
-    uint64_t max_support) {
-  std::optional<Table> none;
-  if (relevant.empty() || !QualifiesForClosedFormAggregate(stmt, referenced)) {
-    return none;
-  }
-  for (size_t c : relevant) {
-    if (components[c]->size() == 0) return none;
-  }
-  const std::string rel = AsciiToLower(stmt.from[0].table_name);
-  Result<const Table*> base = certain.GetRelation(rel);
-  if (!base.ok()) return none;
-  const Schema qualified =
-      (*base)->schema().WithQualifier(stmt.from[0].effective_alias());
-  std::unique_ptr<sql::SelectStatement> core = StripWorldOps(stmt);
-  Result<engine::PreparedSelect> plan =
-      engine::PreparedSelect::Prepare(*core, certain);
-  if (!plan.ok()) return none;
-  const auto& call = static_cast<const sql::FunctionCallExpr&>(
-      *core->items[0].expr);
-  const bool sum = call.name == "sum";
-  std::optional<size_t> column;
-  if (!call.star) {
-    const auto& ref = static_cast<const sql::ColumnRefExpr&>(*call.args[0]);
-    Result<size_t> index = qualified.FindColumn(ref.name, ref.qualifier);
-    if (!index.ok()) return none;
-    if (sum && qualified.column(*index).type != DataType::kInteger) {
-      return none;
-    }
-    column = *index;
-  }
-
-  // The values of the certain core's rows (part 0), then of each
-  // component's alternatives. A part that cannot fold fails with a
-  // placeholder error that never leaves this function.
-  std::vector<PartValues> parts(relevant.size() + 1);
-  const Status pass = ScanAlternatives(
-      certain, **base, rel, qualified, core->where.get(), components,
-      relevant, threads,
-      [&](size_t part, size_t, const std::vector<Tuple>& rows,
-          size_t) -> Status {
-        if (FoldRows(sum, column, rows, &parts[part])) return Status::OK();
-        return Status::Unsupported("outside the closed form");
-      });
-  if (!pass.ok()) {
-    // A governance verdict poisons the statement's context: report it.
-    // Anything else is the pipeline's to report or decide.
-    const base::QueryContext* context = base::CurrentQueryContext();
-    if (context != nullptr && context->cancelled()) return base::GovernPoll();
-    return none;
-  }
-
+/// Returns false, and leaves the statement to the pipeline, on a
+/// component without alternatives, int64 overflow or a support larger
+/// than `max_support`. Governance verdicts propagate.
+Result<bool> ClosedFormAggregate(std::vector<PartValues> parts,
+                                 sql::WorldQuantifier quantifier,
+                                 uint64_t max_support,
+                                 std::vector<Tuple>* rows) {
   Support support;
   uint64_t charged = 0;
   for (PartValues& part : parts) {
+    if (part.values.empty() && !part.null) return false;  // no alternatives
     std::sort(part.values.begin(), part.values.end());
     part.values.erase(std::unique(part.values.begin(), part.values.end()),
                       part.values.end());
     MAYBMS_ASSIGN_OR_RETURN(const bool added,
                             support.Add(part, max_support));
-    if (!added) return none;
+    if (!added) return false;
     // A part can shrink the support by one: NULL may go.
     if (support.size() > charged) {
       MAYBMS_RETURN_NOT_OK(base::GovernChargeBytes(
@@ -678,11 +475,210 @@ Result<std::optional<Table>> ClosedFormAggregate(
       charged = support.size();
     }
   }
-  std::vector<Tuple> rows = support.Rows();
-  if (stmt.quantifier == sql::WorldQuantifier::kCertain && rows.size() != 1) {
-    rows.clear();
+  *rows = support.Rows();
+  if (quantifier == sql::WorldQuantifier::kCertain && rows->size() != 1) {
+    rows->clear();
   }
-  return std::optional<Table>(Table(plan->output_schema(), std::move(rows)));
+  return true;
+}
+
+/// The clean repair/choice product over certain relations: one new
+/// component per partition block, the O(n·g) form of g^n worlds.
+Result<DecomposedAnswer> CleanProduct(const Database& certain,
+                                      const sql::SelectStatement& stmt) {
+  std::unique_ptr<sql::SelectStatement> core = StripWorldOps(stmt);
+  MAYBMS_ASSIGN_OR_RETURN(engine::PreparedFromWhere source_plan,
+                          engine::PreparedFromWhere::Prepare(stmt, certain));
+  MAYBMS_ASSIGN_OR_RETURN(
+      engine::PreparedProjection projection,
+      engine::PreparedProjection::Prepare(*core, certain,
+                                          source_plan.output_schema()));
+  MAYBMS_ASSIGN_OR_RETURN(Table source, source_plan.Execute(certain));
+  MAYBMS_ASSIGN_OR_RETURN(std::vector<PartitionBlock> blocks,
+                          Partition(source, stmt));
+  DecomposedAnswer answer;
+  answer.schema = projection.output_schema();
+  for (const PartitionBlock& block : blocks) {
+    // Each block becomes one component whose alternatives are its
+    // choices: charge them as the decomposition's unit of world fan-out
+    // (the representation IS the O(n·g) compression of the product).
+    MAYBMS_RETURN_NOT_OK(base::GovernChargeWorlds(block.choices.size()));
+    DecomposedAnswer::Factor factor;
+    factor.reserve(block.choices.size());
+    for (const WeightedChoice& choice : block.choices) {
+      std::vector<Tuple> chosen;
+      chosen.reserve(choice.row_indices.size());
+      for (size_t r : choice.row_indices) chosen.push_back(source.row(r));
+      MAYBMS_ASSIGN_OR_RETURN(Table projected,
+                              projection.Execute(certain, chosen));
+      MAYBMS_RETURN_NOT_OK(base::GovernChargeBytes(base::EstimateTableBytes(
+          projected.num_rows(), projected.schema().num_columns())));
+      factor.push_back({choice.probability,
+                        std::move(*projected.mutable_rows())});
+    }
+    answer.factors.push_back(std::move(factor));
+  }
+  return answer;
+}
+
+/// The row-local route over one uncertain relation (see RowLocal): one
+/// setup, then one pass over the certain core and the relevant components
+/// on the thread pool (ScanAlternatives) that summarizes each part's kept
+/// rows
+///  * for a slice, as the rows it adds to the answer, projected — only
+///    the alternatives that keep a row are projected. Under a quantifier
+///    only the components that kept a row get a factor (the closed forms
+///    ignore the others); a quantifier-free statement lists worlds or
+///    attaches rows, so every relevant component gets one;
+///  * for an aggregate, as the values it gives count/sum (FoldRows),
+///    which ClosedFormAggregate adds up.
+/// The aggregate returns nullopt, leaving the statement to the pipeline,
+/// on anything the pipeline must report or decide: an evaluation error in
+/// any row (the pipeline reports the first failing world's), a
+/// non-INTEGER sum input, or where ClosedFormAggregate does not apply.
+Result<std::optional<DecomposedAnswer>> RowLocalAnswer(
+    const Database& certain, const std::vector<ComponentHandle>& components,
+    const sql::SelectStatement& stmt, RowLocal route,
+    const std::vector<size_t>& relevant, size_t threads,
+    uint64_t max_support) {
+  std::optional<DecomposedAnswer> none;
+  const std::string rel = AsciiToLower(stmt.from[0].table_name);
+  MAYBMS_ASSIGN_OR_RETURN(const Table* base, certain.GetRelation(rel));
+  const Schema qualified =
+      base->schema().WithQualifier(stmt.from[0].effective_alias());
+  std::unique_ptr<sql::SelectStatement> core = StripWorldOps(stmt);
+  DecomposedAnswer answer;
+  PartVisitor summarize;
+  // A slice: one projection per slot (base/thread_pool.h rule 3), as it
+  // caches subquery plans while it executes; slot 0's is prepared
+  // eagerly, so preparation errors surface before any row is filtered. A
+  // component's factor is sized at the first alternative that keeps a row.
+  const bool slice = route == RowLocal::kSlice;
+  std::vector<std::optional<engine::PreparedProjection>> projections;
+  std::vector<DecomposedAnswer::Factor> factors(slice ? relevant.size() : 0);
+  // An aggregate: the values of each part. A part that cannot fold fails
+  // the pass with a placeholder error that never leaves this function.
+  std::vector<PartValues> parts(slice ? 0 : relevant.size() + 1);
+  if (slice) {
+    projections.resize(base::ThreadPool::Shared().Slots(threads));
+    MAYBMS_ASSIGN_OR_RETURN(
+        projections[0],
+        engine::PreparedProjection::Prepare(*core, certain, qualified));
+    answer.schema = projections[0]->output_schema();
+    summarize = [&](size_t part, size_t j, const std::vector<Tuple>& rows,
+                    size_t slot) -> Status {
+      if (rows.empty()) return Status::OK();
+      if (!projections[slot].has_value()) {
+        MAYBMS_ASSIGN_OR_RETURN(
+            projections[slot],
+            engine::PreparedProjection::Prepare(*core, certain, qualified));
+      }
+      MAYBMS_ASSIGN_OR_RETURN(std::vector<Tuple> projected,
+                              projections[slot]->ProjectRows(certain, rows));
+      if (part == 0) {
+        answer.certain_rows = std::move(projected);
+        return Status::OK();
+      }
+      MAYBMS_RETURN_NOT_OK(base::GovernChargeBytes(base::EstimateTableBytes(
+          projected.size(), answer.schema.num_columns())));
+      DecomposedAnswer::Factor& factor = factors[part - 1];
+      factor.resize(components[relevant[part - 1]]->size());
+      factor[j].rows = std::move(projected);
+      return Status::OK();
+    };
+  } else {
+    MAYBMS_ASSIGN_OR_RETURN(engine::PreparedSelect plan,
+                            engine::PreparedSelect::Prepare(*core, certain));
+    answer.schema = plan.output_schema();
+    const auto& call =
+        static_cast<const sql::FunctionCallExpr&>(*core->items[0].expr);
+    const bool sum = call.name == "sum";
+    std::optional<size_t> column;
+    if (!call.star) {
+      const auto& ref = static_cast<const sql::ColumnRefExpr&>(*call.args[0]);
+      MAYBMS_ASSIGN_OR_RETURN(column,
+                              qualified.FindColumn(ref.name, ref.qualifier));
+      if (sum && qualified.column(*column).type != DataType::kInteger) {
+        return none;
+      }
+    }
+    summarize = [&parts, sum, column](size_t part, size_t,
+                                      const std::vector<Tuple>& rows,
+                                      size_t) -> Status {
+      if (FoldRows(sum, column, rows, &parts[part])) return Status::OK();
+      return Status::Unsupported("outside the closed form");
+    };
+  }
+  const Status pass =
+      ScanAlternatives(certain, *base, rel, qualified, core->where.get(),
+                       components, relevant, threads, summarize);
+  if (!slice) {
+    if (!pass.ok()) {
+      // A governance verdict poisons the statement's context: report it.
+      // Anything else is the pipeline's to report or decide.
+      const base::QueryContext* context = base::CurrentQueryContext();
+      if (context != nullptr && context->cancelled()) return base::GovernPoll();
+      return none;
+    }
+    MAYBMS_ASSIGN_OR_RETURN(
+        const bool answered,
+        ClosedFormAggregate(std::move(parts), stmt.quantifier, max_support,
+                            &answer.certain_rows));
+    if (!answered) return none;
+    return std::optional<DecomposedAnswer>(std::move(answer));
+  }
+  MAYBMS_RETURN_NOT_OK(pass);
+  const bool dense = stmt.quantifier == sql::WorldQuantifier::kNone;
+  for (size_t k = 0; k < relevant.size(); ++k) {
+    DecomposedAnswer::Factor& factor = factors[k];
+    if (factor.empty() && !dense) continue;
+    const Component& component = *components[relevant[k]];
+    factor.resize(component.size());
+    for (size_t j = 0; j < component.size(); ++j) {
+      factor[j].probability = component.alternatives[j].probability;
+    }
+    answer.component_indices.push_back(relevant[k]);
+    answer.factors.push_back(std::move(factor));
+  }
+  return std::optional<DecomposedAnswer>(std::move(answer));
+}
+
+/// The decomposed engine's enumeration-free routes, tried before the
+/// shared pipeline by statements without assert and GROUP WORLDS BY: the
+/// row-local route over one uncertain relation (RowLocalAnswer), and the
+/// clean repair/choice product over certain relations (CleanProduct). A
+/// quantified statement's answer comes back combined, as certain rows.
+/// `referenced` are the relations the statement references, `relevant`
+/// the components contributing to them. Returns nullopt when the
+/// statement must run through the pipeline — as one that references no
+/// uncertain relation does, over one world, the certain core.
+Result<std::optional<DecomposedAnswer>> Shortcut(
+    const Database& certain, const std::vector<ComponentHandle>& components,
+    const sql::SelectStatement& stmt, const std::set<std::string>& referenced,
+    const std::vector<size_t>& relevant, size_t threads,
+    uint64_t max_support) {
+  MAYBMS_RETURN_NOT_OK(ValidateWorldOps(stmt));
+  std::optional<DecomposedAnswer> answer;
+  if (stmt.assert_condition || stmt.group_worlds_by) return answer;
+  if (stmt.repair.has_value() || stmt.choice.has_value()) {
+    if (!relevant.empty()) return answer;
+    MAYBMS_ASSIGN_OR_RETURN(answer, CleanProduct(certain, stmt));
+  } else {
+    if (relevant.empty()) return answer;  // the pipeline's one world
+    const RowLocal route = ClassifyRowLocal(stmt, referenced);
+    if (route == RowLocal::kNone) return answer;
+    MAYBMS_ASSIGN_OR_RETURN(answer,
+                            RowLocalAnswer(certain, components, stmt, route,
+                                           relevant, threads, max_support));
+    // The aggregate's support is its combined answer.
+    if (!answer.has_value() || route == RowLocal::kAggregate) return answer;
+  }
+  if (stmt.quantifier != sql::WorldQuantifier::kNone) {
+    MAYBMS_ASSIGN_OR_RETURN(Table combined,
+                            CombineClosedForm(*answer, stmt.quantifier));
+    answer = {combined.schema(), std::move(*combined.mutable_rows()), {}, {}};
+  }
+  return answer;
 }
 
 /// The per-world listing of a decomposed answer: the product of the
@@ -1048,25 +1044,15 @@ Result<SelectEvaluation> DecomposedWorldSet::EvaluateSelect(
   CollectReferencedRelations(stmt, &referenced);
   const std::vector<size_t> relevant =
       RelevantComponents(components_, referenced);
-  MAYBMS_ASSIGN_OR_RETURN(
-      std::optional<DecomposedAnswer> dec,
-      Shortcut(certain_, components_, stmt, referenced, relevant, threads_));
+  MAYBMS_ASSIGN_OR_RETURN(std::optional<DecomposedAnswer> dec,
+                          Shortcut(certain_, components_, stmt, referenced,
+                                   relevant, threads_, max_worlds_));
   if (dec.has_value()) {
     if (stmt.quantifier == sql::WorldQuantifier::kNone) {
       return ListWorlds(*dec, max_worlds);
     }
     SelectEvaluation eval;
-    MAYBMS_ASSIGN_OR_RETURN(eval.combined,
-                            CombineClosedForm(*dec, stmt.quantifier));
-    return eval;
-  }
-  MAYBMS_ASSIGN_OR_RETURN(
-      std::optional<Table> aggregate,
-      ClosedFormAggregate(certain_, components_, stmt, referenced, relevant,
-                          threads_, max_worlds_));
-  if (aggregate.has_value()) {
-    SelectEvaluation eval;
-    eval.combined = std::move(aggregate);
+    eval.combined = Table(std::move(dec->schema), std::move(dec->certain_rows));
     return eval;
   }
   const size_t keep =
@@ -1086,34 +1072,27 @@ Status DecomposedWorldSet::MaterializeSelect(const std::string& name,
   CollectReferencedRelations(stmt, &referenced);
   const std::vector<size_t> relevant =
       RelevantComponents(components_, referenced);
-  MAYBMS_ASSIGN_OR_RETURN(
-      std::optional<DecomposedAnswer> dec,
-      Shortcut(certain_, components_, stmt, referenced, relevant, threads_));
-  if (dec.has_value() && stmt.quantifier != sql::WorldQuantifier::kNone) {
-    MAYBMS_ASSIGN_OR_RETURN(Table combined,
-                            CombineClosedForm(*dec, stmt.quantifier));
-    certain_.PutRelation(name, std::move(combined));
-    return Status::OK();
-  }
+  MAYBMS_ASSIGN_OR_RETURN(std::optional<DecomposedAnswer> dec,
+                          Shortcut(certain_, components_, stmt, referenced,
+                                   relevant, threads_, max_worlds_));
   if (dec.has_value()) {
     // Attach the contributions to copies of the involved components (the
     // old instances may be shared with clones and the store), or append
-    // the repair/choice product's new components.
+    // the repair/choice product's new components. A combined answer is
+    // certain rows alone.
     certain_.PutRelation(name,
                          Table(dec->schema, std::move(dec->certain_rows)));
     for (size_t k = 0; k < dec->factors.size(); ++k) {
       DecomposedAnswer::Factor& factor = dec->factors[k];
-      Component comp;
-      if (k < dec->component_indices.size()) {
-        comp = *components_[dec->component_indices[k]];
-      } else {
-        comp.alternatives.resize(factor.size());
-      }
+      const bool attach = k < dec->component_indices.size();
+      Component comp =
+          attach ? *components_[dec->component_indices[k]] : Component();
+      comp.alternatives.resize(factor.size());
       for (size_t j = 0; j < factor.size(); ++j) {
         comp.alternatives[j].probability = factor[j].probability;
         comp.alternatives[j].tuples[lower] = std::move(factor[j].rows);
       }
-      if (k < dec->component_indices.size()) {
+      if (attach) {
         components_[dec->component_indices[k]] =
             ShareComponent(std::move(comp));
       } else {
@@ -1122,15 +1101,6 @@ Status DecomposedWorldSet::MaterializeSelect(const std::string& name,
     }
     return Status::OK();
   }
-  MAYBMS_ASSIGN_OR_RETURN(
-      std::optional<Table> aggregate,
-      ClosedFormAggregate(certain_, components_, stmt, referenced, relevant,
-                          threads_, max_worlds_));
-  if (aggregate.has_value()) {
-    certain_.PutRelation(name, std::move(*aggregate));
-    return Status::OK();
-  }
-
   MAYBMS_ASSIGN_OR_RETURN(
       PipelineResult result,
       RunPipeline(stmt, relevant, name, std::numeric_limits<size_t>::max()));

@@ -53,23 +53,25 @@ namespace maybms::worlds {
 ///
 /// Query processing avoids world enumeration wherever the paper's
 /// operations allow. Statements without `assert` and `group worlds by`
-/// first try three shortcuts:
-///  * certain-only: no uncertain relation is referenced — one evaluation
-///    over the certain core;
-///  * the fast path: selections/projections over one uncertain relation
-///    are pushed into each alternative, in one pass over the relation's
-///    components on the thread pool (no merge, structure preserved);
+/// first try two enumeration-free routes:
+///  * the row-local route over one uncertain relation: one pass over the
+///    relation's components on the thread pool summarizes every
+///    alternative's kept rows, as a slice (selections/projections pushed
+///    into each alternative; no merge, structure preserved) or as an
+///    aggregate (possible/certain of count or sum, the sumset of the
+///    components' values);
 ///  * the clean repair/choice product over certain relations: one new
 ///    component per partition block.
-/// Their possible/certain/conf use per-component math (conf uses the
-/// closed form 1 − ∏_c (1 − p_c(t))). Everything else — `assert`,
-/// `group worlds by`, and queries that genuinely correlate components
-/// (joins of uncertain relations, aggregates over them, subqueries) —
-/// runs the shared world pipeline over the *relevant* sub-product,
-/// decoded lazily world by world; it is never the full world-set and is
-/// never materialized. A `create table ... as` through the pipeline
-/// replaces the relevant components with one component of the surviving
-/// worlds.
+/// A slice's and a product's possible/certain/conf use per-component math
+/// (conf uses the closed form 1 − ∏_c (1 − p_c(t))). Everything else runs
+/// the shared world pipeline over the *relevant* sub-product, decoded
+/// lazily world by world; it is never the full world-set and is never
+/// materialized. That covers `assert`, `group worlds by`, queries that
+/// genuinely correlate components (joins of uncertain relations, other
+/// aggregates over them, subqueries), and statements over certain
+/// relations only, whose sub-product is one world: the certain core. A
+/// `create table ... as` through the pipeline replaces the relevant
+/// components with one component of the surviving worlds.
 ///
 /// DML over certain relations runs once on the core. DML touching an
 /// uncertain relation runs in every world of the relevant sub-product

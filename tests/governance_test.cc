@@ -31,6 +31,7 @@
 #include "server/protocol.h"
 #include "server/server.h"
 #include "tests/test_util.h"
+#include "worlds/decomposed_world_set.h"
 
 namespace maybms::isql {
 namespace {
@@ -173,6 +174,38 @@ TEST_P(GovernanceTest, WorldBudgetErrorIsIdenticalAtEveryThreadCount) {
   }
 }
 
+// A statement over certain relations charges its answer bytes to the
+// memory budget on both engines: under a budget below the answer, a
+// slice of a 200-row certain table fails with or without a quantifier,
+// and so does its materialization, which leaves no relation behind.
+TEST_P(GovernanceTest, CertainOnlyStatementsChargeTheirAnswerBytes) {
+  Session session(Options());
+  std::string script =
+      "create table C (K integer, V integer); insert into C values ";
+  for (int k = 0; k < 200; ++k) {
+    script += std::string(k > 0 ? ", " : "") + "(" + std::to_string(k) +
+              ", " + std::to_string(k * 3) + ")";
+  }
+  ExecScript(session, script + ";");
+  const std::vector<std::string> probes = {"C", "D"};
+  const std::string before = ProbeState(session, probes);
+  for (const char* statement :
+       {"select K, V from C;", "select possible K, V from C;",
+        "select conf, K from C;", "create table D as select K from C;"}) {
+    SCOPED_TRACE(statement);
+    base::GovernanceLimits limits;
+    limits.mem_budget_bytes = 2000;
+    base::QueryContext ctx{limits};
+    base::QueryContextScope scope(&ctx);
+    auto r = session.Execute(statement);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(r.status().message(),
+              "statement memory budget of 2000 bytes exceeded");
+  }
+  EXPECT_EQ(ProbeState(session, probes), before);
+}
+
 // The decomposed engine's enumeration of a component sub-product counts
 // against the world budget: 12 two-way keys are 4,096 worlds, over a
 // budget of 100, whether a select or a write enumerates them. The
@@ -241,7 +274,11 @@ std::string WeightedRepairScript(int keys, int rows) {
 
 // The decomposed fast path charges the rows of every alternative that
 // answers a slice: a memory budget of exactly the charged bytes passes,
-// one byte less fails, at every thread count.
+// one byte less fails, at every thread count. Materializing a slice
+// enumerates nothing either: `create table ... as` of a possible, a conf
+// and a quantifier-free slice succeeds under a world budget of 1 and
+// charges no world; the quantifier-free one attaches its rows to I's
+// components and adds none.
 TEST(GovernanceBudgetTest, FastPathSliceChargesItsAnswerBytes) {
   const char* kSlice = "select conf, K, V from I where K between 990 and 1009;";
   for (size_t threads : {1u, 4u}) {
@@ -276,6 +313,35 @@ TEST(GovernanceBudgetTest, FastPathSliceChargesItsAnswerBytes) {
                   std::string::npos)
             << r.status().ToString();
       }
+    }
+    const size_t components =
+        dynamic_cast<const worlds::DecomposedWorldSet&>(session.world_set())
+            .num_components();
+    base::GovernanceLimits limits;
+    limits.max_worlds = 1;
+    for (const char* statement :
+         {"create table P as select possible K, V from I "
+          "where K between 990 and 1009;",
+          "create table F as select conf, K, V from I "
+          "where K between 990 and 1009;",
+          "create table Q as select K, V from I "
+          "where K between 990 and 1009;"}) {
+      SCOPED_TRACE(statement);
+      base::QueryContext ctx{limits};
+      base::QueryContextScope scope(&ctx);
+      auto r = session.Execute(statement);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_EQ(ctx.worlds_charged(), 0u);
+    }
+    EXPECT_EQ(
+        dynamic_cast<const worlds::DecomposedWorldSet&>(session.world_set())
+            .num_components(),
+        components);
+    for (const char* table : {"P", "F"}) {
+      auto rows = session.Execute(std::string("select certain count(*) from ") +
+                                  table + ";");
+      ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+      EXPECT_EQ(rows->table().row(0).value(0).AsInteger(), 60) << table;
     }
   }
 }
@@ -360,13 +426,33 @@ TEST(GovernanceBudgetTest, ClosedFormAggregatesAreNotChargedWorlds) {
       EXPECT_EQ(ctx.worlds_charged(), 0u);
       EXPECT_EQ(ctx.bytes_charged(), base::EstimateTableBytes(4001, 1));
     }
-    base::QueryContext ctx{limits};
-    base::QueryContextScope scope(&ctx);
-    auto r = session.Execute("select certain count(*) from I;");
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    ASSERT_EQ(r->table().num_rows(), 1u);
-    EXPECT_EQ(r->table().row(0).value(0).AsInteger(), 2000);
-    EXPECT_EQ(ctx.worlds_charged(), 0u);
+    {
+      base::QueryContext ctx{limits};
+      base::QueryContextScope scope(&ctx);
+      auto r = session.Execute("select certain count(*) from I;");
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      ASSERT_EQ(r->table().num_rows(), 1u);
+      EXPECT_EQ(r->table().row(0).value(0).AsInteger(), 2000);
+      EXPECT_EQ(ctx.worlds_charged(), 0u);
+    }
+    // `create table ... as` of either aggregate answers in closed form.
+    for (const char* statement :
+         {"create table S as select possible sum(V) from I;",
+          "create table N as select certain count(*) from I;"}) {
+      SCOPED_TRACE(statement);
+      base::QueryContext ctx{limits};
+      base::QueryContextScope scope(&ctx);
+      auto r = session.Execute(statement);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_EQ(ctx.worlds_charged(), 0u);
+    }
+    auto sums = session.Execute("select certain count(*) from S;");
+    ASSERT_TRUE(sums.ok()) << sums.status().ToString();
+    EXPECT_EQ(sums->table().row(0).value(0).AsInteger(), 4001);
+    auto count = session.Execute("select certain * from N;");
+    ASSERT_TRUE(count.ok()) << count.status().ToString();
+    ASSERT_EQ(count->table().num_rows(), 1u);
+    EXPECT_EQ(count->table().row(0).value(0).AsInteger(), 2000);
   }
 }
 

@@ -86,6 +86,59 @@ TEST(ValueTest, IntegerAndRealCoincideInTotalOrder) {
       << "hash must be consistent with equality";
 }
 
+// Integers compare exactly: beyond 2^53 neighbours share a double, but
+// not a value.
+TEST(ValueTest, IntegersBeyondTwoToThe53AreDistinct) {
+  const Value a = Value::Integer(int64_t{1} << 53);
+  const Value b = Value::Integer((int64_t{1} << 53) + 1);
+  EXPECT_LT(a.TotalOrderCompare(b), 0);
+  EXPECT_GT(b.TotalOrderCompare(a), 0);
+  EXPECT_NE(a.Hash(), b.Hash());
+  EXPECT_EQ(*a.SqlEquals(b), Trivalent::kFalse);
+  EXPECT_EQ(*a.SqlLess(b), Trivalent::kTrue);
+  EXPECT_EQ(*b.SqlLess(a), Trivalent::kFalse);
+}
+
+// An INTEGER against a REAL compares by exact value, not as two doubles.
+TEST(ValueTest, IntegerAgainstRealComparesExactly) {
+  // INT64_MAX rounds to 2^63 as a double, but is one less.
+  const Value max = Value::Integer(std::numeric_limits<int64_t>::max());
+  const Value two63 = Value::Real(9223372036854775808.0);
+  EXPECT_LT(max.TotalOrderCompare(two63), 0);
+  EXPECT_GT(two63.TotalOrderCompare(max), 0);
+  EXPECT_EQ(*max.SqlEquals(two63), Trivalent::kFalse);
+  EXPECT_EQ(*max.SqlLess(two63), Trivalent::kTrue);
+  EXPECT_EQ(*two63.SqlLess(max), Trivalent::kFalse);
+
+  // 2^53 is a double: equal across types, with equal hashes. The integer
+  // above it is not, and lies above that REAL.
+  const Value integer = Value::Integer(int64_t{1} << 53);
+  const Value real = Value::Real(9007199254740992.0);
+  EXPECT_EQ(integer.TotalOrderCompare(real), 0);
+  EXPECT_EQ(integer.Hash(), real.Hash());
+  EXPECT_EQ(*integer.SqlEquals(real), Trivalent::kTrue);
+  EXPECT_EQ(*real.SqlLess(integer), Trivalent::kFalse);
+  const Value above = Value::Integer((int64_t{1} << 53) + 1);
+  EXPECT_GT(above.TotalOrderCompare(real), 0);
+  EXPECT_EQ(*above.SqlEquals(real), Trivalent::kFalse);
+  EXPECT_EQ(*real.SqlLess(above), Trivalent::kTrue);
+}
+
+// NaN is neither less than nor equal to any number under SQL, and ties
+// with every number in the total order.
+TEST(ValueTest, NaNComparesAsItAlwaysHas) {
+  const Value nan = Value::Real(std::numeric_limits<double>::quiet_NaN());
+  for (const Value& other : {Value::Real(1.0), Value::Integer(1), nan}) {
+    SCOPED_TRACE(other.ToString());
+    EXPECT_EQ(*nan.SqlEquals(other), Trivalent::kFalse);
+    EXPECT_EQ(*other.SqlEquals(nan), Trivalent::kFalse);
+    EXPECT_EQ(*nan.SqlLess(other), Trivalent::kFalse);
+    EXPECT_EQ(*other.SqlLess(nan), Trivalent::kFalse);
+    EXPECT_EQ(nan.TotalOrderCompare(other), 0);
+    EXPECT_EQ(other.TotalOrderCompare(nan), 0);
+  }
+}
+
 TEST(ValueTest, ToStringRendering) {
   EXPECT_EQ(Value::Null().ToString(), "NULL");
   EXPECT_EQ(Value::Integer(-3).ToString(), "-3");
