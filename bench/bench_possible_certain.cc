@@ -8,7 +8,11 @@
 //    value sets (the closed-form aggregate);
 //  * the slice case: a 20-key range of a 2,000-key weighted repair, the
 //    decomposed fast path's one pass over the relation's components,
-//    and `possible sum` over the whole repair (100,536 answers).
+//    and `possible sum` over the whole repair (100,536 answers);
+//  * row-local statements that still enumerate worlds (conf of a count,
+//    GROUP WORLDS BY a sum, an assert): the explicit engine runs SQL in
+//    every world, the decomposed engine assembles every world from one
+//    pass's per-alternative summaries.
 
 #include <benchmark/benchmark.h>
 
@@ -75,6 +79,15 @@ void RegisterBenchmarks() {
       {"possible_sum", "select possible sum(V) from I;"},
       {"certain_count", "select certain count(*) from I;"},
   };
+  const Variant kSummarized[] = {
+      {"conf_count", "select conf, count(*) from I where V > 50;"},
+      {"gwb_sum",
+       "select possible V from I group worlds by (select sum(V) from I "
+       "where K < 2);"},
+      {"assert_exists",
+       "select conf, K, V from I assert exists (select * from I "
+       "where K < 2 and V >= 50);"},
+  };
 
   for (EngineMode mode : {EngineMode::kExplicit, EngineMode::kDecomposed}) {
     std::string engine =
@@ -122,6 +135,20 @@ void RegisterBenchmarks() {
     // them (keys:18 is 262144 worlds), the decomposed engine does not.
     for (const auto& v : kAggregate) {
       for (int n : {4, 8, 12, 16, 18}) {
+        benchmark::RegisterBenchmark(
+            (std::string(v.name) + "/" + engine + "/keys:" +
+             std::to_string(n))
+                .c_str(),
+            [mode, v](benchmark::State& s) {
+              BM_Quantifier(s, mode, v.query, static_cast<int>(s.range(0)),
+                            2);
+            })
+            ->Args({n})
+            ->Unit(benchmark::kMicrosecond);
+      }
+    }
+    for (const auto& v : kSummarized) {
+      for (int n : {8, 12, 16}) {
         benchmark::RegisterBenchmark(
             (std::string(v.name) + "/" + engine + "/keys:" +
              std::to_string(n))

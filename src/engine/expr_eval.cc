@@ -35,10 +35,11 @@ Result<Value> ResolveColumn(const sql::ColumnRefExpr& ref,
                             const EvalContext& ctx) {
   for (const EvalContext* c = &ctx; c != nullptr; c = c->outer) {
     if (c->schema == nullptr || c->row == nullptr) continue;
-    if (c->schema->HasColumn(ref.name, ref.qualifier)) {
-      MAYBMS_ASSIGN_OR_RETURN(size_t idx,
-                              c->schema->FindColumn(ref.name, ref.qualifier));
-      return c->row->value(idx);
+    size_t idx = 0;
+    const size_t matches = c->schema->Match(ref.name, ref.qualifier, &idx);
+    if (matches == 1) return c->row->value(idx);
+    if (matches > 1) {
+      return c->schema->FindColumn(ref.name, ref.qualifier).status();
     }
   }
   return Status::NotFound("column not found: " +

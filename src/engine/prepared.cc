@@ -852,6 +852,18 @@ Result<PreparedProjection> PreparedProjection::Prepare(
   }
   plan.out_schema_ =
       InferOutputSchema(plan.items_, plan.source_, schema_db, nullptr);
+  // A column reference that names one source column reads that column in
+  // every row (ResolveColumn's answer), so it is bound here, once.
+  for (OutputItem& item : plan.items_) {
+    if (item.expr == nullptr || item.expr->kind != ExprKind::kColumnRef) {
+      continue;
+    }
+    const auto& ref = static_cast<const sql::ColumnRefExpr&>(*item.expr);
+    Result<size_t> column = plan.source_.FindColumn(ref.name, ref.qualifier);
+    if (!column.ok()) continue;
+    item.expr = nullptr;
+    item.source_column = *column;
+  }
   return plan;
 }
 
@@ -868,16 +880,17 @@ Result<std::vector<Tuple>> PreparedProjection::ProjectRows(
   out_rows.reserve(rows.size());
   for (const Tuple& row : rows) {
     EvalContext ctx{&db, &source_, &row, nullptr, nullptr, &subquery_cache};
-    Tuple out;
+    std::vector<Value> out;
+    out.reserve(items_.size());
     for (const OutputItem& item : items_) {
       if (item.expr == nullptr) {
-        out.Append(row.value(item.source_column));
+        out.push_back(row.value(item.source_column));
       } else {
         MAYBMS_ASSIGN_OR_RETURN(Value v, EvalExpr(*item.expr, ctx));
-        out.Append(std::move(v));
+        out.push_back(std::move(v));
       }
     }
-    out_rows.push_back(std::move(out));
+    out_rows.emplace_back(std::move(out));
   }
   return out_rows;
 }

@@ -11,6 +11,7 @@
 #include "base/dcheck.h"
 #include "base/parallel_region.h"
 #include "base/result.h"
+#include "storage/layout_guard.h"
 #include "storage/table.h"
 
 namespace maybms {
@@ -61,7 +62,9 @@ namespace maybms {
 ///    Database copies and shared-handle stores, and cleared only by
 ///    MutableRelation once unique ownership is established, so in-place
 ///    mutation of an instance other worlds still see aborts immediately.
-/// tests/invariant_traps_test.cc proves both traps fire.
+/// tests/invariant_traps_test.cc proves both traps fire. The Debug members
+/// change the layout: a program must be compiled with the library's
+/// NDEBUG setting, and a mix fails to link (storage/layout_guard.h).
 class Database {
  public:
   /// Shared, immutable relation instance. The same handle may be stored

@@ -4,6 +4,16 @@
 
 namespace maybms {
 
+namespace storage {
+// The link-time check of storage/layout_guard.h: the symbol this build's
+// NDEBUG selects.
+#ifdef NDEBUG
+const char kBuiltWithNDEBUG = 0;
+#else
+const char kBuiltWithoutNDEBUG = 0;
+#endif
+}  // namespace storage
+
 Status Table::Append(Tuple row) {
   AssertUnshared();
   if (row.size() != schema_.num_columns()) {

@@ -8,6 +8,7 @@
 
 #include "base/dcheck.h"
 #include "base/result.h"
+#include "storage/layout_guard.h"
 #include "types/schema.h"
 #include "types/tuple.h"
 
@@ -30,7 +31,9 @@ namespace maybms {
 /// message instead of silently corrupting sibling worlds.
 /// Database::MutableRelation clears the marker once it has established
 /// unique ownership; copying a Table yields a fresh, unmarked instance.
-/// Release builds compile all of this out.
+/// Release builds compile all of this out, so the layout depends on
+/// NDEBUG: compile against the library with its own NDEBUG setting
+/// (a mix fails to link, storage/layout_guard.h).
 class Table {
  public:
   Table() = default;

@@ -4,9 +4,9 @@
 
 namespace maybms {
 
-Result<size_t> Schema::FindColumn(const std::string& name,
-                                  const std::string& qualifier) const {
-  std::optional<size_t> found;
+size_t Schema::Match(const std::string& name, const std::string& qualifier,
+                     size_t* first) const {
+  size_t matches = 0;
   for (size_t i = 0; i < columns_.size(); ++i) {
     const Column& col = columns_[i];
     if (!AsciiEqualsIgnoreCase(col.name, name)) continue;
@@ -14,33 +14,25 @@ Result<size_t> Schema::FindColumn(const std::string& name,
         !AsciiEqualsIgnoreCase(col.qualifier, qualifier)) {
       continue;
     }
-    if (found.has_value()) {
-      return Status::InvalidArgument("ambiguous column reference: " +
-                                     (qualifier.empty()
-                                          ? name
-                                          : qualifier + "." + name));
-    }
-    found = i;
+    if (matches++ == 0) *first = i;
   }
-  if (!found.has_value()) {
-    return Status::NotFound("column not found: " +
-                            (qualifier.empty() ? name
-                                               : qualifier + "." + name));
-  }
-  return *found;
+  return matches;
+}
+
+Result<size_t> Schema::FindColumn(const std::string& name,
+                                  const std::string& qualifier) const {
+  size_t index = 0;
+  const size_t matches = Match(name, qualifier, &index);
+  if (matches == 1) return index;
+  const std::string shown = qualifier.empty() ? name : qualifier + "." + name;
+  if (matches == 0) return Status::NotFound("column not found: " + shown);
+  return Status::InvalidArgument("ambiguous column reference: " + shown);
 }
 
 bool Schema::HasColumn(const std::string& name,
                        const std::string& qualifier) const {
-  for (const Column& col : columns_) {
-    if (!AsciiEqualsIgnoreCase(col.name, name)) continue;
-    if (!qualifier.empty() &&
-        !AsciiEqualsIgnoreCase(col.qualifier, qualifier)) {
-      continue;
-    }
-    return true;
-  }
-  return false;
+  size_t index = 0;
+  return Match(name, qualifier, &index) > 0;
 }
 
 Schema Schema::Concat(const Schema& left, const Schema& right) {

@@ -48,6 +48,12 @@ class Schema {
   bool HasColumn(const std::string& name,
                  const std::string& qualifier = "") const;
 
+  /// The number of columns `name` (optionally qualified) matches, with
+  /// the first one's index in `*first`: FindColumn and HasColumn in one
+  /// scan, for per-row lookups.
+  size_t Match(const std::string& name, const std::string& qualifier,
+               size_t* first) const;
+
   /// Concatenation of two schemas (for joins).
   static Schema Concat(const Schema& left, const Schema& right);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <optional>
@@ -56,59 +57,118 @@ Result<const std::vector<Tuple>*> FilterRows(const sql::Expr* where,
   return kept;
 }
 
-/// Receives the rows of one part of a relation that satisfy WHERE: part
-/// 0 is the certain core (alternative 0), part k > 0 alternative `j` of
-/// the k-th relevant component. `slot` indexes per-thread state
-/// (base/thread_pool.h rule 3).
-using PartVisitor = std::function<Status(
-    size_t part, size_t j, const std::vector<Tuple>& rows, size_t slot)>;
+/// One row-local scan of a statement: a relation read row by row, each
+/// row kept or not by a WHERE clause that reads that row alone.
+struct Scan {
+  std::string relation;         // lower-case
+  const Table* core = nullptr;  // the relation's certain core
+  Schema qualified;             // its schema under the statement's alias
+  const sql::Expr* where = nullptr;
+};
 
-/// The one pass of the row-local route over one uncertain relation `rel`
-/// (`base` its certain core, `qualified` its schema under the statement's
-/// alias): the certain core's rows that satisfy `where` go to `visit`
-/// first, on the calling thread; then each relevant
-/// component is one task on the thread pool, which filters its
-/// alternatives in order, polling per alternative, and hands each one's
-/// kept rows (empty if it contributes none) to `visit`. Errors are
-/// ParallelFor's: the first by component. The row-local scan admits no
-/// subqueries, so the subquery caches are a formality of the evaluation
-/// context.
-Status ScanAlternatives(const Database& certain, const Table& base,
-                        const std::string& rel, const Schema& qualified,
-                        const sql::Expr* where,
-                        const std::vector<ComponentHandle>& components,
-                        const std::vector<size_t>& relevant, size_t threads,
-                        const PartVisitor& visit) {
-  {
+/// The scan of `stmt`'s one FROM item; its WHERE is set by the caller.
+Result<Scan> MakeScan(const Database& certain,
+                      const sql::SelectStatement& stmt) {
+  Scan scan;
+  scan.relation = AsciiToLower(stmt.from[0].table_name);
+  MAYBMS_ASSIGN_OR_RETURN(scan.core, certain.GetRelation(scan.relation));
+  scan.qualified =
+      scan.core->schema().WithQualifier(stmt.from[0].effective_alias());
+  return scan;
+}
+
+/// The alternatives a pass visits, numbered flat: 0 is the certain core,
+/// then the alternatives of each part (relevant component) in order.
+class FlatAlternatives {
+ public:
+  explicit FlatAlternatives(const std::vector<const Component*>& parts) {
+    offsets_.reserve(parts.size() + 2);
+    offsets_.push_back(0);
+    offsets_.push_back(1);
+    for (const Component* part : parts) {
+      offsets_.push_back(offsets_.back() + part->size());
+    }
+  }
+
+  size_t size() const { return offsets_.back(); }
+  /// The number of alternative `j` of part `k`.
+  size_t Of(size_t k, size_t j) const { return offsets_[k + 1] + j; }
+  /// The part and the index within it of alternative `a` (> 0). A
+  /// caller that walks alternatives in order passes the part it found
+  /// last as `hint`, which makes the walk linear.
+  std::pair<size_t, size_t> Locate(size_t a, size_t hint) const {
+    size_t k = hint;
+    if (a >= offsets_[k + 2] && k + 3 < offsets_.size() &&
+        a < offsets_[k + 3]) {
+      ++k;  // the next part
+    } else if (a < offsets_[k + 1] || a >= offsets_[k + 2]) {
+      k = static_cast<size_t>(
+          std::upper_bound(offsets_.begin() + 1, offsets_.end(), a) -
+          offsets_.begin() - 2);
+    }
+    return {k, a - offsets_[k + 1]};
+  }
+
+ private:
+  std::vector<size_t> offsets_;  // [k + 1]: part k's first; back(): total
+};
+
+/// Receives the rows of one alternative that a scan keeps: `scan` indexes
+/// the pass's scans, `alt` is the alternative's flat number, and `slot`
+/// indexes per-thread state (base/thread_pool.h rule 3).
+using AlternativeVisitor = std::function<Status(
+    size_t scan, size_t alt, const std::vector<Tuple>& rows, size_t slot)>;
+
+/// The one pass of the row-local route: every scan of `scans` over the
+/// certain core, then over every alternative of `parts`. The core goes
+/// first, on the calling thread. Then the alternatives, numbered flat,
+/// are split into tasks on the thread pool, a component's alternatives
+/// too, so one wide component is not one serial task. Per alternative
+/// the pass polls once, and each scan in order filters the alternative's
+/// rows of its relation and hands the kept ones (empty if none) to
+/// `visit`. Errors are ParallelFor's: the first by alternative, so by
+/// component and then by alternative. Row-local scans admit no
+/// subqueries, so the per-slot subquery caches are a formality of the
+/// evaluation context.
+Status ScanAlternatives(const Database& certain, const std::vector<Scan>& scans,
+                        const std::vector<const Component*>& parts,
+                        const FlatAlternatives& flat, size_t threads,
+                        const AlternativeVisitor& visit) {
+  base::ThreadPool& pool = base::ThreadPool::Shared();
+  // Written at every alternative: one cache line per slot, so that
+  // threads do not share lines.
+  struct alignas(64) Slot {
     engine::SubqueryCache cache;
     std::vector<Tuple> kept;
-    MAYBMS_ASSIGN_OR_RETURN(
-        const std::vector<Tuple>* rows,
-        FilterRows(where,
-                   {&certain, &qualified, nullptr, nullptr, nullptr, &cache},
-                   base.rows(), &kept));
-    MAYBMS_RETURN_NOT_OK(visit(0, 0, *rows, 0));
-  }
-  return base::ThreadPool::Shared().ParallelFor(
-      relevant.size(), threads, [&](size_t k, size_t slot, size_t) -> Status {
-        const Component& component = *components[relevant[k]];
-        engine::SubqueryCache cache;
-        const engine::EvalContext ctx{&certain, &qualified, nullptr,
-                                      nullptr,  nullptr,    &cache};
-        const std::vector<Tuple> none;
-        std::vector<Tuple> kept;
-        for (size_t j = 0; j < component.size(); ++j) {
-          MAYBMS_RETURN_NOT_OK(base::GovernPoll());
-          const std::vector<Tuple>* rows =
-              component.alternatives[j].TuplesFor(rel);
-          if (rows != nullptr) {
-            MAYBMS_ASSIGN_OR_RETURN(rows,
-                                    FilterRows(where, ctx, *rows, &kept));
-          }
-          MAYBMS_RETURN_NOT_OK(
-              visit(k + 1, j, rows == nullptr ? none : *rows, slot));
-        }
-        return Status::OK();
+    size_t part = 0;  // the part of the slot's last alternative
+  };
+  std::vector<Slot> slots(pool.Slots(threads));
+  const std::vector<Tuple> none;
+  const auto filter = [&](size_t a, const Alternative* alt,
+                          size_t slot) -> Status {
+    for (size_t s = 0; s < scans.size(); ++s) {
+      const Scan& scan = scans[s];
+      const std::vector<Tuple>* rows = alt == nullptr
+                                           ? &scan.core->rows()
+                                           : alt->TuplesFor(scan.relation);
+      if (rows != nullptr) {
+        MAYBMS_ASSIGN_OR_RETURN(
+            rows, FilterRows(scan.where,
+                             {&certain, &scan.qualified, nullptr, nullptr,
+                              nullptr, &slots[slot].cache},
+                             *rows, &slots[slot].kept));
+      }
+      MAYBMS_RETURN_NOT_OK(visit(s, a, rows == nullptr ? none : *rows, slot));
+    }
+    return Status::OK();
+  };
+  MAYBMS_RETURN_NOT_OK(filter(0, nullptr, 0));
+  return pool.ParallelFor(
+      flat.size() - 1, threads, [&](size_t t, size_t slot, size_t) -> Status {
+        MAYBMS_RETURN_NOT_OK(base::GovernPoll());
+        const auto [k, j] = flat.Locate(t + 1, slots[slot].part);
+        slots[slot].part = k;
+        return filter(t + 1, &parts[k]->alternatives[j], slot);
       });
 }
 
@@ -129,41 +189,20 @@ Database BuildLocalDatabase(const Database& certain,
   return db;
 }
 
-/// Indices of the components contributing to any of `relations`
-/// (lower-case).
-std::vector<size_t> RelevantComponents(
-    const std::vector<ComponentHandle>& components,
-    const std::set<std::string>& relations) {
-  std::vector<size_t> indices;
-  for (size_t i = 0; i < components.size(); ++i) {
-    for (const std::string& rel : relations) {
-      if (components[i]->ContributesTo(rel)) {
-        indices.push_back(i);
-        break;
-      }
-    }
-  }
-  return indices;
-}
-
-/// What the row-local route makes of a statement. The statement must read
-/// one relation row by row: one FROM item, no join (a self-join
-/// correlates tuples), set operation, DISTINCT, GROUP BY, HAVING, ORDER BY
-/// or LIMIT, and a WHERE clause without subqueries or aggregates. Its
-/// select list then makes it
-///  * a slice: items without subqueries or aggregates, under any
-///    quantifier; or
-///  * an aggregate: `possible`/`certain` of exactly one `count(*)`,
-///    `count(col)` or `sum(col)`. The route also needs a sum's column to
-///    be declared INTEGER, which it checks against the relation's schema.
+/// What the row-local route makes of a statement's own scan, world
+/// operations aside. The statement must read one relation row by row: one
+/// FROM item, no join (a self-join correlates tuples), set operation,
+/// DISTINCT, GROUP BY, HAVING, ORDER BY or LIMIT, and a WHERE clause
+/// without subqueries or aggregates. Its select list then makes it
+///  * a slice: items without subqueries or aggregates; or
+///  * an aggregate: exactly one `count(*)`, `count(col)` or `sum(col)`.
+///    Summing also needs the column to be declared INTEGER (ResolveFold).
 enum class RowLocal { kNone, kSlice, kAggregate };
 
-RowLocal ClassifyRowLocal(const sql::SelectStatement& stmt,
-                          const std::set<std::string>& referenced) {
-  if (stmt.from.size() != 1 || referenced.size() != 1 ||
-      !stmt.joins.empty() || stmt.union_next || stmt.distinct ||
-      !stmt.group_by.empty() || stmt.having || !stmt.order_by.empty() ||
-      stmt.limit.has_value() ||
+RowLocal ClassifyScan(const sql::SelectStatement& stmt) {
+  if (stmt.from.size() != 1 || !stmt.joins.empty() || stmt.union_next ||
+      stmt.distinct || !stmt.group_by.empty() || stmt.having ||
+      !stmt.order_by.empty() || stmt.limit.has_value() ||
       (stmt.where && (ContainsSubquery(*stmt.where) ||
                       engine::ContainsAggregate(*stmt.where)))) {
     return RowLocal::kNone;
@@ -175,9 +214,7 @@ RowLocal ClassifyRowLocal(const sql::SelectStatement& stmt,
   if (std::all_of(stmt.items.begin(), stmt.items.end(), plain)) {
     return RowLocal::kSlice;
   }
-  if ((stmt.quantifier != sql::WorldQuantifier::kPossible &&
-       stmt.quantifier != sql::WorldQuantifier::kCertain) ||
-      stmt.items.size() != 1 ||
+  if (stmt.items.size() != 1 ||
       stmt.items[0].expr->kind != sql::ExprKind::kFunctionCall) {
     return RowLocal::kNone;
   }
@@ -191,6 +228,21 @@ RowLocal ClassifyRowLocal(const sql::SelectStatement& stmt,
     return RowLocal::kNone;
   }
   return RowLocal::kAggregate;
+}
+
+/// The enumeration-free row-local route of a statement that references
+/// the relations `referenced`: a slice under any quantifier, or a
+/// possible/certain aggregate, over one relation.
+RowLocal ClassifyRowLocal(const sql::SelectStatement& stmt,
+                          const std::set<std::string>& referenced) {
+  if (referenced.size() != 1) return RowLocal::kNone;
+  const RowLocal route = ClassifyScan(stmt);
+  if (route == RowLocal::kAggregate &&
+      stmt.quantifier != sql::WorldQuantifier::kPossible &&
+      stmt.quantifier != sql::WorldQuantifier::kCertain) {
+    return RowLocal::kNone;
+  }
+  return route;
 }
 
 /// The decomposed form of a statement's answer: certain rows plus one
@@ -305,33 +357,56 @@ struct PartValues {
   std::vector<int64_t> values;  // Support::Add needs them sorted, distinct
 };
 
-/// Adds the value of `rows`, one alternative of a part, to the part's
-/// values: a count's number of rows (count(*)) or of non-NULL `column`
-/// values, or a sum of the column's non-NULL values (NULL if there are
-/// none). False where the closed form does not apply: a non-INTEGER sum
-/// input or int64 overflow.
-bool FoldRows(bool sum, std::optional<size_t> column,
-              const std::vector<Tuple>& rows, PartValues* part) {
+/// A count(*), count(col) or sum(col) item, resolved against its scan.
+struct Fold {
+  bool sum = false;
+  std::optional<size_t> column;  // none: count(*)
+};
+
+/// The fold of an aggregate scan's item over `qualified`; nullopt for a
+/// sum over a column not declared INTEGER, which the summaries leave to
+/// SQL.
+Result<std::optional<Fold>> ResolveFold(const sql::SelectStatement& stmt,
+                                        const Schema& qualified) {
+  const auto& call =
+      static_cast<const sql::FunctionCallExpr&>(*stmt.items[0].expr);
+  Fold fold;
+  fold.sum = call.name == "sum";
+  if (!call.star) {
+    const auto& ref = static_cast<const sql::ColumnRefExpr&>(*call.args[0]);
+    MAYBMS_ASSIGN_OR_RETURN(fold.column,
+                            qualified.FindColumn(ref.name, ref.qualifier));
+    if (fold.sum && qualified.column(*fold.column).type != DataType::kInteger) {
+      return std::optional<Fold>();
+    }
+  }
+  return std::optional<Fold>(fold);
+}
+
+/// The value `fold` takes over `rows`, one alternative of a part (or the
+/// certain core): a count's number of rows (count(*)) or of non-NULL
+/// column values, or a sum of the column's non-NULL values, unset for a
+/// sum without one (its NULL). False where summaries do not apply: a
+/// non-INTEGER sum input or int64 overflow.
+bool FoldRows(const Fold& fold, const std::vector<Tuple>& rows,
+              std::optional<int64_t>* value) {
   int64_t total = 0;
-  bool non_null = !sum;  // a count is never NULL
+  bool non_null = !fold.sum;  // a count is never NULL
   for (const Tuple& row : rows) {
     int64_t term = 1;
-    if (column.has_value()) {
-      const Value& value = row.value(*column);
-      if (value.is_null()) continue;
-      if (sum) {
-        if (value.type() != DataType::kInteger) return false;
-        term = value.AsInteger();
+    if (fold.column.has_value()) {
+      const Value& v = row.value(*fold.column);
+      if (v.is_null()) continue;
+      if (fold.sum) {
+        if (v.type() != DataType::kInteger) return false;
+        term = v.AsInteger();
       }
     }
     non_null = true;
     if (__builtin_add_overflow(total, term, &total)) return false;
   }
-  if (non_null) {
-    part->values.push_back(total);
-  } else {
-    part->null = true;
-  }
+  value->reset();
+  if (non_null) *value = total;
   return true;
 }
 
@@ -521,17 +596,92 @@ Result<DecomposedAnswer> CleanProduct(const Database& certain,
   return answer;
 }
 
+/// What one row-local scan gives the certain core (alternative 0) and
+/// each alternative, numbered flat: a slice's projected kept rows, or an
+/// aggregate's count or sum.
+struct ScanSummary {
+  Schema schema;                               // the scan's answer
+  std::optional<Fold> fold;                    // set: an aggregate
+  std::vector<std::vector<Tuple>> rows;        // a slice
+  std::vector<std::optional<int64_t>> values;  // an aggregate
+};
+
+/// Summarizes the scans `scans` of the row-local queries `queries` in one
+/// pass (ScanAlternatives) into `summaries`, whose folds the caller sets:
+/// an aggregate folds each alternative's kept rows (FoldRows); a slice
+/// projects them, only where it kept some, through one projection per
+/// slot (base/thread_pool.h rule 3), slot 0's prepared before any row is
+/// filtered so that preparation errors come first; it sets the slice's
+/// schema. With `charge`, each component alternative's projected rows are
+/// charged to the memory budget. A fold that refuses fails the pass with
+/// kUnsupported.
+Status SummarizeScans(const Database& certain,
+                      const std::vector<const sql::SelectStatement*>& queries,
+                      const std::vector<Scan>& scans,
+                      const std::vector<const Component*>& parts,
+                      const FlatAlternatives& flat, size_t threads,
+                      bool charge, std::vector<ScanSummary>* summaries) {
+  const size_t slots = base::ThreadPool::Shared().Slots(threads);
+  std::vector<std::vector<std::optional<engine::PreparedProjection>>>
+      projections(scans.size());
+  for (size_t s = 0; s < scans.size(); ++s) {
+    ScanSummary& summary = (*summaries)[s];
+    if (summary.fold.has_value()) {
+      summary.values.resize(flat.size());
+      continue;
+    }
+    summary.rows.resize(flat.size());
+    projections[s].resize(slots);
+    MAYBMS_ASSIGN_OR_RETURN(projections[s][0],
+                            engine::PreparedProjection::Prepare(
+                                *queries[s], certain, scans[s].qualified));
+    summary.schema = projections[s][0]->output_schema();
+  }
+  return ScanAlternatives(
+      certain, scans, parts, flat, threads,
+      [&](size_t s, size_t a, const std::vector<Tuple>& rows,
+          size_t slot) -> Status {
+        ScanSummary& summary = (*summaries)[s];
+        if (summary.fold.has_value()) {
+          if (FoldRows(*summary.fold, rows, &summary.values[a])) {
+            return Status::OK();
+          }
+          return Status::Unsupported("outside the summaries");
+        }
+        if (rows.empty()) return Status::OK();
+        std::optional<engine::PreparedProjection>& projection =
+            projections[s][slot];
+        if (!projection.has_value()) {
+          MAYBMS_ASSIGN_OR_RETURN(
+              projection, engine::PreparedProjection::Prepare(
+                              *queries[s], certain, scans[s].qualified));
+        }
+        MAYBMS_ASSIGN_OR_RETURN(summary.rows[a],
+                                projection->ProjectRows(certain, rows));
+        if (!charge || a == 0) return Status::OK();
+        return base::GovernChargeBytes(base::EstimateTableBytes(
+            summary.rows[a].size(), summary.schema.num_columns()));
+      });
+}
+
+/// A failed pass that summaries do not report: a governance verdict
+/// poisons the statement's context and is reported; anything else is
+/// SQL's to report or decide, so the caller falls back.
+Status GovernanceVerdict() {
+  const base::QueryContext* context = base::CurrentQueryContext();
+  if (context != nullptr && context->cancelled()) return base::GovernPoll();
+  return Status::OK();
+}
+
 /// The row-local route over one uncertain relation (see RowLocal): one
 /// setup, then one pass over the certain core and the relevant components
-/// on the thread pool (ScanAlternatives) that summarizes each part's kept
-/// rows
-///  * for a slice, as the rows it adds to the answer, projected — only
-///    the alternatives that keep a row are projected. Under a quantifier
-///    only the components that kept a row get a factor (the closed forms
-///    ignore the others); a quantifier-free statement lists worlds or
-///    attaches rows, so every relevant component gets one;
-///  * for an aggregate, as the values it gives count/sum (FoldRows),
-///    which ClosedFormAggregate adds up.
+/// (SummarizeScans) that summarizes each alternative's kept rows
+///  * for a slice, as the rows it adds to the answer, projected. Under a
+///    quantifier only the components that kept a row get a factor (the
+///    closed forms ignore the others); a quantifier-free statement lists
+///    worlds or attaches rows, so every relevant component gets one;
+///  * for an aggregate, as the value it gives count/sum, which
+///    ClosedFormAggregate adds up per component.
 /// The aggregate returns nullopt, leaving the statement to the pipeline,
 /// on anything the pipeline must report or decide: an evaluation error in
 /// any row (the pipeline reports the first failing world's), a
@@ -542,100 +692,66 @@ Result<std::optional<DecomposedAnswer>> RowLocalAnswer(
     const std::vector<size_t>& relevant, size_t threads,
     uint64_t max_support) {
   std::optional<DecomposedAnswer> none;
-  const std::string rel = AsciiToLower(stmt.from[0].table_name);
-  MAYBMS_ASSIGN_OR_RETURN(const Table* base, certain.GetRelation(rel));
-  const Schema qualified =
-      base->schema().WithQualifier(stmt.from[0].effective_alias());
+  MAYBMS_ASSIGN_OR_RETURN(Scan scan, MakeScan(certain, stmt));
   std::unique_ptr<sql::SelectStatement> core = StripWorldOps(stmt);
-  DecomposedAnswer answer;
-  PartVisitor summarize;
-  // A slice: one projection per slot (base/thread_pool.h rule 3), as it
-  // caches subquery plans while it executes; slot 0's is prepared
-  // eagerly, so preparation errors surface before any row is filtered. A
-  // component's factor is sized at the first alternative that keeps a row.
+  scan.where = core->where.get();
+  std::vector<const Component*> parts;
+  for (size_t i : relevant) parts.push_back(components[i].get());
+  const FlatAlternatives flat(parts);
+  std::vector<ScanSummary> summaries(1);
+  ScanSummary& summary = summaries[0];
   const bool slice = route == RowLocal::kSlice;
-  std::vector<std::optional<engine::PreparedProjection>> projections;
-  std::vector<DecomposedAnswer::Factor> factors(slice ? relevant.size() : 0);
-  // An aggregate: the values of each part. A part that cannot fold fails
-  // the pass with a placeholder error that never leaves this function.
-  std::vector<PartValues> parts(slice ? 0 : relevant.size() + 1);
-  if (slice) {
-    projections.resize(base::ThreadPool::Shared().Slots(threads));
-    MAYBMS_ASSIGN_OR_RETURN(
-        projections[0],
-        engine::PreparedProjection::Prepare(*core, certain, qualified));
-    answer.schema = projections[0]->output_schema();
-    summarize = [&](size_t part, size_t j, const std::vector<Tuple>& rows,
-                    size_t slot) -> Status {
-      if (rows.empty()) return Status::OK();
-      if (!projections[slot].has_value()) {
-        MAYBMS_ASSIGN_OR_RETURN(
-            projections[slot],
-            engine::PreparedProjection::Prepare(*core, certain, qualified));
-      }
-      MAYBMS_ASSIGN_OR_RETURN(std::vector<Tuple> projected,
-                              projections[slot]->ProjectRows(certain, rows));
-      if (part == 0) {
-        answer.certain_rows = std::move(projected);
-        return Status::OK();
-      }
-      MAYBMS_RETURN_NOT_OK(base::GovernChargeBytes(base::EstimateTableBytes(
-          projected.size(), answer.schema.num_columns())));
-      DecomposedAnswer::Factor& factor = factors[part - 1];
-      factor.resize(components[relevant[part - 1]]->size());
-      factor[j].rows = std::move(projected);
-      return Status::OK();
-    };
-  } else {
+  if (!slice) {
     MAYBMS_ASSIGN_OR_RETURN(engine::PreparedSelect plan,
                             engine::PreparedSelect::Prepare(*core, certain));
-    answer.schema = plan.output_schema();
-    const auto& call =
-        static_cast<const sql::FunctionCallExpr&>(*core->items[0].expr);
-    const bool sum = call.name == "sum";
-    std::optional<size_t> column;
-    if (!call.star) {
-      const auto& ref = static_cast<const sql::ColumnRefExpr&>(*call.args[0]);
-      MAYBMS_ASSIGN_OR_RETURN(column,
-                              qualified.FindColumn(ref.name, ref.qualifier));
-      if (sum && qualified.column(*column).type != DataType::kInteger) {
-        return none;
-      }
-    }
-    summarize = [&parts, sum, column](size_t part, size_t,
-                                      const std::vector<Tuple>& rows,
-                                      size_t) -> Status {
-      if (FoldRows(sum, column, rows, &parts[part])) return Status::OK();
-      return Status::Unsupported("outside the closed form");
-    };
+    summary.schema = plan.output_schema();
+    MAYBMS_ASSIGN_OR_RETURN(summary.fold, ResolveFold(*core, scan.qualified));
+    if (!summary.fold.has_value()) return none;
   }
-  const Status pass =
-      ScanAlternatives(certain, *base, rel, qualified, core->where.get(),
-                       components, relevant, threads, summarize);
+  const Status pass = SummarizeScans(certain, {core.get()}, {scan}, parts,
+                                     flat, threads, slice, &summaries);
+  DecomposedAnswer answer;
+  answer.schema = summary.schema;
   if (!slice) {
     if (!pass.ok()) {
-      // A governance verdict poisons the statement's context: report it.
-      // Anything else is the pipeline's to report or decide.
-      const base::QueryContext* context = base::CurrentQueryContext();
-      if (context != nullptr && context->cancelled()) return base::GovernPoll();
+      MAYBMS_RETURN_NOT_OK(GovernanceVerdict());
       return none;
+    }
+    // The values of the certain core (first) and of each component.
+    std::vector<PartValues> part_values(parts.size() + 1);
+    const auto add = [&](size_t part, size_t a) {
+      if (summary.values[a].has_value()) {
+        part_values[part].values.push_back(*summary.values[a]);
+      } else {
+        part_values[part].null = true;
+      }
+    };
+    add(0, 0);
+    for (size_t k = 0; k < parts.size(); ++k) {
+      for (size_t j = 0; j < parts[k]->size(); ++j) add(k + 1, flat.Of(k, j));
     }
     MAYBMS_ASSIGN_OR_RETURN(
         const bool answered,
-        ClosedFormAggregate(std::move(parts), stmt.quantifier, max_support,
-                            &answer.certain_rows));
+        ClosedFormAggregate(std::move(part_values), stmt.quantifier,
+                            max_support, &answer.certain_rows));
     if (!answered) return none;
     return std::optional<DecomposedAnswer>(std::move(answer));
   }
   MAYBMS_RETURN_NOT_OK(pass);
+  std::vector<std::vector<Tuple>>& projected = summary.rows;
+  answer.certain_rows = std::move(projected[0]);
   const bool dense = stmt.quantifier == sql::WorldQuantifier::kNone;
-  for (size_t k = 0; k < relevant.size(); ++k) {
-    DecomposedAnswer::Factor& factor = factors[k];
-    if (factor.empty() && !dense) continue;
-    const Component& component = *components[relevant[k]];
-    factor.resize(component.size());
+  for (size_t k = 0; k < parts.size(); ++k) {
+    const Component& component = *parts[k];
+    bool kept = dense;
+    for (size_t j = 0; j < component.size() && !kept; ++j) {
+      kept = !projected[flat.Of(k, j)].empty();
+    }
+    if (!kept) continue;
+    DecomposedAnswer::Factor factor(component.size());
     for (size_t j = 0; j < component.size(); ++j) {
       factor[j].probability = component.alternatives[j].probability;
+      factor[j].rows = std::move(projected[flat.Of(k, j)]);
     }
     answer.component_indices.push_back(relevant[k]);
     answer.factors.push_back(std::move(factor));
@@ -787,6 +903,219 @@ class SubProductSource final : public WorldSource {
   std::vector<Relation> relations_;  // those the parts contribute to
 };
 
+/// The outcomes of the worlds of a sub-product, assembled from the
+/// summaries of one pass (Summarize) instead of running SQL in each
+/// world. World i decodes its alternatives as SubProductSource::Get does
+/// (ChooseAlternatives, so the same probability), and each scan adds up
+/// what the certain core and the chosen alternatives give it: a slice
+/// concatenates their rows in part order, the order in which the world's
+/// relation holds them; a count or sum adds their values, wrapping on
+/// int64 overflow as SQL's sum does. The assert keeps the world when its
+/// count is nonzero (zero, negated).
+///
+/// A part whose alternatives each belong to one world only (every other
+/// part has one alternative, as for a relation merged into one component
+/// by an update) hands its rows over instead of copying them: the
+/// pipeline assembles each world once.
+class ScanSummaries final : public WorldSummaries {
+ public:
+  ScanSummaries(std::vector<const Component*> parts, ScanSummary main,
+                std::optional<ScanSummary> assert_count, bool negated,
+                std::optional<ScanSummary> key)
+      : parts_(std::move(parts)),
+        flat_(parts_),
+        main_(std::move(main)),
+        assert_count_(std::move(assert_count)),
+        negated_(negated),
+        key_(std::move(key)) {
+    const uint64_t worlds = ProductSize(parts_);
+    for (const Component* part : parts_) {
+      once_.push_back(worlds == part->size());
+    }
+  }
+
+  Status Assemble(size_t i, WorldScratch* scratch,
+                  WorldSummary* out) const override {
+    MAYBMS_RETURN_NOT_OK(base::GovernPoll());
+    out->probability = ChooseAlternatives(parts_, i, &scratch->chosen);
+    const std::vector<const Alternative*>& chosen = scratch->chosen;
+    out->answer = Answer(main_, chosen);
+    if (assert_count_.has_value()) {
+      out->kept = (Total(*assert_count_, chosen).value_or(0) != 0) != negated_;
+    }
+    if (key_.has_value() && out->kept) out->key = Answer(*key_, chosen);
+    return Status::OK();
+  }
+
+ private:
+  /// The flat number of the alternative chosen for part `k`.
+  size_t Chosen(const std::vector<const Alternative*>& chosen,
+                size_t k) const {
+    return flat_.Of(
+        k, static_cast<size_t>(chosen[k] - parts_[k]->alternatives.data()));
+  }
+
+  /// A fold's value in the world: unset (NULL) while no part has one.
+  std::optional<int64_t> Total(
+      const ScanSummary& scan,
+      const std::vector<const Alternative*>& chosen) const {
+    std::optional<int64_t> total = scan.values[0];
+    for (size_t k = 0; k < chosen.size(); ++k) {
+      const std::optional<int64_t>& value = scan.values[Chosen(chosen, k)];
+      if (!value.has_value()) continue;
+      total = static_cast<int64_t>(static_cast<uint64_t>(total.value_or(0)) +
+                                   static_cast<uint64_t>(*value));
+    }
+    return total;
+  }
+
+  Table Answer(ScanSummary& scan,
+               const std::vector<const Alternative*>& chosen) const {
+    Table table(scan.schema);
+    if (scan.fold.has_value()) {
+      const std::optional<int64_t> total = Total(scan, chosen);
+      table.AppendUnchecked(Tuple(
+          {total.has_value() ? Value::Integer(*total) : Value::Null()}));
+      return table;
+    }
+    std::vector<Tuple>& rows = *table.mutable_rows();
+    rows = scan.rows[0];
+    for (size_t k = 0; k < chosen.size(); ++k) {
+      std::vector<Tuple>& part = scan.rows[Chosen(chosen, k)];
+      if (!once_[k]) {
+        rows.insert(rows.end(), part.begin(), part.end());
+      } else if (rows.empty()) {
+        rows = std::move(part);
+      } else {
+        rows.insert(rows.end(), std::make_move_iterator(part.begin()),
+                    std::make_move_iterator(part.end()));
+      }
+    }
+    return table;
+  }
+
+  std::vector<const Component*> parts_;
+  FlatAlternatives flat_;
+  // Mutable: a part in once_ hands its rows to the one world that uses
+  // them.
+  mutable ScanSummary main_;
+  std::optional<ScanSummary> assert_count_;
+  bool negated_;
+  mutable std::optional<ScanSummary> key_;
+  std::vector<bool> once_;  // per part: each alternative in one world
+};
+
+/// The subquery of an assert condition `[not] exists (subquery)`, under
+/// any number of NOTs, and whether the condition negates it; null for
+/// any other condition.
+const sql::SelectStatement* AssertedExists(const sql::Expr& condition,
+                                           bool* negated) {
+  const sql::Expr* expr = &condition;
+  *negated = false;
+  while (expr->kind == sql::ExprKind::kUnary &&
+         static_cast<const sql::UnaryExpr&>(*expr).op == sql::UnaryOp::kNot) {
+    *negated = !*negated;
+    expr = static_cast<const sql::UnaryExpr&>(*expr).operand.get();
+  }
+  if (expr->kind != sql::ExprKind::kExists) return nullptr;
+  const auto& exists = static_cast<const sql::ExistsExpr&>(*expr);
+  *negated = *negated != exists.negated;
+  return exists.subquery.get();
+}
+
+/// The statements whose worlds the pipeline assembles from summaries
+/// (ScanSummaries) instead of running SQL in them: no repair/choice, and
+/// every scan is row-local (ClassifyScan) over a relation of the
+/// world-set that is not the statement's result `result_name` — the main
+/// query, the subquery of an `assert [not] exists (...)`, and the GROUP
+/// WORLDS BY query. The assert's subquery is a slice whose items are `*`
+/// or columns of its relation, which cannot fail, so its WHERE alone
+/// decides the verdict. A sum's column must be INTEGER.
+///
+/// One pass (SummarizeScans) summarizes every scan for every alternative
+/// of `parts`. Returns null, leaving the statement to SQL in every world,
+/// outside the class, on any preparation or evaluation error (SQL reports
+/// the first failing world's, or no error when the failing rows are in
+/// worlds an assert drops before the grouping query runs), and where a
+/// fold refuses. Governance verdicts propagate.
+Result<std::unique_ptr<ScanSummaries>> Summarize(
+    const Database& certain, std::vector<const Component*> parts,
+    const sql::SelectStatement& stmt, const std::string& result_name,
+    size_t threads) {
+  std::unique_ptr<ScanSummaries> none;
+  if (stmt.repair.has_value() || stmt.choice.has_value()) return none;
+  std::unique_ptr<sql::SelectStatement> core = StripWorldOps(stmt);
+  // The scans: the main query, then the assert's, then the key's.
+  std::vector<const sql::SelectStatement*> queries = {core.get()};
+  bool negated = false;
+  const sql::SelectStatement* exists = nullptr;
+  if (stmt.assert_condition) {
+    exists = AssertedExists(*stmt.assert_condition, &negated);
+    if (exists == nullptr) return none;
+    queries.push_back(exists);
+  }
+  if (stmt.group_worlds_by) queries.push_back(stmt.group_worlds_by.get());
+  const std::string result = AsciiToLower(result_name);
+  std::vector<Scan> scans;
+  std::vector<ScanSummary> summaries(queries.size());
+  for (size_t s = 0; s < queries.size(); ++s) {
+    const sql::SelectStatement& query = *queries[s];
+    const RowLocal route = ClassifyScan(query);
+    if (route == RowLocal::kNone ||
+        query.quantifier != sql::WorldQuantifier::kNone ||
+        query.repair.has_value() || query.choice.has_value() ||
+        query.assert_condition || query.group_worlds_by) {
+      return none;
+    }
+    Result<Scan> scan = MakeScan(certain, query);
+    if (!scan.ok() || scan->relation == result) return none;
+    Result<engine::PreparedSelect> plan =
+        engine::PreparedSelect::Prepare(query, certain);
+    if (!plan.ok()) return none;
+    scan->where = query.where.get();
+    ScanSummary& summary = summaries[s];
+    summary.schema = plan->output_schema();
+    if (&query == exists) {
+      if (route != RowLocal::kSlice) return none;
+      for (const sql::SelectItem& item : query.items) {
+        if (item.star) continue;
+        if (item.expr->kind != sql::ExprKind::kColumnRef) return none;
+        const auto& ref = static_cast<const sql::ColumnRefExpr&>(*item.expr);
+        if (!scan->qualified.FindColumn(ref.name, ref.qualifier).ok()) {
+          return none;
+        }
+      }
+      summary.fold = Fold();  // a count of the kept rows
+    } else if (route == RowLocal::kAggregate) {
+      Result<std::optional<Fold>> fold = ResolveFold(query, scan->qualified);
+      if (!fold.ok() || !fold->has_value()) return none;
+      summary.fold = **fold;
+    }
+    scans.push_back(std::move(*scan));
+  }
+  const FlatAlternatives flat(parts);
+  const Status pass = SummarizeScans(certain, queries, scans, parts, flat,
+                                     threads, false, &summaries);
+  if (!pass.ok()) {
+    MAYBMS_RETURN_NOT_OK(GovernanceVerdict());
+    return none;
+  }
+  std::optional<ScanSummary> assert_count;
+  std::optional<ScanSummary> key;
+  if (stmt.group_worlds_by) {
+    key = std::move(summaries.back());
+    summaries.pop_back();
+  }
+  if (exists != nullptr) {
+    assert_count = std::move(summaries.back());
+    summaries.pop_back();
+  }
+  return std::make_unique<ScanSummaries>(std::move(parts),
+                                         std::move(summaries[0]),
+                                         std::move(assert_count), negated,
+                                         std::move(key));
+}
+
 }  // namespace
 
 DecomposedWorldSet::DecomposedWorldSet(uint64_t max_worlds, size_t threads)
@@ -931,6 +1260,7 @@ Status DecomposedWorldSet::CreateBaseTable(const std::string& name,
   if (certain_.HasRelation(name)) {
     return Status::AlreadyExists("relation already exists: " + name);
   }
+  // The new relation is certain: no component, so the index stays.
   certain_.PutRelation(name, prototype);
   return Status::OK();
 }
@@ -952,7 +1282,37 @@ Status DecomposedWorldSet::DropRelation(const std::string& name) {
     for (Alternative& alt : pruned.alternatives) alt.tuples.erase(lower);
     c = ShareComponent(std::move(pruned));
   }
+  index_.erase(lower);
   return Status::OK();
+}
+
+std::vector<size_t> DecomposedWorldSet::ComponentsOf(
+    const std::string& relation) const {
+  auto it = index_.find(relation);
+  return it == index_.end() ? std::vector<size_t>() : it->second;
+}
+
+std::vector<size_t> DecomposedWorldSet::RelevantComponents(
+    const std::set<std::string>& relations) const {
+  std::vector<size_t> indices;
+  for (const std::string& relation : relations) {
+    auto it = index_.find(relation);
+    if (it == index_.end()) continue;
+    const size_t n = indices.size();
+    indices.insert(indices.end(), it->second.begin(), it->second.end());
+    std::inplace_merge(indices.begin(), indices.begin() + static_cast<long>(n),
+                       indices.end());
+  }
+  indices.erase(std::unique(indices.begin(), indices.end()), indices.end());
+  return indices;
+}
+
+void DecomposedWorldSet::IndexComponent(size_t i) {
+  for (const std::string& relation : components_[i]->Relations()) {
+    std::vector<size_t>& indices = index_[relation];
+    const auto at = std::lower_bound(indices.begin(), indices.end(), i);
+    if (at == indices.end() || *at != i) indices.insert(at, i);
+  }
 }
 
 std::vector<const Component*> DecomposedWorldSet::Parts(
@@ -990,6 +1350,23 @@ Status DecomposedWorldSet::ReplaceComponents(
     components_.erase(components_.begin() + static_cast<long>(*it));
   }
   components_.push_back(ShareComponent(std::move(replacement)));
+  // Drop the erased indices from the index, and shift each later one down
+  // by the number erased before it.
+  for (auto it = index_.begin(); it != index_.end();) {
+    std::vector<size_t> kept;
+    for (size_t i : it->second) {
+      const auto below = std::lower_bound(relevant.begin(), relevant.end(), i);
+      if (below != relevant.end() && *below == i) continue;
+      kept.push_back(i - static_cast<size_t>(below - relevant.begin()));
+    }
+    if (kept.empty()) {
+      it = index_.erase(it);
+    } else {
+      it->second = std::move(kept);
+      ++it;
+    }
+  }
+  IndexComponent(components_.size() - 1);
   return Status::OK();
 }
 
@@ -1005,7 +1382,7 @@ Status DecomposedWorldSet::ApplyDml(const sql::Statement& stmt,
                           engine::PreparedDml::Prepare(stmt, certain_,
                                                        &catalog));
 
-  std::vector<size_t> relevant = RelevantComponents(components_, referenced);
+  std::vector<size_t> relevant = RelevantComponents(referenced);
   if (relevant.empty()) {
     // All referenced relations are certain: apply once to the core.
     return plan.Execute(&certain_);
@@ -1031,19 +1408,28 @@ Status DecomposedWorldSet::ApplyDml(const sql::Statement& stmt,
 Result<PipelineResult> DecomposedWorldSet::RunPipeline(
     const sql::SelectStatement& stmt, const std::vector<size_t>& relevant,
     const std::string& result_name, size_t keep_worlds) const {
-  return RunWorldPipeline(SubProductSource(certain_, Parts(relevant)), stmt,
+  const SubProductSource source(certain_, Parts(relevant));
+  // Row-local statements get their worlds from one pass's summaries. A
+  // sub-product above the world cap fails in the pipeline, unsummarized.
+  std::unique_ptr<ScanSummaries> summaries;
+  if (!relevant.empty() && source.size() <= max_worlds_) {
+    MAYBMS_ASSIGN_OR_RETURN(
+        summaries,
+        Summarize(certain_, Parts(relevant), stmt, result_name, threads_));
+  }
+  return RunWorldPipeline(source, stmt,
                           {.result_name = result_name,
                            .keep_worlds = keep_worlds,
                            .threads = threads_,
-                           .max_worlds = max_worlds_});
+                           .max_worlds = max_worlds_},
+                          summaries.get());
 }
 
 Result<SelectEvaluation> DecomposedWorldSet::EvaluateSelect(
     const sql::SelectStatement& stmt, size_t max_worlds) const {
   std::set<std::string> referenced;
   CollectReferencedRelations(stmt, &referenced);
-  const std::vector<size_t> relevant =
-      RelevantComponents(components_, referenced);
+  const std::vector<size_t> relevant = RelevantComponents(referenced);
   MAYBMS_ASSIGN_OR_RETURN(std::optional<DecomposedAnswer> dec,
                           Shortcut(certain_, components_, stmt, referenced,
                                    relevant, threads_, max_worlds_));
@@ -1070,8 +1456,7 @@ Status DecomposedWorldSet::MaterializeSelect(const std::string& name,
   const std::string lower = AsciiToLower(name);
   std::set<std::string> referenced;
   CollectReferencedRelations(stmt, &referenced);
-  const std::vector<size_t> relevant =
-      RelevantComponents(components_, referenced);
+  const std::vector<size_t> relevant = RelevantComponents(referenced);
   MAYBMS_ASSIGN_OR_RETURN(std::optional<DecomposedAnswer> dec,
                           Shortcut(certain_, components_, stmt, referenced,
                                    relevant, threads_, max_worlds_));
@@ -1092,12 +1477,14 @@ Status DecomposedWorldSet::MaterializeSelect(const std::string& name,
         comp.alternatives[j].probability = factor[j].probability;
         comp.alternatives[j].tuples[lower] = std::move(factor[j].rows);
       }
+      const size_t index =
+          attach ? dec->component_indices[k] : components_.size();
       if (attach) {
-        components_[dec->component_indices[k]] =
-            ShareComponent(std::move(comp));
+        components_[index] = ShareComponent(std::move(comp));
       } else {
         components_.push_back(ShareComponent(std::move(comp)));
       }
+      IndexComponent(index);
     }
     return Status::OK();
   }
@@ -1205,6 +1592,8 @@ Status DecomposedWorldSet::FromSnapshot(
   }
   certain_ = std::move(certain);
   components_ = std::move(components);
+  index_.clear();
+  for (size_t i = 0; i < components_.size(); ++i) IndexComponent(i);
   return Status::OK();
 }
 

@@ -31,7 +31,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -69,7 +71,11 @@ namespace maybms::worlds {
 /// materialized. That covers `assert`, `group worlds by`, queries that
 /// genuinely correlate components (joins of uncertain relations, other
 /// aggregates over them, subqueries), and statements over certain
-/// relations only, whose sub-product is one world: the certain core. A
+/// relations only, whose sub-product is one world: the certain core.
+/// When every scan of such a statement is row-local (a `conf` of count or
+/// sum, an `assert [not] exists`, a row-local grouping query), each world
+/// is assembled from one pass's per-alternative summaries instead of
+/// running SQL in it, with the same result bit for bit. A
 /// `create table ... as` through the pipeline replaces the relevant
 /// components with one component of the surviving worlds.
 ///
@@ -122,8 +128,19 @@ class DecomposedWorldSet : public WorldSet {
     return components_;
   }
   size_t num_components() const { return components_.size(); }
+  /// The indices of the components contributing a row to `relation`
+  /// (lower-case), ascending: the engine's relation → component index,
+  /// always equal to a scan with Component::ContributesTo.
+  std::vector<size_t> ComponentsOf(const std::string& relation) const;
 
  private:
+  /// The components contributing to any of `relations` (lower-case),
+  /// ascending, read from the index.
+  std::vector<size_t> RelevantComponents(
+      const std::set<std::string>& relations) const;
+  /// Adds component `i` under every relation it contributes to.
+  void IndexComponent(size_t i);
+
   /// A select run through the shared pipeline (worlds/world_pipeline.h)
   /// over the sub-product of the components at `relevant`, those the
   /// statement references.
@@ -148,6 +165,10 @@ class DecomposedWorldSet : public WorldSet {
   // mutation site (component replacement, repair/choice append, drop)
   // stores a new instance instead of changing a shared one.
   std::vector<ComponentHandle> components_;
+  // Relation (lower-case) → the ascending indices of the components that
+  // contribute to it; relations without such components have no entry.
+  // Kept current by every mutation of components_.
+  std::map<std::string, std::vector<size_t>> index_;
   uint64_t max_worlds_;
   size_t threads_;  // per-call parallelism cap; 0 = default
 };

@@ -55,19 +55,22 @@ struct SinkState {
 class Pipeline {
  public:
   Pipeline(const WorldSource& source, const sql::SelectStatement& stmt,
-           const PipelineOptions& options);
+           const PipelineOptions& options, const WorldSummaries* summaries);
 
   Result<PipelineResult> Run();
 
  private:
-  /// Runs the SQL core in every source world.
+  /// Runs the SQL core in every source world, or takes every world's
+  /// outcome from the summaries.
   Status RunCore();
   /// Runs the repair/choice projection in every combination of every
   /// source world's partition blocks.
   Status RunFanOut();
-  /// One world's tail: assert filter → group key → sink.
-  Status Tail(size_t source_index, double probability, const Database& db,
-              Table answer, size_t slot, size_t chunk);
+  /// One world's tail: assert filter → group key → sink. With a
+  /// `summary` (which carries the answer) the verdict and the key are
+  /// its own and `db` is unused; otherwise they are evaluated in `db`.
+  Status Tail(size_t source_index, double probability, const Database* db,
+              Table answer, WorldSummary* summary, size_t slot, size_t chunk);
   void BeginBatch(size_t n);
   Status EndBatch();
   Result<PipelineResult> Finish();
@@ -75,6 +78,7 @@ class Pipeline {
   const WorldSource& source_;
   const sql::SelectStatement& stmt_;
   const PipelineOptions& options_;
+  const WorldSummaries* summaries_;  // null: SQL runs in every world
   std::unique_ptr<sql::SelectStatement> core_;
   base::ThreadPool& pool_;
   const size_t slots_;
@@ -89,10 +93,12 @@ class Pipeline {
 };
 
 Pipeline::Pipeline(const WorldSource& source, const sql::SelectStatement& stmt,
-                   const PipelineOptions& options)
+                   const PipelineOptions& options,
+                   const WorldSummaries* summaries)
     : source_(source),
       stmt_(stmt),
       options_(options),
+      summaries_(summaries),
       core_(StripWorldOps(stmt)),
       pool_(base::ThreadPool::Shared()),
       slots_(pool_.Slots(options.threads)),
@@ -107,6 +113,8 @@ Pipeline::Pipeline(const WorldSource& source, const sql::SelectStatement& stmt,
   }
   expose_result_ = refs.count(AsciiToLower(options.result_name)) > 0;
   keep_group_keys_ = stmt.group_worlds_by && options.keep_worlds > 0;
+  // A world's summary knows nothing of its answer as a relation.
+  if (expose_result_) summaries_ = nullptr;
 }
 
 Result<PipelineResult> Pipeline::Run() {
@@ -123,9 +131,13 @@ Result<PipelineResult> Pipeline::Run() {
 Status Pipeline::RunCore() {
   // Planned once per slot against the shared schema catalog; slot 0
   // eagerly, so preparation errors surface before any world runs.
+  // Summaries need no plan: the engine prepared the statement to make
+  // them.
   std::vector<std::optional<engine::PreparedSelect>> plans(slots_);
-  MAYBMS_ASSIGN_OR_RETURN(
-      plans[0], engine::PreparedSelect::Prepare(*core_, source_.schema_db()));
+  if (summaries_ == nullptr) {
+    MAYBMS_ASSIGN_OR_RETURN(plans[0], engine::PreparedSelect::Prepare(
+                                          *core_, source_.schema_db()));
+  }
   const size_t n = source_.size();
   // One scratch world per slot, for this loop only (storage/catalog.h:
   // a worker mutates only what it created inside the region).
@@ -134,6 +146,13 @@ Status Pipeline::RunCore() {
   MAYBMS_RETURN_NOT_OK(pool_.ParallelFor(
       n, options_.threads,
       [&](size_t i, size_t slot, size_t chunk) -> Status {
+        if (summaries_ != nullptr) {
+          WorldSummary summary;
+          MAYBMS_RETURN_NOT_OK(
+              summaries_->Assemble(i, &scratch[slot], &summary));
+          return Tail(i, summary.probability, nullptr,
+                      std::move(summary.answer), &summary, slot, chunk);
+        }
         if (!plans[slot].has_value()) {
           MAYBMS_ASSIGN_OR_RETURN(plans[slot],
                                   engine::PreparedSelect::Prepare(
@@ -141,8 +160,8 @@ Status Pipeline::RunCore() {
         }
         const World& world = source_.Get(i, &scratch[slot]);
         MAYBMS_ASSIGN_OR_RETURN(Table answer, plans[slot]->Execute(world.db));
-        return Tail(i, world.probability, world.db, std::move(answer), slot,
-                    chunk);
+        return Tail(i, world.probability, &world.db, std::move(answer),
+                    nullptr, slot, chunk);
       }));
   return EndBatch();
 }
@@ -203,8 +222,8 @@ Status Pipeline::RunFanOut() {
           }
           MAYBMS_ASSIGN_OR_RETURN(Table answer,
                                   projections[slot]->Execute(world.db, chosen));
-          return Tail(i, probability, world.db, std::move(answer), slot,
-                      chunk);
+          return Tail(i, probability, &world.db, std::move(answer), nullptr,
+                      slot, chunk);
         }));
     MAYBMS_RETURN_NOT_OK(EndBatch());
   }
@@ -212,28 +231,32 @@ Status Pipeline::RunFanOut() {
 }
 
 Status Pipeline::Tail(size_t source_index, double probability,
-                      const Database& db, Table answer, size_t slot,
-                      size_t chunk) {
+                      const Database* db, Table answer, WorldSummary* summary,
+                      size_t slot, size_t chunk) {
   // Memory-budget charge for the per-world answer: once per world,
   // whichever sink consumes it.
   MAYBMS_RETURN_NOT_OK(base::GovernChargeBytes(base::EstimateTableBytes(
       answer.num_rows(), answer.schema().num_columns())));
   Database::TableHandle shared;  // set once the answer must outlive Tail
   Database exposed;
-  const Database* view = &db;
+  const Database* view = db;
   if (expose_result_) {
     shared = std::make_shared<const Table>(std::move(answer));
-    exposed = db;
+    exposed = *db;
     exposed.PutRelation(options_.result_name, shared);
     view = &exposed;
   }
   const Table& result = shared != nullptr ? *shared : answer;
   if (stmt_.assert_condition) {
-    engine::SubqueryCache cache(&assert_plans_[slot]);
-    engine::EvalContext ctx{view, nullptr, nullptr, nullptr, nullptr, &cache};
-    MAYBMS_ASSIGN_OR_RETURN(
-        Trivalent keep, engine::EvalPredicate(*stmt_.assert_condition, ctx));
-    if (keep != Trivalent::kTrue) return Status::OK();
+    if (summary != nullptr) {
+      if (!summary->kept) return Status::OK();
+    } else {
+      engine::SubqueryCache cache(&assert_plans_[slot]);
+      engine::EvalContext ctx{view, nullptr, nullptr, nullptr, nullptr, &cache};
+      MAYBMS_ASSIGN_OR_RETURN(
+          Trivalent keep, engine::EvalPredicate(*stmt_.assert_condition, ctx));
+      if (keep != Trivalent::kTrue) return Status::OK();
+    }
   }
 
   SinkState& sink = chunks_[chunk];
@@ -242,12 +265,17 @@ Status Pipeline::Tail(size_t source_index, double probability,
   const bool keep = sink.kept.size() < options_.keep_worlds;
   std::vector<Tuple> group_key;
   if (stmt_.group_worlds_by) {
-    if (!group_plans_[slot].has_value()) {
-      MAYBMS_ASSIGN_OR_RETURN(
-          group_plans_[slot],
-          engine::PreparedSelect::Prepare(*stmt_.group_worlds_by, *view));
+    Table key;
+    if (summary != nullptr) {
+      key = std::move(summary->key);
+    } else {
+      if (!group_plans_[slot].has_value()) {
+        MAYBMS_ASSIGN_OR_RETURN(
+            group_plans_[slot],
+            engine::PreparedSelect::Prepare(*stmt_.group_worlds_by, *view));
+      }
+      MAYBMS_ASSIGN_OR_RETURN(key, group_plans_[slot]->Execute(*view));
     }
-    MAYBMS_ASSIGN_OR_RETURN(Table key, group_plans_[slot]->Execute(*view));
     if (!sink.grouped.has_value()) sink.grouped.emplace(stmt_.quantifier);
     MAYBMS_RETURN_NOT_OK(sink.grouped->Feed(probability, result, key));
     if (keep && keep_group_keys_) group_key = CanonicalizeGroupKey(key).rows();
@@ -360,8 +388,9 @@ Result<PipelineResult> Pipeline::Finish() {
 
 Result<PipelineResult> RunWorldPipeline(const WorldSource& source,
                                         const sql::SelectStatement& stmt,
-                                        const PipelineOptions& options) {
-  return Pipeline(source, stmt, options).Run();
+                                        const PipelineOptions& options,
+                                        const WorldSummaries* summaries) {
+  return Pipeline(source, stmt, options, summaries).Run();
 }
 
 Result<std::vector<PipelineWorld>> RunDmlInEveryWorld(

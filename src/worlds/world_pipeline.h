@@ -86,6 +86,35 @@ class WorldSource {
   virtual bool decoded() const = 0;
 };
 
+/// One world's outcome, computed without running SQL in the world: its
+/// probability, the statement's answer, the assert's verdict and the
+/// GROUP WORLDS BY key.
+struct WorldSummary {
+  double probability = 0;
+  Table answer;
+  bool kept = true;  // false: the assert drops the world
+  Table key;         // the grouping query's answer, under GROUP WORLDS BY
+};
+
+/// The outcomes of a source's worlds, assembled from summaries of the
+/// source's parts (worlds/decomposed_world_set.cc: per-alternative
+/// summaries of row-local scans). Given one, the pipeline calls it in
+/// place of the SQL core, the assert and the grouping query; the worlds,
+/// their order, the chunks, the world cap and budget, the per-world
+/// memory charge and the sinks stay the pipeline's own, so the result is
+/// bit-identical to running the SQL. Every outcome must be the one the
+/// SQL gives in that world; an engine that cannot promise that (an
+/// expression that fails in some world) passes none.
+class WorldSummaries {
+ public:
+  virtual ~WorldSummaries() = default;
+
+  /// World `i` of the source (< size()), into `out`. Thread-safe; the
+  /// scratch is used as WorldSource::Get uses it. Called once per world.
+  virtual Status Assemble(size_t i, WorldScratch* scratch,
+                          WorldSummary* out) const = 0;
+};
+
 struct PipelineOptions {
   /// Name under which the assert / GROUP WORLDS BY query may see the
   /// statement's own per-world answer: "__result" for a select, the
@@ -115,9 +144,13 @@ struct PipelineResult {
 };
 
 /// Runs `stmt` over `source`. Read-only: callers commit the result.
-Result<PipelineResult> RunWorldPipeline(const WorldSource& source,
-                                        const sql::SelectStatement& stmt,
-                                        const PipelineOptions& options);
+/// With `summaries`, a statement without repair/choice whose assert and
+/// grouping query do not name its result takes each world's outcome from
+/// them instead of running SQL in it.
+Result<PipelineResult> RunWorldPipeline(
+    const WorldSource& source, const sql::SelectStatement& stmt,
+    const PipelineOptions& options,
+    const WorldSummaries* summaries = nullptr);
 
 /// Runs the INSERT/UPDATE/DELETE `stmt` in every world of `source` and
 /// returns every world, in source order, with its new instance of the

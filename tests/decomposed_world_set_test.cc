@@ -8,6 +8,11 @@
 
 #include <cmath>
 #include <limits>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "base/string_util.h"
 
 #include "isql/session.h"
 #include "tests/test_util.h"
@@ -194,6 +199,67 @@ TEST(DecomposedWorldSetTest, CloneIsIndependent) {
   EXPECT_EQ(clone->NumWorlds(), 4u);
   MAYBMS_EXPECT_OK(clone->DropRelation("I"));
   EXPECT_TRUE(session.world_set().HasRelation("I"));
+}
+
+/// The relation → component index equals a scan of every component with
+/// Component::ContributesTo, for every relation the set or a component
+/// names.
+void ExpectIndexMatchesScan(const DecomposedWorldSet& wsd,
+                            const std::string& context) {
+  std::set<std::string> relations;
+  for (const std::string& name : wsd.RelationNames()) {
+    relations.insert(AsciiToLower(name));
+  }
+  for (const ComponentHandle& c : wsd.components()) {
+    for (const std::string& name : c->Relations()) relations.insert(name);
+  }
+  for (const std::string& relation : relations) {
+    std::vector<size_t> scan;
+    for (size_t i = 0; i < wsd.num_components(); ++i) {
+      if (wsd.components()[i]->ContributesTo(relation)) scan.push_back(i);
+    }
+    EXPECT_EQ(wsd.ComponentsOf(relation), scan) << context << ": " << relation;
+  }
+}
+
+TEST(DecomposedWorldSetTest, ComponentIndexMatchesAScanAfterEveryMutation) {
+  Session session(DecomposedOptions());
+  maybms::testing::LoadFigure1(session);
+  const char* kSteps[] = {
+      // repair/choice products append components
+      "create table I as select A, B, C from R repair by key A weight D;",
+      "create table P as select * from S choice of E;",
+      // a certain base table and DML on certain relations only
+      "create table T (K integer, V integer);",
+      "insert into T values (1, 2), (3, 4);",
+      // a quantifier-free slice attaches rows to I's components
+      "create table Q as select A, B from I where B > 12;",
+      // an empty slice attaches empty contributions
+      "create table E as select A from I where B > 1000;",
+      // the pipeline's materialization replaces I's components
+      "create table M as select A, B from I "
+      "assert exists (select * from I where B = 15);",
+      // DML on an uncertain relation replaces its components
+      "update Q set B = B + 1 where A = 'a2';",
+      "delete from P where E = 'e1';",
+      "drop table Q;",
+      "drop table I;",
+  };
+  ExpectIndexMatchesScan(Wsd(session), "initial");
+  for (const char* step : kSteps) {
+    Exec(session, step);
+    ExpectIndexMatchesScan(Wsd(session), step);
+  }
+  // Restore and clone keep it too.
+  auto snapshot = Wsd(session).ToSnapshot();
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  DecomposedWorldSet restored;
+  MAYBMS_ASSERT_OK(restored.FromSnapshot(*snapshot));
+  ExpectIndexMatchesScan(restored, "restored");
+  EXPECT_EQ(restored.ComponentsOf("m"), Wsd(session).ComponentsOf("m"));
+  auto clone = restored.Clone();
+  ExpectIndexMatchesScan(static_cast<const DecomposedWorldSet&>(*clone),
+                         "clone");
 }
 
 }  // namespace

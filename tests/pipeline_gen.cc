@@ -505,6 +505,33 @@ std::string PipelineGenerator::RandomProbe() {
   return out.str();
 }
 
+std::string PipelineGenerator::SummaryProbe() {
+  const TableInfo& t = Pick(true);
+  const TableInfo& u = Pick(true);
+  const char* kAggs[] = {"count(*)", "count(V)", "sum(V)"};
+  const char* kKeys[] = {"count(*)", "sum(V)", "count(V)", "V", "K, G"};
+  std::ostringstream out;
+  const bool quantified = Chance(0.7);
+  out << "select " << (quantified ? "conf, " : "");
+  if (Chance(0.5)) {
+    out << kAggs[Int(0, 2)];
+  } else {
+    out << RandomProjection("");
+  }
+  out << " from " << t.name;
+  if (Chance(0.6)) out << " where " << RandomPredicate("");
+  if (Chance(0.6)) {
+    out << " assert " << (Chance(0.5) ? "not " : "") << "exists (select * from "
+        << u.name << " where " << RandomPredicate("") << ")";
+  }
+  if (quantified && Chance(0.5)) {
+    out << " group worlds by (select " << kKeys[Int(0, 4)] << " from "
+        << t.name << " where " << RandomPredicate("") << ")";
+  }
+  out << ";";
+  return out.str();
+}
+
 GeneratedPipeline PipelineGenerator::Generate() {
   GeneratedPipeline p;
   tables_.clear();
@@ -524,6 +551,8 @@ GeneratedPipeline PipelineGenerator::Generate() {
 
   int probes = Int(options_.min_probes, options_.max_probes);
   for (int i = 0; i < probes; ++i) p.probes.push_back(RandomProbe());
+  // Drawn last, so the rest of a seed's pipeline does not move with it.
+  p.probes.push_back(SummaryProbe());
 
   p.world_bound = world_bound_;
   return p;

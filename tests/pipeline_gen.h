@@ -110,6 +110,10 @@ class PipelineGenerator {
   std::string RandomPredicate(const std::string& qualifier);
   std::string RandomProjection(const std::string& qualifier);
   std::string RandomProbe();
+  /// A probe whose every scan is row-local (the decomposed engine's
+  /// summarized worlds): conf or no quantifier over count/sum, an assert
+  /// [not] exists and a GROUP WORLDS BY key over row-local scans.
+  std::string SummaryProbe();
 
   std::mt19937 rng_;
   Options options_;

@@ -42,11 +42,19 @@ using maybms::testing::WorldDistribution;
 struct SeededCase {
   std::string setup;
   std::vector<std::string> probes;
+  /// An update that merges I's components into one, and the probes run
+  /// after it.
+  std::string update;
+  std::vector<std::string> merged_probes;
 };
 
 /// R(K, V, W) with 4-6 keys of 1-3 rows, S(K, V) certain, and I from one
 /// repair by key (even seeds) or choice of (odd seeds) over R. Probes run
-/// the assert, group worlds by and join shapes through the pipeline.
+/// the assert, group worlds by and join shapes through the pipeline; on
+/// the decomposed engine the row-local ones take their worlds from
+/// per-alternative summaries. After an update merges I's components into
+/// one, both engines still hand the pipeline the same worlds in the same
+/// order.
 SeededCase MakeCase(uint32_t seed) {
   std::mt19937 rng(seed);
   auto uniform = [&](int lo, int hi) {
@@ -100,6 +108,28 @@ SeededCase MakeCase(uint32_t seed) {
       "select conf, count(*) from I where V > " + cs + ";",
       "select certain sum(V) from I;",
       "select I.K, S.V from I join S on I.K = S.K where I.V >= " + cs + ";",
+      "select possible V from I group worlds by (select sum(V) from I "
+      "where K < " + ks + ");",
+      "select certain K from I group worlds by (select count(*) from I "
+      "where V > " + cs + ");",
+      "select conf, count(*) from I where V > " + cs +
+          " assert exists (select * from I where K = " + ks + " and V = " +
+          vs + ");",
+      "select K, V from I assert exists (select * from I where V = " + vs +
+          ");",
+      "select sum(V) from I where K <> " + ks +
+          " assert not exists (select K from I where V = " + cs + ");",
+  };
+  const std::string shifted = std::to_string(v + 1);
+  c.update = "update I set V = V + 1 where K = " + ks + ";";
+  c.merged_probes = {
+      "select certain K from I assert not exists (select * from I where "
+      "V = " + shifted + ");",
+      "select conf, K, V from I assert exists (select * from I where K = " +
+          ks + " and V = " + shifted + ");",
+      "select possible V from I group worlds by (select sum(V) from I "
+      "where K = " + ks + ");",
+      "select conf, count(*) from I where V > " + cs + ";",
   };
   return c;
 }
@@ -126,23 +156,30 @@ TEST_P(CrossEngineBitIdentityTest, PipelineProbesAgreeExactly) {
     sessions.push_back(std::make_unique<Session>(options));
     ExecScript(*sessions.back(), c.setup);
   }
-  for (const std::string& probe : c.probes) {
-    auto baseline = sessions[0]->Execute(probe);
-    for (size_t r = 1; r < runs.size(); ++r) {
-      const std::string context =
-          probe + " [run " + std::to_string(r) + " vs explicit threads=1]";
-      auto result = sessions[r]->Execute(probe);
-      ASSERT_EQ(baseline.ok(), result.ok())
-          << context << ": "
-          << (baseline.ok() ? result.status() : baseline.status()).ToString();
-      if (!baseline.ok()) {
-        EXPECT_EQ(baseline.status().ToString(), result.status().ToString())
-            << context;
-        continue;
+  const auto expect_identical = [&](const std::vector<std::string>& probes) {
+    for (const std::string& probe : probes) {
+      auto baseline = sessions[0]->Execute(probe);
+      for (size_t r = 1; r < runs.size(); ++r) {
+        const std::string context =
+            probe + " [run " + std::to_string(r) + " vs explicit threads=1]";
+        auto result = sessions[r]->Execute(probe);
+        ASSERT_EQ(baseline.ok(), result.ok())
+            << context << ": "
+            << (baseline.ok() ? result.status() : baseline.status())
+                   .ToString();
+        if (!baseline.ok()) {
+          EXPECT_EQ(baseline.status().ToString(), result.status().ToString())
+              << context;
+          continue;
+        }
+        ExpectResultsIdentical(*baseline, *result, context);
       }
-      ExpectResultsIdentical(*baseline, *result, context);
     }
-  }
+  };
+  expect_identical(c.probes);
+  if (::testing::Test::HasFatalFailure()) return;
+  for (auto& session : sessions) ExecScript(*session, c.update);
+  expect_identical(c.merged_probes);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CrossEngineBitIdentityTest,
