@@ -12,7 +12,10 @@
 //  * row-local statements that still enumerate worlds (conf of a count,
 //    GROUP WORLDS BY a sum, an assert): the explicit engine runs SQL in
 //    every world, the decomposed engine assembles every world from one
-//    pass's per-alternative summaries.
+//    pass's per-alternative summaries;
+//  * a single-key update of a 3-row-per-key repair, which the decomposed
+//    engine applies per alternative without merging components, and an
+//    assert over a repair after such an update.
 
 #include <benchmark/benchmark.h>
 
@@ -66,6 +69,39 @@ void BM_Slice(benchmark::State& state, const std::string& query) {
   state.counters["keys"] = kKeys;
 }
 
+/// `update I set V = V + 1 where K = 3` on an `n_keys` x 3 repair: a
+/// row-local write, applied to the one component it touches.
+void BM_UpdateOneKey(benchmark::State& state) {
+  const int n_keys = static_cast<int>(state.range(0));
+  auto session = MakeSession(EngineMode::kDecomposed);
+  MustExecute(*session, KeyViolationScript(n_keys, 3));
+  MustExecute(*session,
+              "create table I as select K, V from R repair by key K;");
+  for (auto _ : state) {
+    auto result = MustQuery(*session, "update I set V = V + 1 where K = 3;");
+    benchmark::DoNotOptimize(result.kind());
+  }
+  state.counters["keys"] = n_keys;
+}
+
+/// An assert over a 6 x 3 repair (729 worlds) after one single-key update,
+/// which leaves the six components as they were.
+void BM_AssertAfterUpdate(benchmark::State& state) {
+  const int n_keys = static_cast<int>(state.range(0));
+  auto session = MakeSession(EngineMode::kDecomposed);
+  MustExecute(*session, KeyViolationScript(n_keys, 3));
+  MustExecute(*session,
+              "create table I as select K, V from R repair by key K;");
+  MustExecute(*session, "update I set V = V + 1 where K = 2;");
+  for (auto _ : state) {
+    auto result = MustQuery(*session,
+                            "select conf, K, V from I assert exists (select * "
+                            "from I where K < 2 and V >= 50);");
+    benchmark::DoNotOptimize(result.kind());
+  }
+  state.counters["keys"] = n_keys;
+}
+
 void RegisterBenchmarks() {
   struct Variant {
     const char* name;
@@ -88,6 +124,18 @@ void RegisterBenchmarks() {
        "select conf, K, V from I assert exists (select * from I "
        "where K < 2 and V >= 50);"},
   };
+
+  for (int n : {12, 40}) {
+    benchmark::RegisterBenchmark(
+        ("update_one_key/decomposed/keys:" + std::to_string(n)).c_str(),
+        BM_UpdateOneKey)
+        ->Args({n})
+        ->Unit(benchmark::kMicrosecond);
+  }
+  benchmark::RegisterBenchmark("assert_after_update/decomposed/keys:6",
+                               BM_AssertAfterUpdate)
+      ->Args({6})
+      ->Unit(benchmark::kMicrosecond);
 
   for (EngineMode mode : {EngineMode::kExplicit, EngineMode::kDecomposed}) {
     std::string engine =

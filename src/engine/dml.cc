@@ -1,5 +1,6 @@
 #include "engine/dml.h"
 
+#include <algorithm>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -65,6 +66,11 @@ bool WritesConstrainedColumn(
     }
   }
   return false;
+}
+
+/// True if `expr` reads the current row alone: no subquery, no aggregate.
+bool RowLocalExpr(const sql::Expr& expr) {
+  return !ContainsSubquery(expr) && !ContainsAggregate(expr);
 }
 
 /// Hashes and compares rows on their key columns in place, so a key set
@@ -164,8 +170,9 @@ class PreparedDmlImpl {
  public:
   sql::StatementKind kind = sql::StatementKind::kInsert;
   const sql::InsertStatement* insert = nullptr;
-  const sql::UpdateStatement* update = nullptr;
-  const sql::DeleteStatement* del = nullptr;
+  // UPDATE/DELETE: the target and the WHERE clause (null: every row).
+  const std::string* target_name = nullptr;
+  const sql::Expr* where = nullptr;
 
   // Constraints of the target relation (borrowed from the catalog; the
   // empty list for DELETE).
@@ -182,13 +189,17 @@ class PreparedDmlImpl {
   std::vector<std::pair<size_t, const sql::Expr*>> assignments;
   bool update_writes_constrained_column = true;
 
+  bool row_local = false;  // see PreparedDml::row_local
+
   // Subquery plans for VALUES expressions / WHERE clauses, shared across
   // every world this statement executes in (results stay per world).
   SubqueryPlanCache plans;
 
   Status ExecuteInsert(Database* db);
-  Status ExecuteUpdate(Database* db);
-  Status ExecuteDelete(Database* db);
+  /// UPDATE and DELETE: PreparedDml::Rewrite, and Execute through it.
+  Result<bool> Rewrite(const Database& db, const std::vector<Tuple>& rows,
+                       std::vector<Tuple>* out);
+  Status ExecuteRewrite(Database* db);
 };
 
 Status PreparedDmlImpl::ExecuteInsert(Database* db) {
@@ -240,27 +251,37 @@ Status PreparedDmlImpl::ExecuteInsert(Database* db) {
   return Status::OK();
 }
 
-Status PreparedDmlImpl::ExecuteUpdate(Database* db) {
-  const sql::UpdateStatement& stmt = *update;
-  MAYBMS_ASSIGN_OR_RETURN(const Table* existing,
-                          db->GetRelation(stmt.table_name));
-  Table updated = *existing;
-  const Schema& schema = updated.schema();
-
-  // The cache reads the pre-update relation in `db` (the copy is only
-  // published at the end), so one cache serves the whole row loop.
+Result<bool> PreparedDmlImpl::Rewrite(const Database& db,
+                                      const std::vector<Tuple>& rows,
+                                      std::vector<Tuple>* out) {
+  MAYBMS_ASSIGN_OR_RETURN(const Table* target, db.GetRelation(*target_name));
+  const Schema& schema = target->schema();
+  // The cache reads the relation as it was before the statement (in
+  // `db`), so one cache serves the whole row loop. Rows are copied at the
+  // first change only.
   SubqueryCache subquery_cache(&plans);
-  bool matched = false;
-  for (Tuple& row : *updated.mutable_rows()) {
-    EvalContext ctx{db, &schema, &row, nullptr, nullptr, &subquery_cache};
-    if (stmt.where) {
-      MAYBMS_ASSIGN_OR_RETURN(Trivalent match, EvalPredicate(*stmt.where, ctx));
-      if (match != Trivalent::kTrue) continue;
+  bool changed = false;
+  std::vector<Value> new_values;
+  for (size_t r = 0; r < rows.size(); ++r) {
+    EvalContext ctx{&db, &schema, &rows[r], nullptr, nullptr, &subquery_cache};
+    bool match = true;
+    if (where != nullptr) {
+      MAYBMS_ASSIGN_OR_RETURN(Trivalent t, EvalPredicate(*where, ctx));
+      match = t == Trivalent::kTrue;
     }
-    matched = true;
+    if (kind == sql::StatementKind::kDelete) {
+      if (match && !changed) {
+        out->reserve(rows.size() - 1);
+        out->assign(rows.begin(), rows.begin() + static_cast<long>(r));
+        changed = true;
+      } else if (!match && changed) {
+        out->push_back(rows[r]);
+      }
+      continue;
+    }
+    if (!match) continue;
     // Evaluate all assignments against the pre-update row, then apply.
-    std::vector<Value> new_values;
-    new_values.reserve(assignments.size());
+    new_values.clear();
     for (const auto& [idx, expr] : assignments) {
       MAYBMS_ASSIGN_OR_RETURN(Value v, EvalExpr(*expr, ctx));
       MAYBMS_ASSIGN_OR_RETURN(
@@ -268,39 +289,30 @@ Status PreparedDmlImpl::ExecuteUpdate(Database* db) {
           CoerceForColumn(v, schema.column(idx).type, schema.column(idx).name));
       new_values.push_back(std::move(coerced));
     }
+    if (!changed) {
+      *out = rows;
+      changed = true;
+    }
     for (size_t i = 0; i < assignments.size(); ++i) {
-      row.value(assignments[i].first) = std::move(new_values[i]);
+      (*out)[r].value(assignments[i].first) = std::move(new_values[i]);
     }
   }
-
-  // A statement that changed nothing keeps the stored instance, so
-  // sharing (and the paged store's dedup) survives it.
-  if (!matched) return Status::OK();
-  if (update_writes_constrained_column) {
-    MAYBMS_RETURN_NOT_OK(CheckTableConstraints(updated, *constraints));
-  }
-  db->PutRelation(stmt.table_name, std::move(updated));
-  return Status::OK();
+  return changed;
 }
 
-Status PreparedDmlImpl::ExecuteDelete(Database* db) {
-  const sql::DeleteStatement& stmt = *del;
-  MAYBMS_ASSIGN_OR_RETURN(const Table* existing,
-                          db->GetRelation(stmt.table_name));
-  Table updated(existing->schema());
-  const Schema& schema = existing->schema();
-  SubqueryCache subquery_cache(&plans);
-  for (const Tuple& row : existing->rows()) {
-    bool remove = true;
-    if (stmt.where) {
-      EvalContext ctx{db, &schema, &row, nullptr, nullptr, &subquery_cache};
-      MAYBMS_ASSIGN_OR_RETURN(Trivalent match, EvalPredicate(*stmt.where, ctx));
-      remove = match == Trivalent::kTrue;
-    }
-    if (!remove) updated.AppendUnchecked(row);
+Status PreparedDmlImpl::ExecuteRewrite(Database* db) {
+  MAYBMS_ASSIGN_OR_RETURN(const Table* existing, db->GetRelation(*target_name));
+  std::vector<Tuple> rows;
+  MAYBMS_ASSIGN_OR_RETURN(const bool changed,
+                          Rewrite(*db, existing->rows(), &rows));
+  // A statement that changed nothing keeps the stored instance, so
+  // sharing (and the paged store's dedup) survives it.
+  if (!changed) return Status::OK();
+  Table updated(existing->schema(), std::move(rows));
+  if (kind == sql::StatementKind::kUpdate && update_writes_constrained_column) {
+    MAYBMS_RETURN_NOT_OK(CheckTableConstraints(updated, *constraints));
   }
-  if (updated.num_rows() == existing->num_rows()) return Status::OK();
-  db->PutRelation(stmt.table_name, std::move(updated));
+  db->PutRelation(*target_name, std::move(updated));
   return Status::OK();
 }
 
@@ -338,11 +350,21 @@ Result<PreparedDml> PreparedDml::Prepare(const sql::Statement& stmt,
         }
         impl.insert_query = std::move(query);
       }
+      impl.row_local = !insert.query && impl.constraints->empty() &&
+                       std::none_of(insert.rows.begin(), insert.rows.end(),
+                                    [](const auto& row) {
+                                      return std::any_of(
+                                          row.begin(), row.end(),
+                                          [](const auto& e) {
+                                            return ContainsSubquery(*e);
+                                          });
+                                    });
       return plan;
     }
     case sql::StatementKind::kUpdate: {
       const auto& update = static_cast<const sql::UpdateStatement&>(stmt);
-      impl.update = &update;
+      impl.target_name = &update.table_name;
+      impl.where = update.where.get();
       if (catalog == nullptr) {
         return Status::InvalidArgument("UPDATE requires a catalog");
       }
@@ -356,13 +378,20 @@ Result<PreparedDml> PreparedDml::Prepare(const sql::Statement& stmt,
       }
       impl.update_writes_constrained_column = WritesConstrainedColumn(
           existing->schema(), *impl.constraints, impl.assignments);
+      impl.row_local =
+          !impl.update_writes_constrained_column &&
+          (!update.where || RowLocalExpr(*update.where)) &&
+          std::all_of(impl.assignments.begin(), impl.assignments.end(),
+                      [](const auto& a) { return RowLocalExpr(*a.second); });
       return plan;
     }
     case sql::StatementKind::kDelete: {
       const auto& del = static_cast<const sql::DeleteStatement&>(stmt);
-      impl.del = &del;
+      impl.target_name = &del.table_name;
+      impl.where = del.where.get();
       MAYBMS_RETURN_NOT_OK(
           schema_db.GetRelation(del.table_name).status());
+      impl.row_local = !del.where || RowLocalExpr(*del.where);
       return plan;
     }
     default:
@@ -375,12 +404,22 @@ Status PreparedDml::Execute(Database* db) {
     case sql::StatementKind::kInsert:
       return impl_->ExecuteInsert(db);
     case sql::StatementKind::kUpdate:
-      return impl_->ExecuteUpdate(db);
     case sql::StatementKind::kDelete:
-      return impl_->ExecuteDelete(db);
+      return impl_->ExecuteRewrite(db);
     default:
       return Status::InvalidArgument("not a DML statement");
   }
+}
+
+bool PreparedDml::row_local() const { return impl_->row_local; }
+
+Result<bool> PreparedDml::Rewrite(const Database& db,
+                                  const std::vector<Tuple>& rows,
+                                  std::vector<Tuple>* out) {
+  if (impl_->target_name == nullptr) {
+    return Status::InvalidArgument("only UPDATE and DELETE rewrite rows");
+  }
+  return impl_->Rewrite(db, rows, out);
 }
 
 Status ExecuteInsert(const sql::InsertStatement& stmt, Database* db,

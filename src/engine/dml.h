@@ -40,6 +40,22 @@ class PreparedDml {
   /// partial results into worlds sharing the same table.
   Status Execute(Database* db);
 
+  /// True if the statement changes each row of its target from that row
+  /// alone and needs no constraint check: an UPDATE or DELETE whose WHERE
+  /// and SET have no subquery and no aggregate and that writes no
+  /// constrained column, or an INSERT ... VALUES without subqueries into
+  /// a relation without constraints. Such a statement distributes over
+  /// any split of its target's rows (worlds/decomposed_world_set.cc).
+  bool row_local() const;
+
+  /// Applies an UPDATE or DELETE to `rows`, rows of its target relation in
+  /// `db` (one world's instance of it, or any part of one): true, with
+  /// the new rows in `*out`, if it changed any; false, leaving `*out`
+  /// alone, if not. Subqueries read `db`; no constraint is checked. The
+  /// error is the first failing row's, in row order, as in Execute.
+  Result<bool> Rewrite(const Database& db, const std::vector<Tuple>& rows,
+                       std::vector<Tuple>* out);
+
  private:
   PreparedDml();
   std::unique_ptr<PreparedDmlImpl> impl_;

@@ -486,6 +486,18 @@ bool ContainsAggregate(const sql::Expr& expr) {
   return found;
 }
 
+bool ContainsSubquery(const sql::Expr& expr) {
+  if (expr.kind == ExprKind::kExists || expr.kind == ExprKind::kInSubquery ||
+      expr.kind == ExprKind::kScalarSubquery) {
+    return true;
+  }
+  bool found = false;
+  ForEachChildExpr(expr, [&found](const sql::Expr& child) {
+    if (!found) found = ContainsSubquery(child);
+  });
+  return found;
+}
+
 Result<Trivalent> EvalPredicate(const sql::Expr& expr,
                                 const EvalContext& ctx) {
   MAYBMS_ASSIGN_OR_RETURN(Value v, EvalExpr(expr, ctx));

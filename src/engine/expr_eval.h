@@ -59,6 +59,10 @@ void ForEachChildExpr(const sql::Expr& expr,
 /// (outside of subqueries, which aggregate independently).
 bool ContainsAggregate(const sql::Expr& expr);
 
+/// True if the expression tree contains a subquery (EXISTS, IN (...) or a
+/// scalar subquery).
+bool ContainsSubquery(const sql::Expr& expr);
+
 /// True if `name` (lower-case) is an aggregate function.
 bool IsAggregateFunction(const std::string& name);
 

@@ -8,16 +8,42 @@
 
 namespace maybms::worlds {
 
-QuantifierCombiner::QuantifierCombiner(sql::WorldQuantifier quantifier)
-    : quantifier_(quantifier) {}
+uint32_t QuantifierCombiner::IdIndex::FindOrInsert(uint32_t id,
+                                                 uint32_t fresh) {
+  if ((size_ + 1) * 2 > table_.size()) Grow();
+  const size_t mask = table_.size() - 1;
+  for (size_t h = (id * size_t{0x9E3779B97F4A7C15}) >> 32 & mask;;
+       h = (h + 1) & mask) {
+    Entry& entry = table_[h];
+    if (entry.id == id) return entry.index;
+    if (entry.id == UINT32_MAX) {
+      entry = {id, fresh};
+      ++size_;
+      return fresh;
+    }
+  }
+}
+
+void QuantifierCombiner::IdIndex::Grow() {
+  std::vector<Entry> old = std::move(table_);
+  table_.assign(std::max<size_t>(16, old.size() * 2), Entry());
+  size_ = 0;
+  for (const Entry& entry : old) {
+    if (entry.id != UINT32_MAX) FindOrInsert(entry.id, entry.index);
+  }
+}
+
+QuantifierCombiner::QuantifierCombiner(sql::WorldQuantifier quantifier,
+                                       const RowDictionary* dictionary)
+    : quantifier_(quantifier), dictionary_(dictionary) {}
 
 Result<QuantifierCombiner> QuantifierCombiner::Create(
-    sql::WorldQuantifier quantifier) {
+    sql::WorldQuantifier quantifier, const RowDictionary* dictionary) {
   switch (quantifier) {
     case sql::WorldQuantifier::kPossible:
     case sql::WorldQuantifier::kCertain:
     case sql::WorldQuantifier::kConf:
-      return QuantifierCombiner(quantifier);
+      return QuantifierCombiner(quantifier, dictionary);
     case sql::WorldQuantifier::kNone:
       break;
   }
@@ -25,26 +51,63 @@ Result<QuantifierCombiner> QuantifierCombiner::Create(
       "group worlds by requires possible, certain, or conf");
 }
 
-void QuantifierCombiner::Feed(double probability, const Table& table) {
+void QuantifierCombiner::BeginWorld(double probability, const Schema& schema,
+                                    bool empty) {
   ++worlds_fed_;
   if (!saw_schema_) {
-    first_schema_ = table.schema();
+    first_schema_ = schema;
     saw_schema_ = true;
   }
-  if (value_schema_.num_columns() == 0 && table.schema().num_columns() > 0) {
-    value_schema_ = table.schema();
+  if (value_schema_.num_columns() == 0 && schema.num_columns() > 0) {
+    value_schema_ = schema;
   }
-  if (quantifier_ == sql::WorldQuantifier::kConf && !table.empty()) {
+  if (quantifier_ == sql::WorldQuantifier::kConf && !empty) {
     nonempty_prob_ += probability;
   }
-  for (const Tuple& row : table.rows()) {
-    auto [it, inserted] = acc_.try_emplace(row);
-    Accum& entry = it->second;
-    if (!inserted && entry.last_world == worlds_fed_) continue;  // in-world dup
-    entry.last_world = worlds_fed_;
-    ++entry.worlds_seen;
-    entry.conf += probability;
+}
+
+void QuantifierCombiner::Add(uint32_t index, double probability) {
+  Accum& entry = acc_[index];
+  if (entry.last_world == worlds_fed_) return;  // in-world duplicate
+  entry.last_world = worlds_fed_;
+  ++entry.worlds_seen;
+  entry.conf += probability;
+}
+
+uint32_t QuantifierCombiner::Intern(const Tuple& row) {
+  const auto [it, inserted] =
+      by_row_.try_emplace(row, static_cast<uint32_t>(acc_.size()));
+  if (inserted) {
+    acc_.emplace_back();
+    rows_.push_back(&it->first);
   }
+  return it->second;
+}
+
+uint32_t QuantifierCombiner::InternId(uint32_t id) {
+  const uint32_t index =
+      by_id_.FindOrInsert(id, static_cast<uint32_t>(acc_.size()));
+  if (index == acc_.size()) {
+    acc_.emplace_back();
+    ids_.push_back(id);
+  }
+  return index;
+}
+
+const Tuple& QuantifierCombiner::RowOf(uint32_t index) const {
+  return dictionary_ != nullptr ? dictionary_->rows[ids_[index]]
+                                : *rows_[index];
+}
+
+void QuantifierCombiner::Feed(double probability, const Table& table) {
+  BeginWorld(probability, table.schema(), table.empty());
+  for (const Tuple& row : table.rows()) Add(Intern(row), probability);
+}
+
+void QuantifierCombiner::FeedIds(double probability,
+                                 const std::vector<uint32_t>& ids) {
+  BeginWorld(probability, dictionary_->schema, ids.empty());
+  for (uint32_t id : ids) Add(InternId(id), probability);
 }
 
 void QuantifierCombiner::Merge(QuantifierCombiner&& other) {
@@ -62,9 +125,10 @@ void QuantifierCombiner::Merge(QuantifierCombiner&& other) {
   // shifted stamp is always the newer one (> worlds_fed_ >= any existing
   // stamp), which keeps in-world dup detection correct for future Feeds.
   const size_t shift = worlds_fed_;
-  for (auto& [row, entry] : other.acc_) {
-    auto [it, inserted] = acc_.try_emplace(row);
-    Accum& mine = it->second;
+  for (uint32_t i = 0; i < other.acc_.size(); ++i) {
+    const Accum& entry = other.acc_[i];
+    Accum& mine = acc_[dictionary_ != nullptr ? InternId(other.ids_[i])
+                                              : Intern(*other.rows_[i])];
     mine.conf += entry.conf;
     mine.worlds_seen += entry.worlds_seen;
     mine.last_world = entry.last_world + shift;
@@ -80,25 +144,31 @@ Result<Table> QuantifierCombiner::Finish(double normalizer) {
     return Status::EmptyWorldSet(
         "conf is undefined over zero total probability mass");
   }
-  // Deterministic emission order: the tuple total order.
-  std::vector<std::pair<const Tuple*, const Accum*>> ordered;
+  // Deterministic emission order: the tuple total order, which is id
+  // order for a dictionary's rows.
+  std::vector<uint32_t> ordered;
   ordered.reserve(acc_.size());
-  for (const auto& [row, entry] : acc_) {
+  for (uint32_t i = 0; i < acc_.size(); ++i) {
     if (quantifier_ == sql::WorldQuantifier::kCertain &&
-        entry.worlds_seen != worlds_fed_) {
+        acc_[i].worlds_seen != worlds_fed_) {
       continue;  // missed at least one world
     }
-    ordered.emplace_back(&row, &entry);
+    ordered.push_back(i);
   }
-  std::sort(ordered.begin(), ordered.end(),
-            [](const auto& a, const auto& b) { return *a.first < *b.first; });
+  if (dictionary_ != nullptr) {
+    std::sort(ordered.begin(), ordered.end(),
+              [&](uint32_t a, uint32_t b) { return ids_[a] < ids_[b]; });
+  } else {
+    std::sort(ordered.begin(), ordered.end(),
+              [&](uint32_t a, uint32_t b) { return *rows_[a] < *rows_[b]; });
+  }
 
   switch (quantifier_) {
     case sql::WorldQuantifier::kPossible:
     case sql::WorldQuantifier::kCertain: {
       if (!saw_schema_) return Table();  // no worlds fed
       Table out(first_schema_);
-      for (const auto& e : ordered) out.AppendUnchecked(*e.first);
+      for (uint32_t i : ordered) out.AppendUnchecked(RowOf(i));
       return out;
     }
     case sql::WorldQuantifier::kConf: {
@@ -113,9 +183,9 @@ Result<Table> QuantifierCombiner::Finish(double normalizer) {
       Schema schema = value_schema_;
       schema.AddColumn(Column("conf", DataType::kReal));
       Table out(std::move(schema));
-      for (const auto& e : ordered) {
-        Tuple extended = *e.first;
-        extended.Append(Value::Real(e.second->conf / normalizer));
+      for (uint32_t i : ordered) {
+        Tuple extended = RowOf(i);
+        extended.Append(Value::Real(acc_[i].conf / normalizer));
         out.AppendUnchecked(std::move(extended));
       }
       return out;
@@ -127,46 +197,91 @@ Result<Table> QuantifierCombiner::Finish(double normalizer) {
       "group worlds by requires possible, certain, or conf");
 }
 
-GroupedQuantifierCombiner::GroupedQuantifierCombiner(
-    sql::WorldQuantifier quantifier)
-    : quantifier_(quantifier) {}
+size_t GroupedQuantifierCombiner::KeyHash::operator()(
+    const std::vector<uint32_t>& key) const {
+  size_t h = key.size();
+  for (uint32_t id : key) h = (h ^ id) * size_t{0x100000001B3};
+  return h;
+}
 
-Status GroupedQuantifierCombiner::Feed(double probability, const Table& answer,
-                                       const Table& group_key_answer) {
-  Table canonical = CanonicalizeGroupKey(group_key_answer);
-  auto it = groups_.find(canonical.rows());
+GroupedQuantifierCombiner::GroupedQuantifierCombiner(
+    sql::WorldQuantifier quantifier, const RowDictionary* answers,
+    const RowDictionary* keys)
+    : quantifier_(quantifier), answers_(answers), keys_(keys) {
+  if (keys_ != nullptr) key_schema_ = keys_->schema;
+}
+
+uint32_t GroupedQuantifierCombiner::InternKey(const Tuple& row) {
+  const auto [it, inserted] =
+      key_ids_.try_emplace(row, static_cast<uint32_t>(key_rows_.size()));
+  if (inserted) key_rows_.push_back(&it->first);
+  return it->second;
+}
+
+void GroupedQuantifierCombiner::Canonicalize() {
+  std::sort(canonical_.begin(), canonical_.end());
+  canonical_.erase(std::unique(canonical_.begin(), canonical_.end()),
+                   canonical_.end());
+}
+
+Result<GroupedQuantifierCombiner::GroupAccum*>
+GroupedQuantifierCombiner::Group() {
+  auto it = groups_.find(canonical_);
   if (it == groups_.end()) {
     // Create the combiner BEFORE inserting the group entry: a kNone
     // quantifier must fail without leaving a combinerless GroupAccum
     // behind for Finish() to trip over.
     MAYBMS_ASSIGN_OR_RETURN(QuantifierCombiner combiner,
-                            QuantifierCombiner::Create(quantifier_));
+                            QuantifierCombiner::Create(quantifier_, answers_));
     GroupAccum fresh;
     fresh.combiner.emplace(std::move(combiner));
-    it = groups_.emplace(canonical.rows(), std::move(fresh)).first;
-    it->second.key_table = std::move(canonical);
+    it = groups_.emplace(canonical_, std::move(fresh)).first;
   }
-  GroupAccum& group = it->second;
-  group.combiner->Feed(probability, answer);
-  group.mass += probability;
+  return &it->second;
+}
+
+Status GroupedQuantifierCombiner::Feed(double probability, const Table& answer,
+                                       const Table& group_key_answer) {
+  if (worlds_fed_ == 0 && groups_.empty()) {
+    key_schema_ = group_key_answer.schema();
+  }
+  canonical_.clear();
+  for (const Tuple& row : group_key_answer.rows()) {
+    canonical_.push_back(InternKey(row));
+  }
+  Canonicalize();
+  MAYBMS_ASSIGN_OR_RETURN(GroupAccum * group, Group());
+  group->combiner->Feed(probability, answer);
+  group->mass += probability;
+  total_mass_ += probability;
+  ++worlds_fed_;
+  return Status::OK();
+}
+
+Status GroupedQuantifierCombiner::FeedIds(
+    double probability, const std::vector<uint32_t>& answer,
+    const std::vector<uint32_t>& group_key_answer) {
+  canonical_ = group_key_answer;
+  Canonicalize();
+  MAYBMS_ASSIGN_OR_RETURN(GroupAccum * group, Group());
+  group->combiner->FeedIds(probability, answer);
+  group->mass += probability;
   total_mass_ += probability;
   ++worlds_fed_;
   return Status::OK();
 }
 
 Status GroupedQuantifierCombiner::Merge(GroupedQuantifierCombiner&& other) {
+  if (worlds_fed_ == 0 && groups_.empty()) key_schema_ = other.key_schema_;
   for (auto& [key, group] : other.groups_) {
-    auto it = groups_.find(key);
-    if (it == groups_.end()) {
-      MAYBMS_ASSIGN_OR_RETURN(QuantifierCombiner combiner,
-                              QuantifierCombiner::Create(quantifier_));
-      GroupAccum fresh;
-      fresh.combiner.emplace(std::move(combiner));
-      it = groups_.emplace(key, std::move(fresh)).first;
-      it->second.key_table = std::move(group.key_table);
+    canonical_ = key;
+    if (keys_ == nullptr) {  // translate other's key ids into ours
+      for (uint32_t& id : canonical_) id = InternKey(*other.key_rows_[id]);
+      Canonicalize();
     }
-    it->second.combiner->Merge(std::move(*group.combiner));
-    it->second.mass += group.mass;
+    MAYBMS_ASSIGN_OR_RETURN(GroupAccum * mine, Group());
+    mine->combiner->Merge(std::move(*group.combiner));
+    mine->mass += group.mass;
   }
   total_mass_ += other.total_mass_;
   worlds_fed_ += other.worlds_fed_;
@@ -181,10 +296,19 @@ GroupedQuantifierCombiner::Finish() {
     MAYBMS_ASSIGN_OR_RETURN(
         Table combined,
         group.combiner->Finish(group.mass > 0 ? group.mass : 1.0));
+    Table key_table(key_schema_);
+    for (uint32_t id : key) {
+      key_table.AppendUnchecked(keys_ != nullptr ? keys_->rows[id]
+                                                 : *key_rows_[id]);
+    }
+    if (keys_ == nullptr) key_table.SortRows();  // interned ids are unordered
     out.push_back(SelectEvaluation::GroupResult{
-        total_mass_ > 0 ? group.mass / total_mass_ : 0,
-        std::move(group.key_table), std::move(combined)});
+        total_mass_ > 0 ? group.mass / total_mass_ : 0, std::move(key_table),
+        std::move(combined)});
   }
+  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+    return a.key.rows() < b.key.rows();
+  });
   return out;
 }
 

@@ -1,6 +1,7 @@
 #include "worlds/decomposed_world_set.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <functional>
 #include <iterator>
@@ -24,19 +25,6 @@
 namespace maybms::worlds {
 
 namespace {
-
-bool ContainsSubquery(const sql::Expr& expr) {
-  if (expr.kind == sql::ExprKind::kExists ||
-      expr.kind == sql::ExprKind::kInSubquery ||
-      expr.kind == sql::ExprKind::kScalarSubquery) {
-    return true;
-  }
-  bool found = false;
-  engine::ForEachChildExpr(expr, [&found](const sql::Expr& child) {
-    found = found || ContainsSubquery(child);
-  });
-  return found;
-}
 
 /// The rows of `rows` that satisfy `where`, evaluated in `ctx` with its
 /// row set per row: `rows` itself when there is no WHERE clause, else the
@@ -113,6 +101,38 @@ class FlatAlternatives {
   std::vector<size_t> offsets_;  // [k + 1]: part k's first; back(): total
 };
 
+/// Calls `visit(a, alt, slot)` for every alternative a pass visits,
+/// numbered flat (FlatAlternatives): the certain core first (a = 0, `alt`
+/// null), on the calling thread, then the alternatives of `parts`, split
+/// into tasks on the thread pool, a component's alternatives too, so one
+/// wide component is not one serial task. Polls once per alternative;
+/// `slot` indexes per-thread state (base/thread_pool.h rule 3). Errors
+/// are ParallelFor's: the first by alternative, so by component and then
+/// by alternative.
+using AlternativeBody =
+    std::function<Status(size_t a, const Alternative* alt, size_t slot)>;
+
+Status ForEachAlternative(const std::vector<const Component*>& parts,
+                          const FlatAlternatives& flat, size_t threads,
+                          const AlternativeBody& visit) {
+  base::ThreadPool& pool = base::ThreadPool::Shared();
+  // The part of each slot's last alternative, written at every
+  // alternative: one cache line per slot, so that threads do not share
+  // lines.
+  struct alignas(64) Hint {
+    size_t part = 0;
+  };
+  std::vector<Hint> hints(pool.Slots(threads));
+  MAYBMS_RETURN_NOT_OK(visit(0, nullptr, 0));
+  return pool.ParallelFor(
+      flat.size() - 1, threads, [&](size_t t, size_t slot, size_t) -> Status {
+        MAYBMS_RETURN_NOT_OK(base::GovernPoll());
+        const auto [k, j] = flat.Locate(t + 1, hints[slot].part);
+        hints[slot].part = k;
+        return visit(t + 1, &parts[k]->alternatives[j], slot);
+      });
+}
+
 /// Receives the rows of one alternative that a scan keeps: `scan` indexes
 /// the pass's scans, `alt` is the alternative's flat number, and `slot`
 /// indexes per-thread state (base/thread_pool.h rule 3).
@@ -120,55 +140,40 @@ using AlternativeVisitor = std::function<Status(
     size_t scan, size_t alt, const std::vector<Tuple>& rows, size_t slot)>;
 
 /// The one pass of the row-local route: every scan of `scans` over the
-/// certain core, then over every alternative of `parts`. The core goes
-/// first, on the calling thread. Then the alternatives, numbered flat,
-/// are split into tasks on the thread pool, a component's alternatives
-/// too, so one wide component is not one serial task. Per alternative
-/// the pass polls once, and each scan in order filters the alternative's
-/// rows of its relation and hands the kept ones (empty if none) to
-/// `visit`. Errors are ParallelFor's: the first by alternative, so by
-/// component and then by alternative. Row-local scans admit no
-/// subqueries, so the per-slot subquery caches are a formality of the
-/// evaluation context.
+/// certain core, then over every alternative of `parts`
+/// (ForEachAlternative). Per alternative each scan in order filters the
+/// alternative's rows of its relation and hands the kept ones (empty if
+/// none) to `visit`. Row-local scans admit no subqueries, so the per-slot
+/// subquery caches are a formality of the evaluation context.
 Status ScanAlternatives(const Database& certain, const std::vector<Scan>& scans,
                         const std::vector<const Component*>& parts,
                         const FlatAlternatives& flat, size_t threads,
                         const AlternativeVisitor& visit) {
-  base::ThreadPool& pool = base::ThreadPool::Shared();
-  // Written at every alternative: one cache line per slot, so that
-  // threads do not share lines.
   struct alignas(64) Slot {
     engine::SubqueryCache cache;
     std::vector<Tuple> kept;
-    size_t part = 0;  // the part of the slot's last alternative
   };
-  std::vector<Slot> slots(pool.Slots(threads));
+  std::vector<Slot> slots(base::ThreadPool::Shared().Slots(threads));
   const std::vector<Tuple> none;
-  const auto filter = [&](size_t a, const Alternative* alt,
-                          size_t slot) -> Status {
-    for (size_t s = 0; s < scans.size(); ++s) {
-      const Scan& scan = scans[s];
-      const std::vector<Tuple>* rows = alt == nullptr
-                                           ? &scan.core->rows()
-                                           : alt->TuplesFor(scan.relation);
-      if (rows != nullptr) {
-        MAYBMS_ASSIGN_OR_RETURN(
-            rows, FilterRows(scan.where,
-                             {&certain, &scan.qualified, nullptr, nullptr,
-                              nullptr, &slots[slot].cache},
-                             *rows, &slots[slot].kept));
-      }
-      MAYBMS_RETURN_NOT_OK(visit(s, a, rows == nullptr ? none : *rows, slot));
-    }
-    return Status::OK();
-  };
-  MAYBMS_RETURN_NOT_OK(filter(0, nullptr, 0));
-  return pool.ParallelFor(
-      flat.size() - 1, threads, [&](size_t t, size_t slot, size_t) -> Status {
-        MAYBMS_RETURN_NOT_OK(base::GovernPoll());
-        const auto [k, j] = flat.Locate(t + 1, slots[slot].part);
-        slots[slot].part = k;
-        return filter(t + 1, &parts[k]->alternatives[j], slot);
+  return ForEachAlternative(
+      parts, flat, threads,
+      [&](size_t a, const Alternative* alt, size_t slot) -> Status {
+        for (size_t s = 0; s < scans.size(); ++s) {
+          const Scan& scan = scans[s];
+          const std::vector<Tuple>* rows =
+              alt == nullptr ? &scan.core->rows()
+                             : alt->TuplesFor(scan.relation);
+          if (rows != nullptr) {
+            MAYBMS_ASSIGN_OR_RETURN(
+                rows, FilterRows(scan.where,
+                                 {&certain, &scan.qualified, nullptr, nullptr,
+                                  nullptr, &slots[slot].cache},
+                                 *rows, &slots[slot].kept));
+          }
+          MAYBMS_RETURN_NOT_OK(
+              visit(s, a, rows == nullptr ? none : *rows, slot));
+        }
+        return Status::OK();
       });
 }
 
@@ -203,12 +208,12 @@ RowLocal ClassifyScan(const sql::SelectStatement& stmt) {
   if (stmt.from.size() != 1 || !stmt.joins.empty() || stmt.union_next ||
       stmt.distinct || !stmt.group_by.empty() || stmt.having ||
       !stmt.order_by.empty() || stmt.limit.has_value() ||
-      (stmt.where && (ContainsSubquery(*stmt.where) ||
+      (stmt.where && (engine::ContainsSubquery(*stmt.where) ||
                       engine::ContainsAggregate(*stmt.where)))) {
     return RowLocal::kNone;
   }
   const auto plain = [](const sql::SelectItem& item) {
-    return item.star || (!ContainsSubquery(*item.expr) &&
+    return item.star || (!engine::ContainsSubquery(*item.expr) &&
                          !engine::ContainsAggregate(*item.expr));
   };
   if (std::all_of(stmt.items.begin(), stmt.items.end(), plain)) {
@@ -515,24 +520,22 @@ class Support {
   std::vector<Span> spans_;  // their spans: sorted, apart by at least 2
 };
 
-/// possible/certain of count(*), count(col) or sum(col) over one
-/// uncertain relation, without enumerating worlds: sets `*rows` to the
-/// answer of `parts`, the values of the certain core (first) and of each
-/// relevant component's alternatives. Components are independent, so the
-/// set of per-world values is the sumset of the parts' values, added to
-/// the Support in component order. `possible` answers every value of the
-/// support, in the combiner's tuple order; `certain` answers the single
-/// value when there is one, and nothing otherwise. No world is decoded,
-/// so nothing is charged to the world budget or the world cap; the
-/// support's bytes are charged to the memory budget as it grows.
+/// The values count(*), count(col) or sum(col) over one uncertain
+/// relation takes in some world, without enumerating worlds: sets `*rows`
+/// to them, one row each, NULL first and then ascending (the combiner's
+/// order), given `parts`, the values of the certain core (first) and of
+/// each relevant component's alternatives. Components are independent,
+/// so the set of per-world values is the sumset of the parts' values,
+/// added to the Support in component order. No world is decoded, so
+/// nothing is charged to the world budget or the world cap; with
+/// `charge`, the support's bytes are charged to the memory budget as it
+/// grows.
 ///
-/// Returns false, and leaves the statement to the pipeline, on a
-/// component without alternatives, int64 overflow or a support larger
-/// than `max_support`. Governance verdicts propagate.
-Result<bool> ClosedFormAggregate(std::vector<PartValues> parts,
-                                 sql::WorldQuantifier quantifier,
-                                 uint64_t max_support,
-                                 std::vector<Tuple>* rows) {
+/// Returns false on a component without alternatives, int64 overflow or
+/// a support larger than `max_support`. Governance verdicts propagate.
+Result<bool> AggregateSupport(std::vector<PartValues> parts,
+                              uint64_t max_support, bool charge,
+                              std::vector<Tuple>* rows) {
   Support support;
   uint64_t charged = 0;
   for (PartValues& part : parts) {
@@ -544,17 +547,34 @@ Result<bool> ClosedFormAggregate(std::vector<PartValues> parts,
                             support.Add(part, max_support));
     if (!added) return false;
     // A part can shrink the support by one: NULL may go.
-    if (support.size() > charged) {
+    if (charge && support.size() > charged) {
       MAYBMS_RETURN_NOT_OK(base::GovernChargeBytes(
           base::EstimateTableBytes(support.size() - charged, 1)));
       charged = support.size();
     }
   }
   *rows = support.Rows();
-  if (quantifier == sql::WorldQuantifier::kCertain && rows->size() != 1) {
-    rows->clear();
-  }
   return true;
+}
+
+/// The values of the certain core (first) and of each part, from a fold's
+/// per-alternative `values` numbered flat.
+std::vector<PartValues> PartValuesOf(
+    const std::vector<std::optional<int64_t>>& values,
+    const std::vector<const Component*>& parts, const FlatAlternatives& flat) {
+  std::vector<PartValues> part_values(parts.size() + 1);
+  const auto add = [&](size_t part, size_t a) {
+    if (values[a].has_value()) {
+      part_values[part].values.push_back(*values[a]);
+    } else {
+      part_values[part].null = true;
+    }
+  };
+  add(0, 0);
+  for (size_t k = 0; k < parts.size(); ++k) {
+    for (size_t j = 0; j < parts[k]->size(); ++j) add(k + 1, flat.Of(k, j));
+  }
+  return part_values;
 }
 
 /// The clean repair/choice product over certain relations: one new
@@ -681,11 +701,11 @@ Status GovernanceVerdict() {
 ///    closed forms ignore the others); a quantifier-free statement lists
 ///    worlds or attaches rows, so every relevant component gets one;
 ///  * for an aggregate, as the value it gives count/sum, which
-///    ClosedFormAggregate adds up per component.
+///    AggregateSupport adds up per component.
 /// The aggregate returns nullopt, leaving the statement to the pipeline,
 /// on anything the pipeline must report or decide: an evaluation error in
 /// any row (the pipeline reports the first failing world's), a
-/// non-INTEGER sum input, or where ClosedFormAggregate does not apply.
+/// non-INTEGER sum input, or where AggregateSupport does not apply.
 Result<std::optional<DecomposedAnswer>> RowLocalAnswer(
     const Database& certain, const std::vector<ComponentHandle>& components,
     const sql::SelectStatement& stmt, RowLocal route,
@@ -717,24 +737,16 @@ Result<std::optional<DecomposedAnswer>> RowLocalAnswer(
       MAYBMS_RETURN_NOT_OK(GovernanceVerdict());
       return none;
     }
-    // The values of the certain core (first) and of each component.
-    std::vector<PartValues> part_values(parts.size() + 1);
-    const auto add = [&](size_t part, size_t a) {
-      if (summary.values[a].has_value()) {
-        part_values[part].values.push_back(*summary.values[a]);
-      } else {
-        part_values[part].null = true;
-      }
-    };
-    add(0, 0);
-    for (size_t k = 0; k < parts.size(); ++k) {
-      for (size_t j = 0; j < parts[k]->size(); ++j) add(k + 1, flat.Of(k, j));
-    }
+    // possible answers the support; certain its one value, if it has one.
     MAYBMS_ASSIGN_OR_RETURN(
         const bool answered,
-        ClosedFormAggregate(std::move(part_values), stmt.quantifier,
-                            max_support, &answer.certain_rows));
+        AggregateSupport(PartValuesOf(summary.values, parts, flat),
+                         max_support, true, &answer.certain_rows));
     if (!answered) return none;
+    if (stmt.quantifier == sql::WorldQuantifier::kCertain &&
+        answer.certain_rows.size() != 1) {
+      answer.certain_rows.clear();
+    }
     return std::optional<DecomposedAnswer>(std::move(answer));
   }
   MAYBMS_RETURN_NOT_OK(pass);
@@ -903,35 +915,118 @@ class SubProductSource final : public WorldSource {
   std::vector<Relation> relations_;  // those the parts contribute to
 };
 
+/// One scan's summaries as the pipeline's sinks take them, for
+/// alternatives numbered flat (FlatAlternatives):
+///  * a slice's projected rows as ids into `rows`, the distinct rows it
+///    answers in any world, numbered in the tuple total order; alternative
+///    a answers ids[offsets[a] .. offsets[a + 1]), in its row order;
+///  * a fold's value per alternative. A world's total adds them up; as a
+///    row it is numbered in `rows`, the support of the totals
+///    (AggregateSupport): NULL first (id 0) if some world's total is NULL,
+///    then `support`, the other values ascending. The assert's count of
+///    kept rows is a fold without rows.
+struct NumberedScan {
+  RowDictionary rows;
+  std::vector<uint32_t> ids;
+  std::vector<size_t> offsets;
+  bool fold = false;
+  std::vector<std::optional<int64_t>> values;
+  std::vector<int64_t> support;
+};
+
+/// True if the equal rows `a` and `b` are also written alike: the same
+/// types, and reals with the same bits. (Integer(1) equals Real(1.0), and
+/// -0.0 equals 0.0, but a combiner answers a row as the first world that
+/// holds it wrote it.)
+bool SameRepresentation(const Tuple& a, const Tuple& b) {
+  for (size_t i = 0; i < a.size(); ++i) {
+    const Value& x = a.value(i);
+    const Value& y = b.value(i);
+    if (x.type() != y.type()) return false;
+    if (x.type() == DataType::kReal &&
+        std::bit_cast<uint64_t>(x.AsReal()) !=
+            std::bit_cast<uint64_t>(y.AsReal())) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Numbers a slice's projected rows, moved out of `projected` (per flat
+/// alternative), into `out`. False if there are more rows than ids, or if
+/// two equal rows are written differently: an id stands for one written
+/// row, so such a slice is left to SQL.
+bool NumberSlice(std::vector<std::vector<Tuple>>* projected,
+                 NumberedScan* out) {
+  std::vector<Tuple*> all;
+  out->offsets.assign(1, 0);
+  for (std::vector<Tuple>& rows : *projected) {
+    for (Tuple& row : rows) all.push_back(&row);
+    out->offsets.push_back(all.size());
+  }
+  if (all.size() >= UINT32_MAX) return false;
+  std::vector<uint32_t> order(all.size());
+  for (uint32_t r = 0; r < order.size(); ++r) order[r] = r;
+  std::sort(order.begin(), order.end(),
+            [&](uint32_t a, uint32_t b) { return *all[a] < *all[b]; });
+  std::vector<Tuple>& dictionary = out->rows.rows;
+  out->ids.resize(all.size());
+  for (uint32_t r : order) {
+    if (dictionary.empty() || dictionary.back() < *all[r]) {
+      dictionary.push_back(std::move(*all[r]));
+    } else if (!SameRepresentation(dictionary.back(), *all[r])) {
+      return false;
+    }
+    out->ids[r] = static_cast<uint32_t>(dictionary.size() - 1);
+  }
+  projected->clear();
+  return true;
+}
+
+/// Numbers a fold's totals over the worlds of `parts` into `out` (its
+/// values are moved out of `values`). False where AggregateSupport is.
+Result<bool> NumberFold(std::vector<std::optional<int64_t>>* values,
+                        const std::vector<const Component*>& parts,
+                        const FlatAlternatives& flat, NumberedScan* out) {
+  MAYBMS_ASSIGN_OR_RETURN(
+      const bool numbered,
+      AggregateSupport(PartValuesOf(*values, parts, flat),
+                       std::numeric_limits<uint64_t>::max(), false,
+                       &out->rows.rows));
+  if (!numbered) return false;
+  out->fold = true;
+  out->values = std::move(*values);
+  for (const Tuple& row : out->rows.rows) {
+    if (!row.value(0).is_null()) out->support.push_back(row.value(0).AsInteger());
+  }
+  return true;
+}
+
 /// The outcomes of the worlds of a sub-product, assembled from the
 /// summaries of one pass (Summarize) instead of running SQL in each
 /// world. World i decodes its alternatives as SubProductSource::Get does
 /// (ChooseAlternatives, so the same probability), and each scan adds up
 /// what the certain core and the chosen alternatives give it: a slice
-/// concatenates their rows in part order, the order in which the world's
-/// relation holds them; a count or sum adds their values, wrapping on
-/// int64 overflow as SQL's sum does. The assert keeps the world when its
-/// count is nonzero (zero, negated).
-///
-/// A part whose alternatives each belong to one world only (every other
-/// part has one alternative, as for a relation merged into one component
-/// by an update) hands its rows over instead of copying them: the
-/// pipeline assembles each world once.
+/// concatenates their row ids in part order, the order in which the
+/// world's relation holds the rows; a count or sum adds their values,
+/// wrapping on int64 overflow as SQL's sum does, and answers the total's
+/// id. The assert keeps the world when its count is nonzero (zero,
+/// negated). A world costs its decode and a few integer updates.
 class ScanSummaries final : public WorldSummaries {
  public:
-  ScanSummaries(std::vector<const Component*> parts, ScanSummary main,
-                std::optional<ScanSummary> assert_count, bool negated,
-                std::optional<ScanSummary> key)
+  ScanSummaries(std::vector<const Component*> parts, NumberedScan main,
+                std::optional<NumberedScan> assert_count, bool negated,
+                std::optional<NumberedScan> key)
       : parts_(std::move(parts)),
         flat_(parts_),
         main_(std::move(main)),
         assert_count_(std::move(assert_count)),
         negated_(negated),
-        key_(std::move(key)) {
-    const uint64_t worlds = ProductSize(parts_);
-    for (const Component* part : parts_) {
-      once_.push_back(worlds == part->size());
-    }
+        key_(std::move(key)) {}
+
+  const RowDictionary& answers() const override { return main_.rows; }
+  const RowDictionary* keys() const override {
+    return key_.has_value() ? &key_->rows : nullptr;
   }
 
   Status Assemble(size_t i, WorldScratch* scratch,
@@ -939,11 +1034,11 @@ class ScanSummaries final : public WorldSummaries {
     MAYBMS_RETURN_NOT_OK(base::GovernPoll());
     out->probability = ChooseAlternatives(parts_, i, &scratch->chosen);
     const std::vector<const Alternative*>& chosen = scratch->chosen;
-    out->answer = Answer(main_, chosen);
-    if (assert_count_.has_value()) {
-      out->kept = (Total(*assert_count_, chosen).value_or(0) != 0) != negated_;
-    }
-    if (key_.has_value() && out->kept) out->key = Answer(*key_, chosen);
+    Ids(main_, chosen, &out->answer);
+    out->kept = !assert_count_.has_value() ||
+                (Total(*assert_count_, chosen).value_or(0) != 0) != negated_;
+    out->key.clear();
+    if (key_.has_value() && out->kept) Ids(*key_, chosen, &out->key);
     return Status::OK();
   }
 
@@ -957,7 +1052,7 @@ class ScanSummaries final : public WorldSummaries {
 
   /// A fold's value in the world: unset (NULL) while no part has one.
   std::optional<int64_t> Total(
-      const ScanSummary& scan,
+      const NumberedScan& scan,
       const std::vector<const Alternative*>& chosen) const {
     std::optional<int64_t> total = scan.values[0];
     for (size_t k = 0; k < chosen.size(); ++k) {
@@ -969,40 +1064,39 @@ class ScanSummaries final : public WorldSummaries {
     return total;
   }
 
-  Table Answer(ScanSummary& scan,
-               const std::vector<const Alternative*>& chosen) const {
-    Table table(scan.schema);
-    if (scan.fold.has_value()) {
+  /// The ids of the scan's answer in the world, into `ids`.
+  void Ids(const NumberedScan& scan,
+           const std::vector<const Alternative*>& chosen,
+           std::vector<uint32_t>* ids) const {
+    ids->clear();
+    if (scan.fold) {
+      // Every total is in the support; NULL is id 0.
       const std::optional<int64_t> total = Total(scan, chosen);
-      table.AppendUnchecked(Tuple(
-          {total.has_value() ? Value::Integer(*total) : Value::Null()}));
-      return table;
+      const size_t null = scan.support.size() < scan.rows.rows.size() ? 1 : 0;
+      ids->push_back(static_cast<uint32_t>(
+          !total.has_value()
+              ? 0
+              : null + static_cast<size_t>(
+                           std::lower_bound(scan.support.begin(),
+                                            scan.support.end(), *total) -
+                           scan.support.begin())));
+      return;
     }
-    std::vector<Tuple>& rows = *table.mutable_rows();
-    rows = scan.rows[0];
-    for (size_t k = 0; k < chosen.size(); ++k) {
-      std::vector<Tuple>& part = scan.rows[Chosen(chosen, k)];
-      if (!once_[k]) {
-        rows.insert(rows.end(), part.begin(), part.end());
-      } else if (rows.empty()) {
-        rows = std::move(part);
-      } else {
-        rows.insert(rows.end(), std::make_move_iterator(part.begin()),
-                    std::make_move_iterator(part.end()));
-      }
-    }
-    return table;
+    const auto append = [&](size_t a) {
+      ids->insert(ids->end(),
+                  scan.ids.begin() + static_cast<long>(scan.offsets[a]),
+                  scan.ids.begin() + static_cast<long>(scan.offsets[a + 1]));
+    };
+    append(0);
+    for (size_t k = 0; k < chosen.size(); ++k) append(Chosen(chosen, k));
   }
 
   std::vector<const Component*> parts_;
   FlatAlternatives flat_;
-  // Mutable: a part in once_ hands its rows to the one world that uses
-  // them.
-  mutable ScanSummary main_;
-  std::optional<ScanSummary> assert_count_;
+  NumberedScan main_;
+  std::optional<NumberedScan> assert_count_;
   bool negated_;
-  mutable std::optional<ScanSummary> key_;
-  std::vector<bool> once_;  // per part: each alternative in one world
+  std::optional<NumberedScan> key_;
 };
 
 /// The subquery of an assert condition `[not] exists (subquery)`, under
@@ -1033,11 +1127,13 @@ const sql::SelectStatement* AssertedExists(const sql::Expr& condition,
 /// decides the verdict. A sum's column must be INTEGER.
 ///
 /// One pass (SummarizeScans) summarizes every scan for every alternative
-/// of `parts`. Returns null, leaving the statement to SQL in every world,
-/// outside the class, on any preparation or evaluation error (SQL reports
-/// the first failing world's, or no error when the failing rows are in
-/// worlds an assert drops before the grouping query runs), and where a
-/// fold refuses. Governance verdicts propagate.
+/// of `parts`; the answer's and the key's rows are then numbered
+/// (NumberSlice, NumberFold). Returns null, leaving the statement to SQL
+/// in every world, outside the class, on any preparation or evaluation
+/// error (SQL reports the first failing world's, or no error when the
+/// failing rows are in worlds an assert drops before the grouping query
+/// runs), and where a fold or the numbering refuses. Governance verdicts
+/// propagate.
 Result<std::unique_ptr<ScanSummaries>> Summarize(
     const Database& certain, std::vector<const Component*> parts,
     const sql::SelectStatement& stmt, const std::string& result_name,
@@ -1100,18 +1196,37 @@ Result<std::unique_ptr<ScanSummaries>> Summarize(
     MAYBMS_RETURN_NOT_OK(GovernanceVerdict());
     return none;
   }
-  std::optional<ScanSummary> assert_count;
-  std::optional<ScanSummary> key;
+  // Number the answer's and the key's rows; the assert needs its counts.
+  std::vector<NumberedScan> numbered(summaries.size());
+  for (size_t s = 0; s < summaries.size(); ++s) {
+    ScanSummary& summary = summaries[s];
+    NumberedScan& scan = numbered[s];
+    scan.rows.schema = std::move(summary.schema);
+    if (queries[s] == exists) {
+      scan.fold = true;
+      scan.values = std::move(summary.values);
+      continue;
+    }
+    if (summary.fold.has_value()) {
+      MAYBMS_ASSIGN_OR_RETURN(const bool folded,
+                              NumberFold(&summary.values, parts, flat, &scan));
+      if (!folded) return none;
+    } else if (!NumberSlice(&summary.rows, &scan)) {
+      return none;
+    }
+  }
+  std::optional<NumberedScan> assert_count;
+  std::optional<NumberedScan> key;
   if (stmt.group_worlds_by) {
-    key = std::move(summaries.back());
-    summaries.pop_back();
+    key = std::move(numbered.back());
+    numbered.pop_back();
   }
   if (exists != nullptr) {
-    assert_count = std::move(summaries.back());
-    summaries.pop_back();
+    assert_count = std::move(numbered.back());
+    numbered.pop_back();
   }
   return std::make_unique<ScanSummaries>(std::move(parts),
-                                         std::move(summaries[0]),
+                                         std::move(numbered[0]),
                                          std::move(assert_count), negated,
                                          std::move(key));
 }
@@ -1387,6 +1502,12 @@ Status DecomposedWorldSet::ApplyDml(const sql::Statement& stmt,
     // All referenced relations are certain: apply once to the core.
     return plan.Execute(&certain_);
   }
+  if (plan.row_local()) {
+    MAYBMS_ASSIGN_OR_RETURN(const bool applied,
+                            ApplyRowLocalDml(stmt, catalog, target, relevant,
+                                             &plan));
+    if (applied) return Status::OK();
+  }
 
   // General path: the update's effect may differ per world. It runs in
   // every world of the relevant sub-product, and the worlds replace those
@@ -1403,6 +1524,88 @@ Status DecomposedWorldSet::ApplyDml(const sql::Statement& stmt,
       ReplaceComponents(relevant, worlds, AsciiToLower(target), true));
   certain_.PutRelation(target, Table(core_table->schema()));
   return Status::OK();
+}
+
+Result<bool> DecomposedWorldSet::ApplyRowLocalDml(
+    const sql::Statement& stmt, const Catalog& catalog,
+    const std::string& target, const std::vector<size_t>& relevant,
+    engine::PreparedDml* plan) {
+  MAYBMS_ASSIGN_OR_RETURN(Database::TableHandle core,
+                          certain_.GetRelationHandle(target));
+  if (stmt.kind == sql::StatementKind::kInsert) {
+    // Every world gets the same new rows: the core takes them.
+    Database db;
+    db.PutRelation(target, core);
+    if (!plan->Execute(&db).ok()) {
+      MAYBMS_RETURN_NOT_OK(GovernanceVerdict());
+      return false;
+    }
+    MAYBMS_ASSIGN_OR_RETURN(core, db.GetRelationHandle(target));
+    certain_.PutRelation(target, std::move(core));
+    return true;
+  }
+  // The new rows of every part the statement changed, by flat number
+  // (0: the core). Slot 0 runs `plan`; other slots prepare their own.
+  const std::string relation = AsciiToLower(target);
+  const std::vector<const Component*> parts = Parts(relevant);
+  const FlatAlternatives flat(parts);
+  std::vector<std::optional<std::vector<Tuple>>> rewritten(flat.size());
+  std::vector<std::optional<engine::PreparedDml>> plans(
+      base::ThreadPool::Shared().Slots(threads_));
+  const Status pass = ForEachAlternative(
+      parts, flat, threads_,
+      [&](size_t a, const Alternative* alt, size_t slot) -> Status {
+        const std::vector<Tuple>* rows =
+            alt == nullptr ? &core->rows() : alt->TuplesFor(relation);
+        if (rows == nullptr) return Status::OK();
+        engine::PreparedDml* local = plan;
+        if (slot > 0) {
+          if (!plans[slot].has_value()) {
+            MAYBMS_ASSIGN_OR_RETURN(
+                plans[slot],
+                engine::PreparedDml::Prepare(stmt, certain_, &catalog));
+          }
+          local = &*plans[slot];
+        }
+        std::vector<Tuple> out;
+        MAYBMS_ASSIGN_OR_RETURN(const bool changed,
+                                local->Rewrite(certain_, *rows, &out));
+        if (changed) rewritten[a] = std::move(out);
+        return Status::OK();
+      });
+  if (!pass.ok()) {
+    MAYBMS_RETURN_NOT_OK(GovernanceVerdict());
+    return false;
+  }
+  if (rewritten[0].has_value()) {
+    certain_.PutRelation(target,
+                         Table(core->schema(), std::move(*rewritten[0])));
+  }
+  // A changed component gets a new instance; the others keep theirs. An
+  // alternative left without rows keeps its world.
+  for (size_t k = 0; k < parts.size(); ++k) {
+    std::optional<Component> changed;
+    for (size_t j = 0; j < parts[k]->size(); ++j) {
+      std::optional<std::vector<Tuple>>& rows = rewritten[flat.Of(k, j)];
+      if (!rows.has_value()) continue;
+      if (!changed.has_value()) changed = *parts[k];
+      std::map<std::string, std::vector<Tuple>>& tuples =
+          changed->alternatives[j].tuples;
+      if (rows->empty()) {
+        tuples.erase(relation);
+      } else {
+        tuples[relation] = std::move(*rows);
+      }
+    }
+    if (!changed.has_value()) continue;
+    const bool contributes = changed->ContributesTo(relation);
+    components_[relevant[k]] = ShareComponent(std::move(*changed));
+    if (contributes) continue;
+    std::vector<size_t>& indices = index_[relation];
+    indices.erase(std::find(indices.begin(), indices.end(), relevant[k]));
+    if (indices.empty()) index_.erase(relation);
+  }
+  return true;
 }
 
 Result<PipelineResult> DecomposedWorldSet::RunPipeline(

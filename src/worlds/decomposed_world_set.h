@@ -41,6 +41,10 @@
 #include "worlds/world_pipeline.h"
 #include "worlds/world_set.h"
 
+namespace maybms::engine {
+class PreparedDml;
+}  // namespace maybms::engine
+
 namespace maybms::worlds {
 
 /// MayBMS-style world-set decomposition (WSD): the world-set is the
@@ -79,10 +83,16 @@ namespace maybms::worlds {
 /// `create table ... as` through the pipeline replaces the relevant
 /// components with one component of the surviving worlds.
 ///
-/// DML over certain relations runs once on the core. DML touching an
-/// uncertain relation runs in every world of the relevant sub-product
-/// (RunDmlInEveryWorld) and replaces those components with one component
-/// holding each world's new target contents.
+/// DML over certain relations runs once on the core. A row-local write
+/// to an uncertain relation (engine::PreparedDml::row_local) distributes
+/// over the decomposition: an INSERT ... VALUES appends to the core, and
+/// an UPDATE or DELETE runs once on the core's rows and once on each
+/// alternative's, so only the components it changes get a new instance
+/// and none are merged. Any other DML touching an uncertain relation, and
+/// a row-local one that fails somewhere, runs in every world of the
+/// relevant sub-product (RunDmlInEveryWorld) and replaces those
+/// components with one component holding each world's new target
+/// contents.
 class DecomposedWorldSet : public WorldSet {
  public:
   /// The default world cap; an alias of kMaxStatementWorlds.
@@ -148,6 +158,21 @@ class DecomposedWorldSet : public WorldSet {
                                      const std::vector<size_t>& relevant,
                                      const std::string& result_name,
                                      size_t keep_worlds) const;
+
+  /// The row-local write (engine::PreparedDml::row_local) `stmt`, planned
+  /// as `plan`, applied without enumerating worlds: an INSERT appends to
+  /// the certain core; an UPDATE or DELETE rewrites the core's rows of
+  /// `target` and every alternative's rows of it among the components at
+  /// `relevant`, in one pass on the thread pool, and gives only the
+  /// components it changed a new instance. False, with nothing changed,
+  /// if the statement fails anywhere: the caller then runs it in every
+  /// world, which reports the first failing world's error. Governance
+  /// verdicts propagate.
+  Result<bool> ApplyRowLocalDml(const sql::Statement& stmt,
+                                const Catalog& catalog,
+                                const std::string& target,
+                                const std::vector<size_t>& relevant,
+                                engine::PreparedDml* plan);
 
   /// The components at `indices`, in that order; all of them.
   std::vector<const Component*> Parts(const std::vector<size_t>& indices) const;

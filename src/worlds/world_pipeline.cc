@@ -1,5 +1,6 @@
 #include "worlds/world_pipeline.h"
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <set>
@@ -66,11 +67,16 @@ class Pipeline {
   /// Runs the repair/choice projection in every combination of every
   /// source world's partition blocks.
   Status RunFanOut();
-  /// One world's tail: assert filter → group key → sink. With a
-  /// `summary` (which carries the answer) the verdict and the key are
-  /// its own and `db` is unused; otherwise they are evaluated in `db`.
+  /// One world's tail: assert filter → group key → sink, with the answer
+  /// `answer` and the verdict and key evaluated in `db`.
   Status Tail(size_t source_index, double probability, const Database* db,
-              Table answer, WorldSummary* summary, size_t slot, size_t chunk);
+              Table answer, size_t slot, size_t chunk);
+  /// The tail of a world assembled from the summaries: the same steps on
+  /// its row ids.
+  Status SummaryTail(size_t source_index, const WorldSummary& summary,
+                     size_t chunk);
+  /// The sink state of `chunk`, counting one more surviving world.
+  Result<SinkState*> Survive(double probability, size_t chunk);
   void BeginBatch(size_t n);
   Status EndBatch();
   Result<PipelineResult> Finish();
@@ -142,16 +148,15 @@ Status Pipeline::RunCore() {
   // One scratch world per slot, for this loop only (storage/catalog.h:
   // a worker mutates only what it created inside the region).
   std::vector<WorldScratch> scratch(slots_);
+  std::vector<WorldSummary> summaries(summaries_ != nullptr ? slots_ : 0);
   BeginBatch(n);
   MAYBMS_RETURN_NOT_OK(pool_.ParallelFor(
       n, options_.threads,
       [&](size_t i, size_t slot, size_t chunk) -> Status {
         if (summaries_ != nullptr) {
-          WorldSummary summary;
           MAYBMS_RETURN_NOT_OK(
-              summaries_->Assemble(i, &scratch[slot], &summary));
-          return Tail(i, summary.probability, nullptr,
-                      std::move(summary.answer), &summary, slot, chunk);
+              summaries_->Assemble(i, &scratch[slot], &summaries[slot]));
+          return SummaryTail(i, summaries[slot], chunk);
         }
         if (!plans[slot].has_value()) {
           MAYBMS_ASSIGN_OR_RETURN(plans[slot],
@@ -160,8 +165,8 @@ Status Pipeline::RunCore() {
         }
         const World& world = source_.Get(i, &scratch[slot]);
         MAYBMS_ASSIGN_OR_RETURN(Table answer, plans[slot]->Execute(world.db));
-        return Tail(i, world.probability, &world.db, std::move(answer),
-                    nullptr, slot, chunk);
+        return Tail(i, world.probability, &world.db, std::move(answer), slot,
+                    chunk);
       }));
   return EndBatch();
 }
@@ -222,8 +227,8 @@ Status Pipeline::RunFanOut() {
           }
           MAYBMS_ASSIGN_OR_RETURN(Table answer,
                                   projections[slot]->Execute(world.db, chosen));
-          return Tail(i, probability, &world.db, std::move(answer), nullptr,
-                      slot, chunk);
+          return Tail(i, probability, &world.db, std::move(answer), slot,
+                      chunk);
         }));
     MAYBMS_RETURN_NOT_OK(EndBatch());
   }
@@ -231,8 +236,8 @@ Status Pipeline::RunFanOut() {
 }
 
 Status Pipeline::Tail(size_t source_index, double probability,
-                      const Database* db, Table answer, WorldSummary* summary,
-                      size_t slot, size_t chunk) {
+                      const Database* db, Table answer, size_t slot,
+                      size_t chunk) {
   // Memory-budget charge for the per-world answer: once per world,
   // whichever sink consumes it.
   MAYBMS_RETURN_NOT_OK(base::GovernChargeBytes(base::EstimateTableBytes(
@@ -248,42 +253,27 @@ Status Pipeline::Tail(size_t source_index, double probability,
   }
   const Table& result = shared != nullptr ? *shared : answer;
   if (stmt_.assert_condition) {
-    if (summary != nullptr) {
-      if (!summary->kept) return Status::OK();
-    } else {
-      engine::SubqueryCache cache(&assert_plans_[slot]);
-      engine::EvalContext ctx{view, nullptr, nullptr, nullptr, nullptr, &cache};
-      MAYBMS_ASSIGN_OR_RETURN(
-          Trivalent keep, engine::EvalPredicate(*stmt_.assert_condition, ctx));
-      if (keep != Trivalent::kTrue) return Status::OK();
-    }
+    engine::SubqueryCache cache(&assert_plans_[slot]);
+    engine::EvalContext ctx{view, nullptr, nullptr, nullptr, nullptr, &cache};
+    MAYBMS_ASSIGN_OR_RETURN(Trivalent keep,
+                            engine::EvalPredicate(*stmt_.assert_condition, ctx));
+    if (keep != Trivalent::kTrue) return Status::OK();
   }
 
-  SinkState& sink = chunks_[chunk];
-  ++sink.survivors;
-  sink.mass += probability;
+  MAYBMS_ASSIGN_OR_RETURN(SinkState * survived, Survive(probability, chunk));
+  SinkState& sink = *survived;
   const bool keep = sink.kept.size() < options_.keep_worlds;
   std::vector<Tuple> group_key;
   if (stmt_.group_worlds_by) {
-    Table key;
-    if (summary != nullptr) {
-      key = std::move(summary->key);
-    } else {
-      if (!group_plans_[slot].has_value()) {
-        MAYBMS_ASSIGN_OR_RETURN(
-            group_plans_[slot],
-            engine::PreparedSelect::Prepare(*stmt_.group_worlds_by, *view));
-      }
-      MAYBMS_ASSIGN_OR_RETURN(key, group_plans_[slot]->Execute(*view));
+    if (!group_plans_[slot].has_value()) {
+      MAYBMS_ASSIGN_OR_RETURN(
+          group_plans_[slot],
+          engine::PreparedSelect::Prepare(*stmt_.group_worlds_by, *view));
     }
-    if (!sink.grouped.has_value()) sink.grouped.emplace(stmt_.quantifier);
+    MAYBMS_ASSIGN_OR_RETURN(Table key, group_plans_[slot]->Execute(*view));
     MAYBMS_RETURN_NOT_OK(sink.grouped->Feed(probability, result, key));
     if (keep && keep_group_keys_) group_key = CanonicalizeGroupKey(key).rows();
   } else if (stmt_.quantifier != sql::WorldQuantifier::kNone) {
-    if (!sink.combiner.has_value()) {
-      MAYBMS_ASSIGN_OR_RETURN(sink.combiner,
-                              QuantifierCombiner::Create(stmt_.quantifier));
-    }
     sink.combiner->Feed(probability, result);
   } else if (keep && shared == nullptr) {
     shared = std::make_shared<const Table>(std::move(answer));
@@ -295,6 +285,64 @@ Status Pipeline::Tail(size_t source_index, double probability,
         {{source_index, probability, std::move(shared)}, std::move(group_key)});
   }
   return Status::OK();
+}
+
+Status Pipeline::SummaryTail(size_t source_index, const WorldSummary& summary,
+                             size_t chunk) {
+  const RowDictionary& answers = summaries_->answers();
+  MAYBMS_RETURN_NOT_OK(base::GovernChargeBytes(base::EstimateTableBytes(
+      summary.answer.size(), answers.schema.num_columns())));
+  if (!summary.kept) return Status::OK();
+  MAYBMS_ASSIGN_OR_RETURN(SinkState * survived,
+                          Survive(summary.probability, chunk));
+  SinkState& sink = *survived;
+  const bool keep = sink.kept.size() < options_.keep_worlds;
+  // Rows are built only for the worlds a materialization keeps.
+  const auto rows = [](const RowDictionary& dictionary,
+                       const std::vector<uint32_t>& ids) {
+    std::vector<Tuple> out;
+    out.reserve(ids.size());
+    for (uint32_t id : ids) out.push_back(dictionary.rows[id]);
+    return out;
+  };
+  Survivor survivor{{source_index, summary.probability, nullptr}, {}};
+  if (stmt_.group_worlds_by) {
+    MAYBMS_RETURN_NOT_OK(sink.grouped->FeedIds(summary.probability,
+                                               summary.answer, summary.key));
+    if (keep && keep_group_keys_) {  // canonical: sorted, distinct
+      std::vector<uint32_t> key = summary.key;
+      std::sort(key.begin(), key.end());
+      key.erase(std::unique(key.begin(), key.end()), key.end());
+      survivor.group_key = rows(*summaries_->keys(), key);
+    }
+  } else if (stmt_.quantifier != sql::WorldQuantifier::kNone) {
+    sink.combiner->FeedIds(summary.probability, summary.answer);
+  } else if (keep) {
+    survivor.world.answer = std::make_shared<const Table>(
+        answers.schema, rows(answers, summary.answer));
+  }
+  if (keep) sink.kept.push_back(std::move(survivor));
+  return Status::OK();
+}
+
+Result<SinkState*> Pipeline::Survive(double probability, size_t chunk) {
+  SinkState& sink = chunks_[chunk];
+  ++sink.survivors;
+  sink.mass += probability;
+  const RowDictionary* answers =
+      summaries_ != nullptr ? &summaries_->answers() : nullptr;
+  if (stmt_.group_worlds_by) {
+    if (!sink.grouped.has_value()) {
+      sink.grouped.emplace(stmt_.quantifier, answers,
+                           summaries_ != nullptr ? summaries_->keys()
+                                                 : nullptr);
+    }
+  } else if (stmt_.quantifier != sql::WorldQuantifier::kNone &&
+             !sink.combiner.has_value()) {
+    MAYBMS_ASSIGN_OR_RETURN(
+        sink.combiner, QuantifierCombiner::Create(stmt_.quantifier, answers));
+  }
+  return &sink;
 }
 
 void Pipeline::BeginBatch(size_t n) {

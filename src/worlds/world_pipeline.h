@@ -43,6 +43,7 @@
 #include "base/result.h"
 #include "sql/ast.h"
 #include "storage/catalog.h"
+#include "worlds/combiner.h"
 #include "worlds/world.h"
 #include "worlds/world_set.h"
 
@@ -87,30 +88,40 @@ class WorldSource {
 };
 
 /// One world's outcome, computed without running SQL in the world: its
-/// probability, the statement's answer, the assert's verdict and the
-/// GROUP WORLDS BY key.
+/// probability, the statement's answer and the GROUP WORLDS BY key as row
+/// ids of the summaries' dictionaries, and the assert's verdict.
 struct WorldSummary {
   double probability = 0;
-  Table answer;
+  /// The answer's rows, in its row order, duplicates included.
+  std::vector<uint32_t> answer;
   bool kept = true;  // false: the assert drops the world
-  Table key;         // the grouping query's answer, under GROUP WORLDS BY
+  /// The grouping query's answer rows, under GROUP WORLDS BY.
+  std::vector<uint32_t> key;
 };
 
 /// The outcomes of a source's worlds, assembled from summaries of the
 /// source's parts (worlds/decomposed_world_set.cc: per-alternative
 /// summaries of row-local scans). Given one, the pipeline calls it in
-/// place of the SQL core, the assert and the grouping query; the worlds,
-/// their order, the chunks, the world cap and budget, the per-world
-/// memory charge and the sinks stay the pipeline's own, so the result is
-/// bit-identical to running the SQL. Every outcome must be the one the
-/// SQL gives in that world; an engine that cannot promise that (an
-/// expression that fails in some world) passes none.
+/// place of the SQL core, the assert and the grouping query, and feeds
+/// the row ids to its sinks; the worlds, their order, the chunks, the
+/// world cap and budget, the per-world memory charge and the sinks stay
+/// the pipeline's own, so the result is bit-identical to running the
+/// SQL. Every outcome must be the one the SQL gives in that world; an
+/// engine that cannot promise that (an expression that fails in some
+/// world) passes none.
 class WorldSummaries {
  public:
   virtual ~WorldSummaries() = default;
 
-  /// World `i` of the source (< size()), into `out`. Thread-safe; the
-  /// scratch is used as WorldSource::Get uses it. Called once per world.
+  /// The rows answer ids number, under the statement's answer schema.
+  virtual const RowDictionary& answers() const = 0;
+  /// The rows key ids number, under the grouping query's answer schema;
+  /// null without GROUP WORLDS BY.
+  virtual const RowDictionary* keys() const = 0;
+
+  /// World `i` of the source (< size()), into `out`, whose vectors are
+  /// overwritten (a caller may reuse one summary per thread). Thread-safe;
+  /// the scratch is used as WorldSource::Get uses it.
   virtual Status Assemble(size_t i, WorldScratch* scratch,
                           WorldSummary* out) const = 0;
 };

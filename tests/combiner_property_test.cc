@@ -19,7 +19,10 @@
 #include <new>
 #include <numeric>
 #include <random>
+#include <optional>
 #include <string>
+#include <type_traits>
+#include <unordered_map>
 #include <vector>
 
 #include "isql/session.h"
@@ -262,8 +265,196 @@ TEST_P(CombinerPropertyTest, FeedOrderInvariance) {
   }
 }
 
+/// Worlds numbered as the decomposed engine numbers a summarized scan's
+/// rows: equal rows written alike (each becomes the first one fed, as a
+/// scan whose equal rows are written differently is left to SQL), and
+/// one dictionary of the distinct rows in tuple order.
+struct NumberedWorlds {
+  std::vector<std::pair<double, Table>> tables;
+  worlds::RowDictionary dictionary;
+  std::vector<std::vector<uint32_t>> ids;
+};
+
+NumberedWorlds Number(std::vector<std::pair<double, Table>> entries) {
+  NumberedWorlds out;
+  std::unordered_map<Tuple, Tuple, TupleHash> written;
+  for (auto& [prob, table] : entries) {
+    for (Tuple& row : *table.mutable_rows()) {
+      row = written.try_emplace(row, row).first->second;
+      out.dictionary.rows.push_back(row);
+    }
+  }
+  std::vector<Tuple>& rows = out.dictionary.rows;
+  std::sort(rows.begin(), rows.end());
+  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+  if (!entries.empty()) out.dictionary.schema = entries[0].second.schema();
+  for (const auto& [prob, table] : entries) {
+    std::vector<uint32_t> ids;
+    for (const Tuple& row : table.rows()) {
+      ids.push_back(static_cast<uint32_t>(
+          std::lower_bound(rows.begin(), rows.end(), row) - rows.begin()));
+    }
+    out.ids.push_back(std::move(ids));
+  }
+  out.tables = std::move(entries);
+  return out;
+}
+
+/// Feeds world i to chunk i / chunk, one combiner per chunk, merged in
+/// chunk order as the pipeline merges them.
+template <typename Combiner, typename Make, typename FeedWorld>
+Combiner FeedInChunks(size_t worlds, size_t chunk, const Make& make,
+                      const FeedWorld& feed) {
+  std::optional<Combiner> total;
+  for (size_t begin = 0; begin < worlds; begin += chunk) {
+    Combiner part = make();
+    for (size_t i = begin; i < std::min(worlds, begin + chunk); ++i) {
+      feed(part, i);
+    }
+    if (!total.has_value()) {
+      total.emplace(std::move(part));
+    } else {
+      if constexpr (std::is_same_v<Combiner, QuantifierCombiner>) {
+        total->Merge(std::move(part));
+      } else {
+        EXPECT_TRUE(total->Merge(std::move(part)).ok());
+      }
+    }
+  }
+  return total.has_value() ? std::move(*total) : make();
+}
+
+// Worlds fed as row ids and as Tables give the same bytes, conf bits
+// included, under any split into chunks: each accumulator adds the same
+// probabilities in the same order.
+TEST_P(CombinerPropertyTest, IdFedMatchesTableFedBitForBit) {
+  const NumberedWorlds worlds =
+      Number(WorldsGen(GetParam()).Generate().entries);
+  const size_t n = worlds.tables.size();
+  for (sql::WorldQuantifier q :
+       {sql::WorldQuantifier::kPossible, sql::WorldQuantifier::kCertain,
+        sql::WorldQuantifier::kConf}) {
+    for (size_t chunk : {1u, 3u, 4u, 64u}) {
+      const std::string context = "seed " + std::to_string(GetParam()) +
+                                  ", " + QuantifierName(q) + ", chunks of " +
+                                  std::to_string(chunk);
+      QuantifierCombiner by_table = FeedInChunks<QuantifierCombiner>(
+          n, chunk, [&] { return QuantifierCombiner::Create(q).value(); },
+          [&](QuantifierCombiner& c, size_t i) {
+            c.Feed(worlds.tables[i].first, worlds.tables[i].second);
+          });
+      QuantifierCombiner by_id = FeedInChunks<QuantifierCombiner>(
+          n, chunk,
+          [&] {
+            return QuantifierCombiner::Create(q, &worlds.dictionary).value();
+          },
+          [&](QuantifierCombiner& c, size_t i) {
+            c.FeedIds(worlds.tables[i].first, worlds.ids[i]);
+          });
+      auto table_out = by_table.Finish(0.75);
+      auto id_out = by_id.Finish(0.75);
+      ASSERT_TRUE(table_out.ok() && id_out.ok()) << context;
+      EXPECT_EQ(table_out->schema().ToString(), id_out->schema().ToString())
+          << context;
+      maybms::testing::ExpectTablesIdentical(*table_out, *id_out, context);
+    }
+  }
+}
+
+// The grouped sink, keys fed as row ids and as Tables: the same groups,
+// in the same order, with the same probability and answer bits.
+TEST_P(CombinerPropertyTest, GroupedIdFedMatchesTableFedBitForBit) {
+  const NumberedWorlds answers =
+      Number(WorldsGen(GetParam()).Generate().entries);
+  // Keys: another draw's tables, one per world (empty and duplicated rows
+  // included), paired with the answers by index.
+  std::vector<std::pair<double, Table>> key_tables =
+      WorldsGen(GetParam() + 1000).Generate().entries;
+  key_tables.resize(answers.tables.size(), {0.0, Table()});
+  const NumberedWorlds keys = Number(std::move(key_tables));
+  const size_t n = answers.tables.size();
+  for (sql::WorldQuantifier q :
+       {sql::WorldQuantifier::kPossible, sql::WorldQuantifier::kConf}) {
+    for (size_t chunk : {1u, 2u, 5u, 64u}) {
+      const std::string context = "seed " + std::to_string(GetParam()) +
+                                  ", " + QuantifierName(q) + ", chunks of " +
+                                  std::to_string(chunk);
+      using Grouped = worlds::GroupedQuantifierCombiner;
+      Grouped by_table = FeedInChunks<Grouped>(
+          n, chunk, [&] { return Grouped(q); },
+          [&](Grouped& c, size_t i) {
+            EXPECT_TRUE(c.Feed(answers.tables[i].first,
+                               answers.tables[i].second,
+                               keys.tables[i].second)
+                            .ok());
+          });
+      Grouped by_id = FeedInChunks<Grouped>(
+          n, chunk,
+          [&] { return Grouped(q, &answers.dictionary, &keys.dictionary); },
+          [&](Grouped& c, size_t i) {
+            EXPECT_TRUE(c.FeedIds(answers.tables[i].first, answers.ids[i],
+                                  keys.ids[i])
+                            .ok());
+          });
+      auto table_out = by_table.Finish();
+      auto id_out = by_id.Finish();
+      ASSERT_TRUE(table_out.ok() && id_out.ok()) << context;
+      ASSERT_EQ(table_out->size(), id_out->size()) << context;
+      for (size_t g = 0; g < table_out->size(); ++g) {
+        const auto& x = (*table_out)[g];
+        const auto& y = (*id_out)[g];
+        EXPECT_EQ(x.probability, y.probability) << context;
+        maybms::testing::ExpectTablesIdentical(x.key, y.key, context);
+        maybms::testing::ExpectTablesIdentical(x.table, y.table, context);
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, CombinerPropertyTest,
                          ::testing::Range(uint32_t{0}, uint32_t{100}));
+
+// A group key is the SET of the grouping query's rows: duplicates and row
+// order do not split groups, an empty answer is a key of its own, and
+// groups come out in the order of their sorted key rows. Both feeds.
+TEST(GroupedCombinerTest, KeysAreSetsOfRows) {
+  Schema key_schema;
+  key_schema.AddColumn(Column("g", DataType::kInteger));
+  worlds::RowDictionary keys{key_schema,
+                             {maybms::testing::Row({I(1)}),
+                              maybms::testing::Row({I(2)})}};
+  worlds::RowDictionary answers{key_schema, {maybms::testing::Row({I(7)})}};
+  const std::vector<std::vector<uint32_t>> key_ids = {
+      {1, 0, 0}, {0, 1}, {}, {1}, {1, 1}};
+  const auto table = [&](const worlds::RowDictionary& dictionary,
+                         const std::vector<uint32_t>& ids) {
+    Table t(dictionary.schema);
+    for (uint32_t id : ids) t.AppendUnchecked(dictionary.rows[id]);
+    return t;
+  };
+  worlds::GroupedQuantifierCombiner by_table(sql::WorldQuantifier::kConf);
+  worlds::GroupedQuantifierCombiner by_id(sql::WorldQuantifier::kConf,
+                                          &answers, &keys);
+  for (const std::vector<uint32_t>& ids : key_ids) {
+    ASSERT_TRUE(by_table.Feed(0.2, table(answers, {0}), table(keys, ids)).ok());
+    ASSERT_TRUE(by_id.FeedIds(0.2, {0}, ids).ok());
+  }
+  for (auto* combiner : {&by_table, &by_id}) {
+    auto groups = combiner->Finish();
+    ASSERT_TRUE(groups.ok());
+    ASSERT_EQ(groups->size(), 3u);
+    std::vector<std::string> rendered;
+    for (const auto& group : *groups) {
+      std::string key;
+      for (const Tuple& row : group.key.rows()) key += row.ToString();
+      rendered.push_back(key + " " + std::to_string(group.probability));
+    }
+    EXPECT_EQ(rendered, (std::vector<std::string>{
+                            " 0.200000", "(1)(2) 0.400000", "(2) 0.400000"}));
+  }
+}
+
+
 
 // ---------------------------------------------------------------------------
 // Directed edge cases

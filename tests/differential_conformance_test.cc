@@ -200,6 +200,11 @@ class DifferentialConformanceTest : public ::testing::TestWithParam<uint32_t> {
       CheckStatement(sql, ctx);
       if (::testing::Test::HasFatalFailure()) return;
     }
+    for (const std::string& sql : pipeline.writes) {
+      CheckStatement(sql, ctx);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    CheckWorldSetShape(pipeline);
   }
 
   std::unique_ptr<Session> explicit_;
@@ -332,6 +337,10 @@ TEST_P(ThreadInvarianceTest, GeneratedPipelineIsThreadCountInvariant) {
     CheckStatement(sql, ctx);
     if (::testing::Test::HasFatalFailure()) return;
   }
+  for (const std::string& sql : pipeline.writes) {
+    CheckStatement(sql, ctx);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -357,6 +366,7 @@ TEST(PipelineGeneratorTest, DeterministicPerSeed) {
     GeneratedPipeline b = PipelineGenerator(seed).Generate();
     EXPECT_EQ(a.setup, b.setup);
     EXPECT_EQ(a.probes, b.probes);
+    EXPECT_EQ(a.writes, b.writes);
     EXPECT_EQ(a.world_bound, b.world_bound);
   }
 }

@@ -372,6 +372,75 @@ TEST(DmlTest, UpdateEvaluatesAgainstPreUpdateRow) {
   ExpectRows(**db.GetRelation("P"), {"(2, x)", "(3, x)"});
 }
 
+// An update or delete that matches no row keeps the stored instance (no
+// copy is made and none is published); the first failing row's error is
+// reported, and nothing changes.
+TEST(DmlTest, NoMatchKeepsTheInstanceAndErrorsComeFromTheFirstRow) {
+  Database db;
+  db.PutRelation("P", PeopleTable());
+  Catalog catalog;
+  const auto before = db.GetRelationHandle("P");
+  ASSERT_TRUE(before.ok());
+  auto update = Parse<sql::UpdateStatement>("update P set Id = 0 where Id > 5");
+  MAYBMS_EXPECT_OK(ExecuteUpdate(*update, &db, catalog));
+  auto del = Parse<sql::DeleteStatement>("delete from P where Id > 5");
+  MAYBMS_EXPECT_OK(ExecuteDelete(*del, &db));
+  EXPECT_EQ(*db.GetRelationHandle("P"), *before);
+
+  // Row 1 (Id 1) matches and its SET divides by zero; row 2's would fail
+  // differently. The first row's error wins.
+  auto failing = Parse<sql::UpdateStatement>(
+      "update P set Id = 1 / (Id - 1) + length(Name) / (Id - 2)");
+  const Status status = ExecuteUpdate(*failing, &db, catalog);
+  EXPECT_FALSE(status.ok());
+  auto first = Parse<sql::UpdateStatement>(
+      "update P set Id = 1 / (Id - 1) where Id = 1");
+  EXPECT_EQ(status.ToString(), ExecuteUpdate(*first, &db, catalog).ToString());
+  EXPECT_EQ(*db.GetRelationHandle("P"), *before);
+}
+
+// Rewrite applies an UPDATE or DELETE to any bag of the target's rows and
+// reports whether it changed any: the per-alternative form of Execute.
+TEST(DmlTest, RewriteAppliesToAnyPartOfTheTarget) {
+  Database db;
+  db.PutRelation("P", PeopleTable());
+  Catalog catalog;
+  const std::vector<Tuple> part = {Row({I(5), T("eve")}), Row({I(1), T("al")})};
+  auto update = Parse<sql::UpdateStatement>(
+      "update P set Id = Id * 10, Name = 'x' where Id = 1");
+  auto plan = engine::PreparedDml::Prepare(*update, db, &catalog);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_TRUE(plan->row_local());
+  std::vector<Tuple> out;
+  auto changed = plan->Rewrite(db, part, &out);
+  ASSERT_TRUE(changed.ok() && *changed);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].ToString(), "(5, eve)");
+  EXPECT_EQ(out[1].ToString(), "(10, x)");
+  out.clear();
+  changed = plan->Rewrite(db, {Row({I(7), T("z")})}, &out);
+  ASSERT_TRUE(changed.ok());
+  EXPECT_FALSE(*changed);
+  EXPECT_TRUE(out.empty());
+
+  auto del = Parse<sql::DeleteStatement>("delete from P where Name = 'eve'");
+  auto del_plan = engine::PreparedDml::Prepare(*del, db, nullptr);
+  ASSERT_TRUE(del_plan.ok());
+  changed = del_plan->Rewrite(db, part, &out);
+  ASSERT_TRUE(changed.ok() && *changed);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].ToString(), "(1, al)");
+
+  // Subqueries, and writes to constrained columns, are not row-local.
+  auto nested = Parse<sql::DeleteStatement>(
+      "delete from P where Id in (select Id from P)");
+  EXPECT_FALSE(engine::PreparedDml::Prepare(*nested, db, nullptr)->row_local());
+  catalog.AddConstraint("P", Constraint{ConstraintKind::kPrimaryKey, {"Id"}});
+  EXPECT_FALSE(engine::PreparedDml::Prepare(*update, db, &catalog)->row_local());
+  auto insert = Parse<sql::InsertStatement>("insert into P values (3, 'c')");
+  EXPECT_FALSE(engine::PreparedDml::Prepare(*insert, db, &catalog)->row_local());
+}
+
 TEST(DmlTest, UpdateRespectsConstraints) {
   Database db;
   db.PutRelation("P", PeopleTable());

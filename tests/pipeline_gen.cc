@@ -13,6 +13,8 @@ std::string GeneratedPipeline::DebugString() const {
   for (const std::string& s : setup) out << s << "\n";
   out << "-- probes\n";
   for (const std::string& s : probes) out << s << "\n";
+  out << "-- writes\n";
+  for (const std::string& s : writes) out << s << "\n";
   return out.str();
 }
 
@@ -532,6 +534,44 @@ std::string PipelineGenerator::SummaryProbe() {
   return out.str();
 }
 
+void PipelineGenerator::EmitRowLocalWrite(GeneratedPipeline* p) {
+  const TableInfo& t = Pick(/*prefer_uncertain=*/true);
+  const char kGs[] = {'x', 'y', 'z'};
+  std::ostringstream write;
+  switch (Int(0, 5)) {
+    case 0:  // one key
+      write << "update " << t.name << " set V = V + " << Int(1, 3)
+            << " where K = " << Int(0, 2);
+      break;
+    case 1:  // several assignments, read from the pre-update row
+      write << "update " << t.name << " set V = W, W = V where "
+            << RandomPredicate("");
+      break;
+    case 2:
+      write << "delete from " << t.name << " where K = " << Int(0, 2)
+            << (Chance(0.5) ? " and V > 3" : "");
+      break;
+    case 3:  // no row of any alternative matches
+      write << "update " << t.name << " set V = 0 where K = 9";
+      break;
+    case 4:  // divides by zero in some alternatives only: the per-world pass
+      write << "delete from " << t.name << " where W / (V - " << Int(1, 6)
+            << ") > 1";
+      break;
+    default:
+      write << "insert into " << t.name << " values (" << Int(0, 3) << ", "
+            << Int(1, 6) << ", " << Int(1, 9) << ", '" << kGs[Int(0, 2)]
+            << "')";
+      break;
+  }
+  write << ";";
+  p->writes.push_back(write.str());
+  p->writes.push_back("select conf, K, V, W, G from " + t.name + ";");
+  p->writes.push_back("select K, V from " + t.name + " where " +
+                      RandomPredicate("") + ";");
+  p->writes.push_back(SummaryProbe());
+}
+
 GeneratedPipeline PipelineGenerator::Generate() {
   GeneratedPipeline p;
   tables_.clear();
@@ -551,8 +591,9 @@ GeneratedPipeline PipelineGenerator::Generate() {
 
   int probes = Int(options_.min_probes, options_.max_probes);
   for (int i = 0; i < probes; ++i) p.probes.push_back(RandomProbe());
-  // Drawn last, so the rest of a seed's pipeline does not move with it.
+  // Drawn last, so the rest of a seed's pipeline does not move with them.
   p.probes.push_back(SummaryProbe());
+  EmitRowLocalWrite(&p);
 
   p.world_bound = world_bound_;
   return p;

@@ -36,6 +36,12 @@ struct GeneratedPipeline {
   /// Read-only queries whose full results are compared across engines.
   std::vector<std::string> probes;
 
+  /// Run after the probes and compared like them: a row-local write
+  /// (usually to a repaired or chosen relation) and reads of what it left.
+  /// Unlike the probes they change the world-set, so a harness that
+  /// replays the probes against several sessions leaves them out.
+  std::vector<std::string> writes;
+
   /// Upper bound on the number of worlds the setup can create (the
   /// generator stays within its world budget so the explicit engine can
   /// always enumerate).
@@ -114,6 +120,11 @@ class PipelineGenerator {
   /// summarized worlds): conf or no quantifier over count/sum, an assert
   /// [not] exists and a GROUP WORLDS BY key over row-local scans.
   std::string SummaryProbe();
+  /// Fills `writes`: a row-local write (an UPDATE or DELETE reading only
+  /// the target row, or an INSERT ... VALUES), usually to a repaired or
+  /// chosen relation, and reads of what it left. The decomposed engine
+  /// applies it per alternative, or per world where it fails somewhere.
+  void EmitRowLocalWrite(GeneratedPipeline* p);
 
   std::mt19937 rng_;
   Options options_;

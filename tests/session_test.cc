@@ -317,9 +317,10 @@ TEST(SessionCapsTest, ClosedFormAggregatesAnswerAboveTheWorldCap) {
   ExpectRows(count->table(), {"(21)"});
 }
 
-// DML on a repaired relation runs in every world of the relation's
-// components. Over 40 three-way keys (3^40 worlds) it stops at the world
-// cap before any world runs, and leaves the world-set as it was.
+// DML on a repaired relation that is not row-local (here: a subquery over
+// the target) runs in every world of the relation's components. Over 40
+// three-way keys (3^40 worlds) it stops at the world cap before any world
+// runs, and leaves the world-set as it was.
 TEST(SessionCapsTest, DmlOverTooManyWorldsFailsWithTheCapAndNoEffect) {
   SessionOptions options;
   options.engine = EngineMode::kDecomposed;
@@ -337,7 +338,8 @@ TEST(SessionCapsTest, DmlOverTooManyWorldsFailsWithTheCapAndNoEffect) {
   auto before = session.world_set().ToSnapshot();
   ASSERT_TRUE(before.ok());
   for (const char* dml :
-       {"update I set V = 99 where K = 3;", "delete from I where K = 5;"}) {
+       {"update I set V = 99 where K in (select K from I where K = 3);",
+        "delete from I where K in (select K from I where K = 5);"}) {
     SCOPED_TRACE(dml);
     auto r = session.Execute(dml);
     ASSERT_FALSE(r.ok());

@@ -1306,6 +1306,40 @@ TEST_F(ComponentDedupTest, CertainOnlyCommitWritesNoComponentPages) {
   EXPECT_EQ(flushed, PagesWithManifest(added));
 }
 
+// A row-local update distributes over the components: only the component
+// whose alternatives it changes gets a new instance, and the commit
+// writes only that component's runs.
+TEST_F(ComponentDedupTest, RowLocalUpdateWritesOnlyTheTouchedComponent) {
+  const std::vector<worlds::ComponentHandle> before = Components();
+  ASSERT_EQ(before.size(), 5u);
+  uint64_t flushed = 0;
+  const auto added =
+      CommitRuns("update I set V = V + 10 where K = 1;", &flushed);
+  const std::vector<worlds::ComponentHandle>& after = Components();
+  ASSERT_EQ(after.size(), before.size());
+  const worlds::Component* touched = nullptr;
+  for (size_t i = 0; i < before.size(); ++i) {
+    if (after[i] == before[i]) {
+      EXPECT_TRUE(Persisted(before[i].get()));
+      continue;
+    }
+    EXPECT_EQ(touched, nullptr) << "more than one component changed";
+    touched = after[i].get();
+    EXPECT_FALSE(Persisted(before[i].get()));
+  }
+  ASSERT_NE(touched, nullptr);
+  size_t contributions = 0;
+  for (const auto& alt : touched->alternatives) {
+    contributions += alt.tuples.size();
+    for (const Tuple& row : alt.tuples.at("i")) {
+      EXPECT_GE(row.value(1).AsInteger(), 11);
+    }
+  }
+  ASSERT_EQ(added.size(), contributions) << "only the touched component";
+  for (const auto& [instance, run] : added) EXPECT_EQ(instance, touched);
+  EXPECT_EQ(flushed, PagesWithManifest(added));
+}
+
 TEST_F(ComponentDedupTest, RepairedUpdateWritesOnlyTheMergedComponent) {
   const std::vector<worlds::ComponentHandle> before = Components();
   ASSERT_EQ(before.size(), 5u);
@@ -1317,7 +1351,9 @@ TEST_F(ComponentDedupTest, RepairedUpdateWritesOnlyTheMergedComponent) {
 
   uint64_t flushed = 0;
   const auto added =
-      CommitRuns("update I set V = V + 10 where K = 1;", &flushed);
+      CommitRuns("update I set V = V + 10 where K in (select K from I "
+                 "where K = 1);",
+                 &flushed);
   const std::vector<worlds::ComponentHandle>& after = Components();
   // I's three components merged into one (2 × 2 × 1 alternatives); J's two
   // are the same instances as before.
