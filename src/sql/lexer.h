@@ -23,8 +23,10 @@ class Lexer {
   /// Tokenizes the whole input; the last token is kEnd.
   Result<std::vector<Token>> Tokenize();
 
- private:
+  /// The next token; kEnd, again and again, once the input is consumed.
   Result<Token> NextToken();
+
+ private:
   void SkipWhitespaceAndComments();
   char Peek(size_t ahead = 0) const;
   bool AtEnd() const { return pos_ >= input_.size(); }

@@ -4,8 +4,8 @@
 #include <limits>
 #include <unordered_set>
 
+#include "base/dcheck.h"
 #include "base/string_util.h"
-#include "sql/lexer.h"
 
 namespace maybms::sql {
 
@@ -33,25 +33,50 @@ bool IsReservedWord(const std::string& word) {
 
 }  // namespace
 
-const Token& Parser::Peek(size_t ahead) const {
-  size_t i = pos_ + ahead;
-  if (i >= tokens_.size()) i = tokens_.size() - 1;  // kEnd sentinel
-  return tokens_[i];
+const Token& Parser::Fill(size_t ahead) const {
+  MAYBMS_DCHECK(ahead < kLookahead, "the parser looks at most two ahead");
+  while (buffered_ <= ahead) {
+    Token& next = lookahead_[(head_ + buffered_) % kLookahead];
+    const Token* last =
+        buffered_ > 0 ? &lookahead_[(head_ + buffered_ - 1) % kLookahead]
+                      : nullptr;
+    if (last != nullptr && last->type == TokenType::kEnd) {
+      next = *last;  // kEnd repeats, and is never consumed
+    } else {
+      Result<Token> token = lexer_.NextToken();
+      if (token.ok()) {
+        next = std::move(*token);
+      } else {
+        lexical_error_ = token.status();
+        next = Token();  // the input ends at a lexical error
+      }
+    }
+    ++buffered_;
+  }
+  return lookahead_[(head_ + ahead) % kLookahead];
 }
 
 Token Parser::Advance() {
-  Token tok = Peek();
-  if (pos_ + 1 < tokens_.size()) ++pos_;
+  const Token& front = Peek();
+  if (front.type == TokenType::kEnd) return front;  // kEnd stays
+  Token tok = std::move(lookahead_[head_]);
+  head_ = (head_ + 1) % kLookahead;
+  --buffered_;
   return tok;
 }
 
-bool Parser::CheckKeyword(const std::string& kw, size_t ahead) const {
+Status Parser::LexicalError() {
+  while (lexical_error_.ok() && Peek().type != TokenType::kEnd) Advance();
+  return lexical_error_;
+}
+
+bool Parser::CheckKeyword(std::string_view kw, size_t ahead) const {
   const Token& tok = Peek(ahead);
   return tok.type == TokenType::kIdentifier &&
          AsciiEqualsIgnoreCase(tok.text, kw);
 }
 
-bool Parser::MatchKeyword(const std::string& kw) {
+bool Parser::MatchKeyword(std::string_view kw) {
   if (CheckKeyword(kw)) {
     Advance();
     return true;
@@ -59,7 +84,7 @@ bool Parser::MatchKeyword(const std::string& kw) {
   return false;
 }
 
-Status Parser::ExpectKeyword(const std::string& kw) {
+Status Parser::ExpectKeyword(std::string_view kw) {
   if (!MatchKeyword(kw)) {
     return ErrorHere("expected keyword " + AsciiToUpper(kw));
   }
@@ -74,14 +99,14 @@ bool Parser::Match(TokenType type) {
   return false;
 }
 
-Status Parser::Expect(TokenType type, const std::string& what) {
-  if (!Match(type)) return ErrorHere("expected " + what);
+Status Parser::Expect(TokenType type, std::string_view what) {
+  if (!Match(type)) return ErrorHere("expected " + std::string(what));
   return Status::OK();
 }
 
-Result<std::string> Parser::ExpectIdentifier(const std::string& what) {
+Result<std::string> Parser::ExpectIdentifier(std::string_view what) {
   if (Peek().type != TokenType::kIdentifier) {
-    return ErrorHere("expected " + what);
+    return ErrorHere("expected " + std::string(what));
   }
   return Advance().text;
 }
@@ -106,32 +131,37 @@ Status Parser::ErrorHere(const std::string& message) const {
 }
 
 Result<StatementPtr> Parser::ParseStatement(const std::string& text) {
-  Lexer lexer(text);
-  MAYBMS_ASSIGN_OR_RETURN(std::vector<Token> tokens, lexer.Tokenize());
-  Parser parser(std::move(tokens));
-  MAYBMS_ASSIGN_OR_RETURN(StatementPtr stmt, parser.ParseStatementInternal());
-  parser.Match(TokenType::kSemicolon);
-  if (parser.Peek().type != TokenType::kEnd) {
-    return parser.ErrorHere("unexpected trailing input");
+  Parser parser(text);
+  Result<StatementPtr> stmt = parser.ParseStatementInternal();
+  if (stmt.ok()) {
+    parser.Match(TokenType::kSemicolon);
+    if (parser.Peek().type != TokenType::kEnd) {
+      stmt = parser.ErrorHere("unexpected trailing input");
+    }
   }
+  MAYBMS_RETURN_NOT_OK(parser.LexicalError());
   return stmt;
 }
 
 Result<std::vector<StatementPtr>> Parser::ParseScript(const std::string& text) {
-  Lexer lexer(text);
-  MAYBMS_ASSIGN_OR_RETURN(std::vector<Token> tokens, lexer.Tokenize());
-  Parser parser(std::move(tokens));
+  Parser parser(text);
   std::vector<StatementPtr> statements;
-  while (parser.Peek().type != TokenType::kEnd) {
+  Status parsed = Status::OK();
+  while (parsed.ok() && parser.Peek().type != TokenType::kEnd) {
     if (parser.Match(TokenType::kSemicolon)) continue;
-    MAYBMS_ASSIGN_OR_RETURN(StatementPtr stmt,
-                            parser.ParseStatementInternal());
-    statements.push_back(std::move(stmt));
+    Result<StatementPtr> stmt = parser.ParseStatementInternal();
+    if (!stmt.ok()) {
+      parsed = stmt.status();
+      break;
+    }
+    statements.push_back(std::move(*stmt));
     if (parser.Peek().type != TokenType::kEnd &&
         !parser.Match(TokenType::kSemicolon)) {
-      return parser.ErrorHere("expected ';' between statements");
+      parsed = parser.ErrorHere("expected ';' between statements");
     }
   }
+  MAYBMS_RETURN_NOT_OK(parser.LexicalError());
+  MAYBMS_RETURN_NOT_OK(parsed);
   return statements;
 }
 

@@ -78,22 +78,6 @@ Trivalent TrivalentNot(Trivalent a) {
   return Trivalent::kUnknown;
 }
 
-DataType Value::type() const {
-  switch (storage_.index()) {
-    case 0:
-      return DataType::kNull;
-    case 1:
-      return DataType::kInteger;
-    case 2:
-      return DataType::kReal;
-    case 3:
-      return DataType::kText;
-    case 4:
-      return DataType::kBoolean;
-  }
-  return DataType::kNull;
-}
-
 double Value::NumericValue() const {
   if (type() == DataType::kInteger) return static_cast<double>(AsInteger());
   return AsReal();

@@ -49,7 +49,8 @@ class Value {
   static Value Text(std::string v) { return Value(Storage(std::move(v))); }
   static Value Boolean(bool v) { return Value(Storage(v)); }
 
-  DataType type() const;
+  /// The variant's alternatives are in DataType's order.
+  DataType type() const { return static_cast<DataType>(storage_.index()); }
 
   bool is_null() const { return type() == DataType::kNull; }
 

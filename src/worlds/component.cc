@@ -1,6 +1,8 @@
 #include "worlds/component.h"
 
+#include <algorithm>
 #include <limits>
+#include <memory>
 
 namespace maybms::worlds {
 
@@ -18,22 +20,58 @@ bool Component::ContributesTo(const std::string& relation_lower) const {
   return false;
 }
 
-std::vector<std::string> Component::Relations() const {
-  std::vector<std::string> names;
-  for (const Alternative& alt : alternatives) {
-    for (const auto& [rel, tuples] : alt.tuples) {
-      if (tuples.empty()) continue;
-      bool seen = false;
-      for (const std::string& n : names) {
-        if (n == rel) {
-          seen = true;
-          break;
-        }
-      }
-      if (!seen) names.push_back(rel);
+void ColumnRange::Add(const Value& value) {
+  const Class of = ClassOf(value);
+  if (of == Class::kNone) {
+    has_null = true;
+  } else if (value_class == Class::kNone && of != Class::kMixed) {
+    value_class = of;
+    min = max = &value;
+  } else if (value_class != of) {
+    value_class = Class::kMixed;
+    min = max = nullptr;
+  } else if (of != Class::kMixed) {
+    if (value < *min) {
+      min = &value;
+    } else if (*max < value) {
+      max = &value;
     }
   }
-  return names;
+}
+
+const RelationRanges* Component::RangesOf(
+    const std::string& relation_lower) const {
+  for (const auto& [relation, relation_ranges] : ranges) {
+    if (relation == relation_lower) return &relation_ranges;
+  }
+  return nullptr;
+}
+
+ComponentHandle ShareComponent(Component component) {
+  // Built where the handle keeps it: the ranges view its rows.
+  auto shared = std::make_unique<Component>(std::move(component));
+  auto& ranges = shared->ranges;
+  ranges.clear();
+  for (const Alternative& alt : shared->alternatives) {
+    for (const auto& [relation, tuples] : alt.tuples) {
+      if (tuples.empty()) continue;
+      auto it = std::find_if(ranges.begin(), ranges.end(), [&](const auto& r) {
+        return r.first == relation;
+      });
+      if (it == ranges.end()) {
+        it = ranges.emplace(ranges.end(), relation, RelationRanges());
+      }
+      for (const Tuple& tuple : tuples) {
+        if (it->second.size() < tuple.size()) it->second.resize(tuple.size());
+        for (size_t c = 0; c < tuple.size(); ++c) {
+          it->second[c].Add(tuple.value(c));
+        }
+      }
+    }
+  }
+  std::sort(ranges.begin(), ranges.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  return ComponentHandle(std::move(shared));
 }
 
 Status Component::Normalize() {

@@ -11,6 +11,7 @@
 
 #include "base/result.h"
 #include "types/tuple.h"
+#include "types/value.h"
 
 namespace maybms::worlds {
 
@@ -26,19 +27,65 @@ struct Alternative {
   const std::vector<Tuple>* TuplesFor(const std::string& relation_lower) const;
 };
 
+/// What a comparison with a literal can learn about one column of a
+/// component's rows of one relation: the smallest and the largest
+/// non-NULL value, whether some row holds NULL, and the comparison class
+/// all non-NULL values share. Numbers (INTEGER and REAL) are one class and
+/// compare by exact value; TEXT compares bytewise and BOOLEAN false before
+/// true. A column whose values mix classes, or that holds a NaN (which
+/// compares with nothing), is kMixed: no bound is known.
+struct ColumnRange {
+  enum class Class : uint8_t { kNone, kNumeric, kText, kBoolean, kMixed };
+
+  Class value_class = Class::kNone;  // kNone: no non-NULL value
+  bool has_null = false;
+  // Set for kNumeric, kText and kBoolean: views into the component's own
+  // rows, which a shared component never changes.
+  const Value* min = nullptr;
+  const Value* max = nullptr;
+
+  /// Takes in a value of a row that outlives the range.
+  void Add(const Value& value);
+
+  /// The class of a value; kNone for NULL, kMixed for a NaN.
+  static Class ClassOf(const Value& value) {
+    switch (value.type()) {
+      case DataType::kInteger:
+        return Class::kNumeric;
+      case DataType::kReal:
+        return value.AsReal() != value.AsReal() ? Class::kMixed  // NaN
+                                                : Class::kNumeric;
+      case DataType::kText:
+        return Class::kText;
+      case DataType::kBoolean:
+        return Class::kBoolean;
+      default:
+        return Class::kNone;
+    }
+  }
+};
+
+/// A component's ranges for one relation, one per column.
+using RelationRanges = std::vector<ColumnRange>;
+
 /// An independent factor of a world-set decomposition (ICDT'07 WSDs,
 /// restricted to tuple-level alternatives — which is all the demo paper's
 /// operations ever create). Alternatives are mutually exclusive and their
 /// probabilities sum to one.
 struct Component {
   std::vector<Alternative> alternatives;
+  /// Per relation (lower-cased) the alternatives contribute rows to, by
+  /// name, the ranges of its columns over all those rows. Derived data:
+  /// set by ShareComponent, never persisted. They view this component's
+  /// rows, so a copy's are the original's until the copy is shared.
+  std::vector<std::pair<std::string, RelationRanges>> ranges;
+
+  /// The ranges of `relation_lower`; null if no row of it is here.
+  const RelationRanges* RangesOf(const std::string& relation_lower) const;
 
   size_t size() const { return alternatives.size(); }
 
   bool ContributesTo(const std::string& relation_lower) const;
-
-  /// All relation names (lower-cased) any alternative contributes to.
-  std::vector<std::string> Relations() const;
 
   /// Rescales alternative probabilities to sum to one. Returns an error if
   /// the total mass is zero.
@@ -50,12 +97,11 @@ struct Component {
 /// copy and store a new handle (copy-on-write).
 using ComponentHandle = std::shared_ptr<const Component>;
 
-/// Wraps a finished component in a handle. The reference counts live in
-/// a separate allocation, so the counting that clones do never writes to
-/// the cache lines that readers of the component use.
-inline ComponentHandle ShareComponent(Component component) {
-  return ComponentHandle(new Component(std::move(component)));
-}
+/// Wraps a finished component in a handle, with its ranges computed. The
+/// reference counts live in a separate allocation, so the counting that
+/// clones do never writes to the cache lines that readers of the
+/// component use. Every component a world-set holds is made here.
+ComponentHandle ShareComponent(Component component);
 
 /// The digits of `index` in the mixed radix `radices`, digit 0 least
 /// significant. This is the one enumeration order of every product in

@@ -12,6 +12,7 @@
 #include <random>
 #include <utility>
 
+#include "base/dcheck.h"
 #include "base/query_context.h"
 #include "base/string_util.h"
 #include "base/thread_pool.h"
@@ -776,23 +777,24 @@ Result<std::optional<DecomposedAnswer>> RowLocalAnswer(
 /// row-local route over one uncertain relation (RowLocalAnswer), and the
 /// clean repair/choice product over certain relations (CleanProduct). A
 /// quantified statement's answer comes back combined, as certain rows.
-/// `referenced` are the relations the statement references, `relevant`
-/// the components contributing to them. Returns nullopt when the
+/// `referenced` are the relations the statement references, `uncertain`
+/// whether some component contributes to them, and `relevant` the
+/// components it reads (RelevantComponents). Returns nullopt when the
 /// statement must run through the pipeline — as one that references no
 /// uncertain relation does, over one world, the certain core.
 Result<std::optional<DecomposedAnswer>> Shortcut(
     const Database& certain, const std::vector<ComponentHandle>& components,
     const sql::SelectStatement& stmt, const std::set<std::string>& referenced,
-    const std::vector<size_t>& relevant, size_t threads,
+    bool uncertain, const std::vector<size_t>& relevant, size_t threads,
     uint64_t max_support) {
   MAYBMS_RETURN_NOT_OK(ValidateWorldOps(stmt));
   std::optional<DecomposedAnswer> answer;
   if (stmt.assert_condition || stmt.group_worlds_by) return answer;
   if (stmt.repair.has_value() || stmt.choice.has_value()) {
-    if (!relevant.empty()) return answer;
+    if (uncertain) return answer;
     MAYBMS_ASSIGN_OR_RETURN(answer, CleanProduct(certain, stmt));
   } else {
-    if (relevant.empty()) return answer;  // the pipeline's one world
+    if (!uncertain) return answer;  // the pipeline's one world
     const RowLocal route = ClassifyRowLocal(stmt, referenced);
     if (route == RowLocal::kNone) return answer;
     MAYBMS_ASSIGN_OR_RETURN(answer,
@@ -807,6 +809,36 @@ Result<std::optional<DecomposedAnswer>> Shortcut(
     answer = {combined.schema(), std::move(*combined.mutable_rows()), {}, {}};
   }
   return answer;
+}
+
+/// True if `stmt`, which references the relations `referenced`, may
+/// leave out the components its WHERE clauses rule out (RowRelevance)
+/// with its answer unchanged bit for bit:
+///  * a slice under a quantifier: a component that keeps no rows gets no
+///    factor anyway;
+///  * a possible/certain count or sum: a component that keeps no rows
+///    adds the sumset's identity (a count's 0, a sum's empty sum);
+///  * any other possible/certain statement through the pipeline: each
+///    world of the narrowed product stands for a block of full worlds
+///    with the same answer, so the sets of answers are the same.
+/// Not a quantifier-free listing (every relevant component is a factor),
+/// conf through the pipeline (its probabilities would be summed in
+/// another order), assert, GROUP WORLDS BY or repair/choice.
+bool NarrowsByRanges(const sql::SelectStatement& stmt,
+                     const std::set<std::string>& referenced) {
+  if (stmt.assert_condition || stmt.group_worlds_by ||
+      stmt.repair.has_value() || stmt.choice.has_value()) {
+    return false;
+  }
+  switch (stmt.quantifier) {
+    case sql::WorldQuantifier::kPossible:
+    case sql::WorldQuantifier::kCertain:
+      return true;
+    case sql::WorldQuantifier::kConf:
+      return ClassifyRowLocal(stmt, referenced) == RowLocal::kSlice;
+    default:
+      return false;
+  }
 }
 
 /// The per-world listing of a decomposed answer: the product of the
@@ -863,8 +895,8 @@ class SubProductSource final : public WorldSource {
         size_(ProductSize(parts_)) {
     std::set<std::string> relations;
     for (const Component* part : parts_) {
-      for (std::string& relation : part->Relations()) {
-        relations.insert(std::move(relation));
+      for (const auto& [relation, ranges] : part->ranges) {
+        relations.insert(relation);
       }
     }
     for (const std::string& relation : relations) {
@@ -1386,35 +1418,44 @@ Status DecomposedWorldSet::DropRelation(const std::string& name) {
   MAYBMS_RETURN_NOT_OK(base::GovernPoll());
   MAYBMS_RETURN_NOT_OK(certain_.DropRelation(name));
   std::string lower = AsciiToLower(name);
-  for (ComponentHandle& c : components_) {
+  for (size_t i = 0; i < components_.size(); ++i) {
     bool keyed = false;
-    for (const Alternative& alt : c->alternatives) {
+    for (const Alternative& alt : components_[i]->alternatives) {
       keyed = keyed || alt.tuples.count(lower) > 0;
     }
     if (!keyed) continue;
     // Copy-on-write: other clones and the store may share the instance.
-    Component pruned = *c;
+    Component pruned = *components_[i];
     for (Alternative& alt : pruned.alternatives) alt.tuples.erase(lower);
-    c = ShareComponent(std::move(pruned));
+    SetComponent(i, std::move(pruned));
   }
-  index_.erase(lower);
   return Status::OK();
 }
 
 std::vector<size_t> DecomposedWorldSet::ComponentsOf(
     const std::string& relation) const {
-  auto it = index_.find(relation);
-  return it == index_.end() ? std::vector<size_t>() : it->second;
+  return RelevantComponents({relation}, nullptr);
 }
 
 std::vector<size_t> DecomposedWorldSet::RelevantComponents(
-    const std::set<std::string>& relations) const {
+    const std::set<std::string>& relations, const RowRelevance* rows) const {
   std::vector<size_t> indices;
   for (const std::string& relation : relations) {
     auto it = index_.find(relation);
     if (it == index_.end()) continue;
+    const RangeTests* tests =
+        rows == nullptr ? nullptr : rows->TestsFor(relation);
     const size_t n = indices.size();
-    indices.insert(indices.end(), it->second.begin(), it->second.end());
+    for (const Contributor& contributor : it->second) {
+      MAYBMS_DCHECK(contributor.ranges.data() ==
+                        components_[contributor.component]
+                            ->RangesOf(relation)
+                            ->data(),
+                    "the index holds a replaced component's ranges");
+      if (tests == nullptr || tests->MayKeep(contributor.ranges)) {
+        indices.push_back(contributor.component);
+      }
+    }
     std::inplace_merge(indices.begin(), indices.begin() + static_cast<long>(n),
                        indices.end());
   }
@@ -1423,11 +1464,31 @@ std::vector<size_t> DecomposedWorldSet::RelevantComponents(
 }
 
 void DecomposedWorldSet::IndexComponent(size_t i) {
-  for (const std::string& relation : components_[i]->Relations()) {
-    std::vector<size_t>& indices = index_[relation];
-    const auto at = std::lower_bound(indices.begin(), indices.end(), i);
-    if (at == indices.end() || *at != i) indices.insert(at, i);
+  for (const auto& [relation, ranges] : components_[i]->ranges) {
+    std::vector<Contributor>& contributors = index_[relation];
+    const auto at = std::lower_bound(
+        contributors.begin(), contributors.end(), i,
+        [](const Contributor& c, size_t index) { return c.component < index; });
+    if (at == contributors.end() || at->component != i) {
+      contributors.insert(at, {i, ranges});
+    } else {
+      at->ranges = ranges;
+    }
   }
+}
+
+void DecomposedWorldSet::SetComponent(size_t i, Component component) {
+  ComponentHandle handle = ShareComponent(std::move(component));
+  for (const auto& [relation, ranges] : components_[i]->ranges) {
+    if (handle->RangesOf(relation) != nullptr) continue;
+    std::vector<Contributor>& contributors = index_[relation];
+    contributors.erase(std::find_if(
+        contributors.begin(), contributors.end(),
+        [i](const Contributor& c) { return c.component == i; }));
+    if (contributors.empty()) index_.erase(relation);
+  }
+  components_[i] = std::move(handle);
+  IndexComponent(i);
 }
 
 std::vector<const Component*> DecomposedWorldSet::Parts(
@@ -1468,11 +1529,13 @@ Status DecomposedWorldSet::ReplaceComponents(
   // Drop the erased indices from the index, and shift each later one down
   // by the number erased before it.
   for (auto it = index_.begin(); it != index_.end();) {
-    std::vector<size_t> kept;
-    for (size_t i : it->second) {
-      const auto below = std::lower_bound(relevant.begin(), relevant.end(), i);
-      if (below != relevant.end() && *below == i) continue;
-      kept.push_back(i - static_cast<size_t>(below - relevant.begin()));
+    std::vector<Contributor> kept;
+    for (const Contributor& c : it->second) {
+      const auto below =
+          std::lower_bound(relevant.begin(), relevant.end(), c.component);
+      if (below != relevant.end() && *below == c.component) continue;
+      const auto shift = static_cast<size_t>(below - relevant.begin());
+      kept.push_back({c.component - shift, c.ranges});
     }
     if (kept.empty()) {
       it = index_.erase(it);
@@ -1497,7 +1560,7 @@ Status DecomposedWorldSet::ApplyDml(const sql::Statement& stmt,
                           engine::PreparedDml::Prepare(stmt, certain_,
                                                        &catalog));
 
-  std::vector<size_t> relevant = RelevantComponents(referenced);
+  std::vector<size_t> relevant = RelevantComponents(referenced, nullptr);
   if (relevant.empty()) {
     // All referenced relations are certain: apply once to the core.
     return plan.Execute(&certain_);
@@ -1597,13 +1660,7 @@ Result<bool> DecomposedWorldSet::ApplyRowLocalDml(
         tuples[relation] = std::move(*rows);
       }
     }
-    if (!changed.has_value()) continue;
-    const bool contributes = changed->ContributesTo(relation);
-    components_[relevant[k]] = ShareComponent(std::move(*changed));
-    if (contributes) continue;
-    std::vector<size_t>& indices = index_[relation];
-    indices.erase(std::find(indices.begin(), indices.end(), relevant[k]));
-    if (indices.empty()) index_.erase(relation);
+    if (changed.has_value()) SetComponent(relevant[k], std::move(*changed));
   }
   return true;
 }
@@ -1628,14 +1685,30 @@ Result<PipelineResult> DecomposedWorldSet::RunPipeline(
                           summaries.get());
 }
 
+std::vector<size_t> DecomposedWorldSet::SelectComponents(
+    const sql::SelectStatement& stmt, const std::set<std::string>& referenced,
+    bool* uncertain) const {
+  *uncertain = std::any_of(
+      referenced.begin(), referenced.end(),
+      [&](const std::string& relation) { return index_.count(relation) > 0; });
+  if (!*uncertain) return {};
+  if (!NarrowsByRanges(stmt, referenced)) {
+    return RelevantComponents(referenced, nullptr);
+  }
+  const RowRelevance rows(stmt, certain_);
+  return RelevantComponents(referenced, &rows);
+}
+
 Result<SelectEvaluation> DecomposedWorldSet::EvaluateSelect(
     const sql::SelectStatement& stmt, size_t max_worlds) const {
   std::set<std::string> referenced;
   CollectReferencedRelations(stmt, &referenced);
-  const std::vector<size_t> relevant = RelevantComponents(referenced);
+  bool uncertain = false;
+  const std::vector<size_t> relevant =
+      SelectComponents(stmt, referenced, &uncertain);
   MAYBMS_ASSIGN_OR_RETURN(std::optional<DecomposedAnswer> dec,
                           Shortcut(certain_, components_, stmt, referenced,
-                                   relevant, threads_, max_worlds_));
+                                   uncertain, relevant, threads_, max_worlds_));
   if (dec.has_value()) {
     if (stmt.quantifier == sql::WorldQuantifier::kNone) {
       return ListWorlds(*dec, max_worlds);
@@ -1659,10 +1732,12 @@ Status DecomposedWorldSet::MaterializeSelect(const std::string& name,
   const std::string lower = AsciiToLower(name);
   std::set<std::string> referenced;
   CollectReferencedRelations(stmt, &referenced);
-  const std::vector<size_t> relevant = RelevantComponents(referenced);
+  bool uncertain = false;
+  const std::vector<size_t> relevant =
+      SelectComponents(stmt, referenced, &uncertain);
   MAYBMS_ASSIGN_OR_RETURN(std::optional<DecomposedAnswer> dec,
                           Shortcut(certain_, components_, stmt, referenced,
-                                   relevant, threads_, max_worlds_));
+                                   uncertain, relevant, threads_, max_worlds_));
   if (dec.has_value()) {
     // Attach the contributions to copies of the involved components (the
     // old instances may be shared with clones and the store), or append
@@ -1680,14 +1755,12 @@ Status DecomposedWorldSet::MaterializeSelect(const std::string& name,
         comp.alternatives[j].probability = factor[j].probability;
         comp.alternatives[j].tuples[lower] = std::move(factor[j].rows);
       }
-      const size_t index =
-          attach ? dec->component_indices[k] : components_.size();
       if (attach) {
-        components_[index] = ShareComponent(std::move(comp));
+        SetComponent(dec->component_indices[k], std::move(comp));
       } else {
         components_.push_back(ShareComponent(std::move(comp)));
+        IndexComponent(components_.size() - 1);
       }
-      IndexComponent(index);
     }
     return Status::OK();
   }

@@ -34,10 +34,12 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "worlds/component.h"
+#include "worlds/row_relevance.h"
 #include "worlds/world_pipeline.h"
 #include "worlds/world_set.h"
 
@@ -69,7 +71,10 @@ namespace maybms::worlds {
 ///  * the clean repair/choice product over certain relations: one new
 ///    component per partition block.
 /// A slice's and a product's possible/certain/conf use per-component math
-/// (conf uses the closed form 1 − ∏_c (1 − p_c(t))). Everything else runs
+/// (conf uses the closed form 1 − ∏_c (1 − p_c(t))). Under possible and
+/// certain, and for a slice under conf, a statement reads only the
+/// components its WHERE clauses can keep a row of (worlds/row_relevance.h,
+/// judged from each component's column ranges). Everything else runs
 /// the shared world pipeline over the *relevant* sub-product, decoded
 /// lazily world by world; it is never the full world-set and is never
 /// materialized. That covers `assert`, `group worlds by`, queries that
@@ -145,11 +150,23 @@ class DecomposedWorldSet : public WorldSet {
 
  private:
   /// The components contributing to any of `relations` (lower-case),
-  /// ascending, read from the index.
-  std::vector<size_t> RelevantComponents(
-      const std::set<std::string>& relations) const;
-  /// Adds component `i` under every relation it contributes to.
+  /// ascending, read from the index. With `rows`, a component stays only
+  /// if, for some relation it feeds, its ranges do not rule out every
+  /// occurrence's rows (RowRelevance).
+  std::vector<size_t> RelevantComponents(const std::set<std::string>& relations,
+                                         const RowRelevance* rows) const;
+  /// The components the select `stmt` reads, given the relations it
+  /// references: all that feed them, narrowed by its row-local WHERE
+  /// clauses where that leaves its answer unchanged. Sets `*uncertain` if
+  /// any component feeds them.
+  std::vector<size_t> SelectComponents(const sql::SelectStatement& stmt,
+                                       const std::set<std::string>& referenced,
+                                       bool* uncertain) const;
+  /// Files component `i` under every relation it contributes to, with its
+  /// ranges for that relation.
   void IndexComponent(size_t i);
+  /// Replaces component `i` with `component` and re-files it.
+  void SetComponent(size_t i, Component component);
 
   /// A select run through the shared pipeline (worlds/world_pipeline.h)
   /// over the sub-product of the components at `relevant`, those the
@@ -190,10 +207,17 @@ class DecomposedWorldSet : public WorldSet {
   // mutation site (component replacement, repair/choice append, drop)
   // stores a new instance instead of changing a shared one.
   std::vector<ComponentHandle> components_;
-  // Relation (lower-case) → the ascending indices of the components that
-  // contribute to it; relations without such components have no entry.
+  // One component feeding a relation, beside its ranges for that relation
+  // (in the component), so that the per-statement relevance check reads
+  // them without a lookup.
+  struct Contributor {
+    size_t component;
+    std::span<const ColumnRange> ranges;
+  };
+  // Relation (lower-case) → the components that contribute to it, by
+  // ascending index; relations without such components have no entry.
   // Kept current by every mutation of components_.
-  std::map<std::string, std::vector<size_t>> index_;
+  std::map<std::string, std::vector<Contributor>> index_;
   uint64_t max_worlds_;
   size_t threads_;  // per-call parallelism cap; 0 = default
 };

@@ -48,50 +48,70 @@ std::unique_ptr<sql::SelectStatement> StripWorldOps(
   return core;
 }
 
-void CollectReferencedRelations(const sql::Expr& expr,
-                                std::set<std::string>* out) {
+void ForEachSelectBlock(const sql::Expr& expr, const BlockVisitor& visit) {
   switch (expr.kind) {
     case sql::ExprKind::kInSubquery:
-      CollectReferencedRelations(
-          *static_cast<const sql::InSubqueryExpr&>(expr).subquery, out);
+      ForEachSelectBlock(
+          *static_cast<const sql::InSubqueryExpr&>(expr).subquery, visit);
       break;
     case sql::ExprKind::kExists:
-      CollectReferencedRelations(
-          *static_cast<const sql::ExistsExpr&>(expr).subquery, out);
+      ForEachSelectBlock(*static_cast<const sql::ExistsExpr&>(expr).subquery,
+                         visit);
       break;
     case sql::ExprKind::kScalarSubquery:
-      CollectReferencedRelations(
-          *static_cast<const sql::ScalarSubqueryExpr&>(expr).subquery, out);
+      ForEachSelectBlock(
+          *static_cast<const sql::ScalarSubqueryExpr&>(expr).subquery, visit);
       break;
     default:
       break;
   }
-  engine::ForEachChildExpr(expr, [out](const sql::Expr& child) {
-    CollectReferencedRelations(child, out);
+  engine::ForEachChildExpr(expr, [&visit](const sql::Expr& child) {
+    ForEachSelectBlock(child, visit);
   });
 }
 
-void CollectReferencedRelations(const sql::SelectStatement& stmt,
-                                std::set<std::string>* out) {
-  for (const sql::TableRef& ref : stmt.from) {
-    out->insert(AsciiToLower(ref.table_name));
-  }
+void ForEachSelectBlock(const sql::SelectStatement& stmt,
+                        const BlockVisitor& visit) {
+  visit(stmt);
   for (const sql::JoinClause& join : stmt.joins) {
-    out->insert(AsciiToLower(join.table.table_name));
-    if (join.on) CollectReferencedRelations(*join.on, out);
+    if (join.on) ForEachSelectBlock(*join.on, visit);
   }
   for (const sql::SelectItem& item : stmt.items) {
-    if (item.expr) CollectReferencedRelations(*item.expr, out);
+    if (item.expr) ForEachSelectBlock(*item.expr, visit);
   }
-  if (stmt.where) CollectReferencedRelations(*stmt.where, out);
-  for (const auto& g : stmt.group_by) CollectReferencedRelations(*g, out);
-  if (stmt.having) CollectReferencedRelations(*stmt.having, out);
-  for (const auto& o : stmt.order_by) CollectReferencedRelations(*o.expr, out);
-  if (stmt.assert_condition) {
-    CollectReferencedRelations(*stmt.assert_condition, out);
-  }
-  if (stmt.group_worlds_by) CollectReferencedRelations(*stmt.group_worlds_by, out);
-  if (stmt.union_next) CollectReferencedRelations(*stmt.union_next, out);
+  if (stmt.where) ForEachSelectBlock(*stmt.where, visit);
+  for (const auto& g : stmt.group_by) ForEachSelectBlock(*g, visit);
+  if (stmt.having) ForEachSelectBlock(*stmt.having, visit);
+  for (const auto& o : stmt.order_by) ForEachSelectBlock(*o.expr, visit);
+  if (stmt.assert_condition) ForEachSelectBlock(*stmt.assert_condition, visit);
+  if (stmt.group_worlds_by) ForEachSelectBlock(*stmt.group_worlds_by, visit);
+  if (stmt.union_next) ForEachSelectBlock(*stmt.union_next, visit);
+}
+
+namespace {
+
+/// Adds the relations `block` reads in its FROM and JOIN clauses.
+BlockVisitor Collector(std::set<std::string>* out) {
+  return [out](const sql::SelectStatement& block) {
+    for (const sql::TableRef& ref : block.from) {
+      out->insert(AsciiToLower(ref.table_name));
+    }
+    for (const sql::JoinClause& join : block.joins) {
+      out->insert(AsciiToLower(join.table.table_name));
+    }
+  };
+}
+
+}  // namespace
+
+void CollectReferencedRelations(const sql::SelectStatement& stmt,
+                                std::set<std::string>* out) {
+  ForEachSelectBlock(stmt, Collector(out));
+}
+
+void CollectReferencedRelations(const sql::Expr& expr,
+                                std::set<std::string>* out) {
+  ForEachSelectBlock(expr, Collector(out));
 }
 
 Result<std::string> DmlTarget(const sql::Statement& stmt,

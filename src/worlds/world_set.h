@@ -37,6 +37,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <set>
@@ -186,9 +187,18 @@ class WorldSet {
 /// copy of them.
 Status ValidateWorldOps(const sql::SelectStatement& stmt);
 
+/// Calls `visit` on every SELECT block of a statement, the statement first:
+/// its UNION branches, and the subqueries in any expression, assert
+/// condition and GROUP WORLDS BY query, recursively. For an expression,
+/// the blocks of its subqueries.
+using BlockVisitor = std::function<void(const sql::SelectStatement&)>;
+void ForEachSelectBlock(const sql::SelectStatement& stmt,
+                        const BlockVisitor& visit);
+void ForEachSelectBlock(const sql::Expr& expr, const BlockVisitor& visit);
+
 /// Collects the (lower-cased) names of all relations referenced anywhere in
-/// a statement: FROM clauses, subqueries in any expression, assert
-/// conditions, group-worlds-by queries, and UNION branches.
+/// a statement: the FROM and JOIN clauses of every block
+/// (ForEachSelectBlock).
 void CollectReferencedRelations(const sql::SelectStatement& stmt,
                                 std::set<std::string>* out);
 void CollectReferencedRelations(const sql::Expr& expr,

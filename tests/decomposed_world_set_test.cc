@@ -211,7 +211,7 @@ void ExpectIndexMatchesScan(const DecomposedWorldSet& wsd,
     relations.insert(AsciiToLower(name));
   }
   for (const ComponentHandle& c : wsd.components()) {
-    for (const std::string& name : c->Relations()) relations.insert(name);
+    for (const auto& [name, ranges] : c->ranges) relations.insert(name);
   }
   for (const std::string& relation : relations) {
     std::vector<size_t> scan;

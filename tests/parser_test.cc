@@ -264,6 +264,67 @@ TEST(ParserTest, ErrorsCarryOffsets) {
   ASSERT_FALSE(bad.ok());
 }
 
+// The parser pulls tokens as it goes, but a lexical error anywhere in the
+// input still comes before any parse error, as when the whole input was
+// lexed first.
+TEST(ParserTest, LexicalErrorsBeatParseErrors) {
+  const char* kInputs[] = {
+      "select from where 'unterminated",
+      "select * frm R where A = 1 #",
+      "select 1 2 3 \"open",
+      "select * from R; insert into T values (99999999999999999999)",
+  };
+  for (const char* text : kInputs) {
+    for (const auto& status :
+         {Parser::ParseStatement(text).status(),
+          Parser::ParseScript(text).status()}) {
+      ASSERT_FALSE(status.ok()) << text;
+      const std::string message = status.ToString();
+      EXPECT_TRUE(message.find("unterminated") != std::string::npos ||
+                  message.find("unexpected character") != std::string::npos ||
+                  message.find("out of range") != std::string::npos)
+          << text << " -> " << message;
+    }
+  }
+  // A script whose statements all parse before the lexical error.
+  auto script = Parser::ParseScript("select 1; select 2; 'oops");
+  ASSERT_FALSE(script.ok());
+  EXPECT_NE(script.status().ToString().find("unterminated"), std::string::npos);
+  // Without a lexical error, the parse error and its offset.
+  auto bad = Parser::ParseStatement("select * frm R");
+  ASSERT_FALSE(bad.ok());
+  EXPECT_NE(bad.status().ToString().find("offset 9"), std::string::npos)
+      << bad.status().ToString();
+}
+
+TEST(ParserTest, LongInsertParsesEveryRow) {
+  constexpr int kRows = 2000;
+  std::string text = "insert into R values ";
+  for (int r = 0; r < kRows; ++r) {
+    text += (r > 0 ? ", (" : "(") + std::to_string(r) + ", " +
+            std::to_string(-r * 7) + ", 'k" + std::to_string(r % 13) +
+            "', " + std::to_string(r) + ".5)";
+  }
+  for (const std::string& input : {text, text + ";"}) {
+    auto stmt = Parser::ParseStatement(input);
+    ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+    const auto& insert = static_cast<const InsertStatement&>(**stmt);
+    ASSERT_EQ(insert.rows.size(), static_cast<size_t>(kRows));
+    for (int r = 0; r < kRows; ++r) {
+      const std::vector<ExprPtr>& row = insert.rows[r];
+      ASSERT_EQ(row.size(), 4u);
+      EXPECT_EQ(row[0]->ToString(), std::to_string(r));
+      // -r * 7 is a unary minus on a literal (none for r = 0).
+      EXPECT_EQ(row[1]->kind,
+                r == 0 ? ExprKind::kLiteral : ExprKind::kUnary);
+      EXPECT_EQ(static_cast<const LiteralExpr&>(*row[2]).value.AsText(),
+                "k" + std::to_string(r % 13));
+      EXPECT_EQ(static_cast<const LiteralExpr&>(*row[3]).value.AsReal(),
+                r + 0.5);
+    }
+  }
+}
+
 TEST(ParserTest, CloneRoundTripsToString) {
   const char* queries[] = {
       "SELECT DISTINCT A, B AS x FROM R t WHERE (A = 'a') ORDER BY A LIMIT 3",

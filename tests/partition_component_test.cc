@@ -173,7 +173,9 @@ TEST(ComponentTest, ContributesToIgnoresEmptyContributions) {
   c.alternatives.push_back(MakeAlt(0.5, "r", {}));
   EXPECT_TRUE(c.ContributesTo("r"));
   EXPECT_FALSE(c.ContributesTo("s"));
-  EXPECT_EQ(c.Relations(), std::vector<std::string>{"r"});
+  const ComponentHandle shared = ShareComponent(c);
+  ASSERT_EQ(shared->ranges.size(), 1u);
+  EXPECT_EQ(shared->ranges[0].first, "r");
 }
 
 TEST(ComponentTest, NormalizeRescalesToOne) {

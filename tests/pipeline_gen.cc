@@ -572,6 +572,77 @@ void PipelineGenerator::EmitRowLocalWrite(GeneratedPipeline* p) {
   p->writes.push_back(SummaryProbe());
 }
 
+void PipelineGenerator::EmitWideRepair(GeneratedPipeline* p) {
+  const char kGs[] = {'x', 'y', 'z'};
+  const int keys = Int(4, 8);
+  std::ostringstream insert;
+  insert << "insert into WB values ";
+  for (int k = 0; k < keys; ++k) {
+    // A second row per key doubles the worlds, within the budget.
+    const bool pair =
+        world_bound_ * 2 <= options_.world_budget && Chance(0.5);
+    if (pair) world_bound_ *= 2;
+    for (int i = 0; i < (pair ? 2 : 1); ++i) {
+      insert << (k + i > 0 ? ", (" : "(") << k << ", ";
+      if (Chance(0.15)) {
+        insert << "NULL";
+      } else {
+        insert << Int(1, 6);
+      }
+      insert << ", " << Int(1, 9) << ", '" << kGs[Int(0, 2)] << "')";
+    }
+  }
+  insert << ";";
+  p->writes.push_back("create table WB (K integer, V integer, W integer, "
+                      "G text);");
+  p->writes.push_back(insert.str());
+  p->writes.push_back(
+      "create table WR as select K, V, G from WB repair by key K weight W;");
+
+  const char* kQuantifiers[] = {"possible ", "certain ", "conf, "};
+  const int probes = Int(2, 4);
+  for (int i = 0; i < probes; ++i) {
+    const std::string q = kQuantifiers[Int(0, 2)];
+    const std::string set_q = Chance(0.5) ? "possible " : "certain ";
+    const int c = Int(0, keys + 1);  // sometimes past the last key
+    std::ostringstream out;
+    switch (Int(0, 7)) {
+      case 0:
+        out << "select " << q << "K, V from WR where K between " << c
+            << " and " << c + Int(0, 2);
+        break;
+      case 1:
+        out << "select " << q << "K, V, G from WR where K = " << c;
+        break;
+      case 2:
+        out << "select " << q << "K from WR where K in (" << c << ", "
+            << Int(0, keys) << ") and V > " << Int(0, 4);
+        break;
+      case 3:
+        out << "select " << set_q << "K, sum(V) from WR where K < " << c
+            << " group by K";
+        break;
+      case 4:
+        out << "select " << set_q << "A.V from WR A, WR B where A.K = " << c
+            << " and B.K = " << Int(0, keys) << " and A.V = B.V";
+        break;
+      case 5:
+        out << "select " << set_q << (Chance(0.5) ? "count(*)" : "sum(V)")
+            << " from WR where K >= " << c;
+        break;
+      case 6:
+        out << "select " << q << "K, V from WR where G = '" << kGs[Int(0, 2)]
+            << "' and not (K < " << c << ")";
+        break;
+      default:
+        out << "select " << q << "K from WR where V is null or K = " << c;
+        break;
+    }
+    out << ";";
+    p->writes.push_back(out.str());
+  }
+}
+
 GeneratedPipeline PipelineGenerator::Generate() {
   GeneratedPipeline p;
   tables_.clear();
@@ -594,6 +665,7 @@ GeneratedPipeline PipelineGenerator::Generate() {
   // Drawn last, so the rest of a seed's pipeline does not move with them.
   p.probes.push_back(SummaryProbe());
   EmitRowLocalWrite(&p);
+  EmitWideRepair(&p);
 
   p.world_bound = world_bound_;
   return p;

@@ -37,7 +37,8 @@ struct GeneratedPipeline {
   std::vector<std::string> probes;
 
   /// Run after the probes and compared like them: a row-local write
-  /// (usually to a repaired or chosen relation) and reads of what it left.
+  /// (usually to a repaired or chosen relation) and reads of what it left,
+  /// then a wide repair and range probes over it.
   /// Unlike the probes they change the world-set, so a harness that
   /// replays the probes against several sessions leaves them out.
   std::vector<std::string> writes;
@@ -125,6 +126,12 @@ class PipelineGenerator {
   /// chosen relation, and reads of what it left. The decomposed engine
   /// applies it per alternative, or per world where it fails somewhere.
   void EmitRowLocalWrite(GeneratedPipeline* p);
+  /// Appends to `writes` a repair WR of a base table WB with 4 to 8 keys
+  /// (one or, within the world budget, two rows each), then key-range,
+  /// point and two-key probes over it under possible, certain and conf:
+  /// slices, count/sum, GROUP BY and a self-join, whose WHERE clauses the
+  /// decomposed engine narrows to the components they can read.
+  void EmitWideRepair(GeneratedPipeline* p);
 
   std::mt19937 rng_;
   Options options_;
